@@ -359,7 +359,8 @@ def sandwich(g: EvenCliffordElement, v: CliffordElement) -> CliffordElement:
     if v.form != g.form:
         raise FieldMismatchError("mixed algebras")
     out = g.to_clifford() * v * g.inverse().to_clifford()
-    assert not out.grades() - {1}
+    if out.grades() - {1}:
+        raise AssertionError("sandwich left grade 1")
     return out
 
 

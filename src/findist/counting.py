@@ -465,5 +465,6 @@ def prune_heavy(A: PointSet) -> tuple[PointSet, int]:
         curve = heavy[0]
         current = PointSet(current.spec, [p for p in current if not curve.contains(p)])
         steps += 1
-    assert steps <= _ceil_cbrt(len(A)) + 1
+    if steps > _ceil_cbrt(len(A)) + 1:
+        raise AssertionError(f"pruning took {steps} steps on {len(A)} points")
     return current, steps

@@ -1,16 +1,23 @@
 """Exact arithmetic in small finite fields F_{p^r} of odd characteristic.
 
 Elements are canonical coefficient tuples (constant term first) modulo a monic
-irreducible polynomial.  Everything is deterministic: element enumeration order,
-the irreducible-modulus search, and square-root conventions are all fixed so
-that downstream counts are reproducible bit for bit.
+irreducible polynomial.  Each FieldSpec interns its q elements in log/Zech
+tables, built on first use by polynomial multiplication in O(q) time and
+memory (hence q <= Q_MAX), so every operation is a few integer operations and
+a list index.  Everything is deterministic: element enumeration order, the
+irreducible-modulus search, and square-root conventions are all fixed so that
+downstream counts are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterator, Sequence
+
+# Largest field order accepted.  It covers the lift F_{101^2} = 10201 of the
+# largest prime the scaling sweep uses; q = 100003 builds in about 0.2 s.
+Q_MAX = 1 << 17
 
 
 class FieldMismatchError(ValueError):
@@ -106,10 +113,14 @@ class FieldSpec:
     modulus: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p) or self.p == 2:
-            raise ValueError(f"p must be an odd prime, got {self.p}")
         if self.r < 1:
             raise ValueError(f"r must be positive, got {self.r}")
+        # r > 64 exceeds the limit for every p >= 2 without computing p^r
+        if self.p > 1 and (self.r > 64 or self.p**self.r > Q_MAX):
+            order = self.p if self.r == 1 else f"{self.p}^{self.r}"
+            raise ValueError(f"field order q = {order} exceeds the limit {Q_MAX}")
+        if not _is_prime(self.p) or self.p == 2:
+            raise ValueError(f"p must be an odd prime, got {self.p}")
         if not self.modulus:
             object.__setattr__(self, "modulus", find_irreducible(self.p, self.r))
         mod = tuple(c % self.p for c in self.modulus)
@@ -123,33 +134,32 @@ class FieldSpec:
     def q(self) -> int:
         return self.p**self.r
 
+    @cached_property
+    def tables(self) -> "_Tables":
+        """The log/Zech tables and interned elements, built on first use."""
+        return _Tables(self)
+
     def element(self, coeffs: int | Sequence[int]) -> "FieldElement":
         if isinstance(coeffs, int):
             coeffs = [coeffs]
         c = [int(x) % self.p for x in coeffs]
         if len(c) > self.r:
             raise ValueError(f"too many coefficients for degree {self.r}")
-        c += [0] * (self.r - len(c))
-        return FieldElement(self, tuple(c))
+        return self.tables.elements[_index(c, self.p)]
 
     def from_index(self, k: int) -> "FieldElement":
         if not 0 <= k < self.q:
             raise ValueError(f"index {k} out of range for q={self.q}")
-        coeffs = []
-        for _ in range(self.r):
-            coeffs.append(k % self.p)
-            k //= self.p
-        return FieldElement(self, tuple(coeffs))
+        return self.tables.elements[k]
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.r)
+        return self.tables.elements[0]
 
     def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.r - 1))
+        return self.tables.elements[1]
 
     def elements(self) -> Iterator["FieldElement"]:
-        for k in range(self.q):
-            yield self.from_index(k)
+        return iter(self.tables.elements)
 
     def chi_minus_one(self) -> int:
         """Quadratic character of -1: +1 iff q ≡ 1 (mod 4)."""
@@ -163,7 +173,14 @@ class FieldSpec:
         return FieldSpec(int(obj["p"]), int(obj.get("r", 1)), tuple(obj.get("modulus", ())))
 
 
-@lru_cache(maxsize=None)
+def _index(coeffs: Sequence[int], p: int) -> int:
+    """Canonical integer index of a coefficient vector (constant term least significant)."""
+    k = 0
+    for c in reversed(coeffs):
+        k = k * p + c
+    return k
+
+
 def _reduction_rows(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
     # rows[i] = coefficients of x^(r+i) reduced mod the modulus
     p, r, mod = spec.p, spec.r, spec.modulus
@@ -180,22 +197,94 @@ def _reduction_rows(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-class FieldElement:
-    """One element of a FieldSpec; immutable, hashable, with operator arithmetic."""
+def _poly_mul(a: Sequence[int], b: Sequence[int], p: int, rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Product of coefficient vectors modulo the modulus ``rows`` reduces by; builds the tables."""
+    r = len(a)
+    if r == 1:
+        return ((a[0] * b[0]) % p,)
+    prod = [0] * (2 * r - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    out = prod[:r]
+    for i in range(r, 2 * r - 1):
+        c = prod[i]
+        if c:
+            row = rows[i - r]
+            for k in range(r):
+                out[k] += c * row[k]
+    return tuple(v % p for v in out)
 
-    __slots__ = ("spec", "coeffs")
+
+def _poly_pow(a: Sequence[int], n: int, p: int, rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """a^n for n >= 0 by square-and-multiply on coefficient vectors."""
+    result = (1,) + (0,) * (len(a) - 1)
+    while n:
+        if n & 1:
+            result = _poly_mul(result, a, p, rows)
+        a, n = _poly_mul(a, a, p, rows), n >> 1
+    return result
+
+
+class _Tables:
+    """Interned elements by index, and log/Zech tables over the first primitive g.
+
+    ``by_log[k]`` = g^k and ``zech[k]`` = log(1 + g^k) (-1 where that is zero)
+    are stored twice over, so a sum or difference of two logs, shifted by
+    ``half`` = (q-1)/2 to negate, indexes them without a reduction.  Results
+    do not depend on g: square roots come back sorted by index.
+    """
+
+    __slots__ = ("elements", "by_log", "zech", "order", "half")
+
+    def __init__(self, spec: FieldSpec):
+        p, r, q = spec.p, spec.r, spec.q
+        rows = _reduction_rows(spec)
+        vectors = [tuple((k // p**i) % p for i in range(r)) for k in range(q)]
+        one, n = vectors[1], q - 1
+        primes = [d for d in range(2, q) if n % d == 0 and _is_prime(d)]
+        g = next(v for v in vectors[2:] if all(_poly_pow(v, n // d, p, rows) != one for d in primes))
+        log, x = [-1] * q, one
+        for k in range(n):
+            log[_index(x, p)] = k
+            x = _poly_mul(x, g, p, rows)
+        self.order, self.half = n, n // 2
+        self.elements = [object.__new__(FieldElement) for _ in range(q)]
+        for i, e in enumerate(self.elements):
+            e.spec, e.coeffs, e.index, e.log, e._t = spec, vectors[i], i, log[i], self
+        by_log = [None] * n
+        for e in self.elements[1:]:
+            by_log[e.log] = e
+        self.by_log = by_log * 2
+        self.zech = [log[e.index - e.index % p + (e.index + 1) % p] for e in by_log] * 2
+
+
+class FieldElement:
+    """One element of a FieldSpec; immutable, hashable, with operator arithmetic.
+
+    ``index`` is the canonical index (constant term least significant) and
+    ``log`` the discrete log, -1 for zero.  A direct ``FieldElement(spec,
+    coeffs)`` equals and hashes like the spec's interned element.
+    """
+
+    __slots__ = ("spec", "coeffs", "index", "log", "_t")
 
     def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
+        t = spec.tables
         self.spec = spec
         self.coeffs = coeffs
+        self.index = _index(coeffs, spec.p)
+        self.log = t.elements[self.index].log
+        self._t = t
 
     # -- structure ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FieldElement)
-            and self.coeffs == other.coeffs
-            and self.spec == other.spec
+            and self.index == other.index
+            and (self.spec is other.spec or self.spec == other.spec)
         )
 
     def __hash__(self) -> int:
@@ -207,80 +296,58 @@ class FieldElement:
         return f"F{self.spec.p}^{self.spec.r}{list(self.coeffs)}"
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    @property
-    def index(self) -> int:
-        """Canonical integer index (constant term least significant)."""
-        k = 0
-        for c in reversed(self.coeffs):
-            k = k * self.spec.p + c
-        return k
+        return self.log >= 0
 
     def _check(self, other: "FieldElement") -> None:
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise FieldMismatchError(f"{self.spec} vs {other.spec}")
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        t = self._t
+        a, b = self.log, other.log
+        if a < 0:
+            return t.elements[other.index]
+        if b < 0:
+            return self
+        z = t.zech[b - a]
+        return t.by_log[a + z] if z >= 0 else t.elements[0]
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        t = self._t
+        a, b = self.log, other.log
+        if b < 0:
+            return self
+        if a < 0:
+            return t.by_log[b + t.half]
+        z = t.zech[b + t.half - a]
+        return t.by_log[a + z] if z >= 0 else t.elements[0]
 
     def __neg__(self) -> "FieldElement":
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((-a) % p for a in self.coeffs))
+        return self if self.log < 0 else self._t.by_log[self.log + self._t.half]
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        spec = self.spec
-        p, r = spec.p, spec.r
-        if r == 1:
-            return FieldElement(spec, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        a, b = self.coeffs, other.coeffs
-        prod = [0] * (2 * r - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        rows = _reduction_rows(spec)
-        out = prod[:r]
-        for i in range(r, 2 * r - 1):
-            c = prod[i]
-            if c:
-                row = rows[i - r]
-                for k in range(r):
-                    out[k] += c * row[k]
-        return FieldElement(spec, tuple(v % p for v in out))
+        a, b = self.log, other.log
+        if a < 0 or b < 0:
+            return self._t.elements[0]
+        return self._t.by_log[a + b]
 
     def __pow__(self, n: int) -> "FieldElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.spec.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        t = self._t
+        if self.log < 0:
+            if n < 0:
+                raise NonUnitError("zero has no inverse")
+            return t.elements[1] if n == 0 else self
+        return t.by_log[self.log * n % t.order]
 
     def inverse(self) -> "FieldElement":
-        if not self:
+        if self.log < 0:
             raise NonUnitError("zero has no inverse")
-        if self.spec.r == 1:
-            return FieldElement(self.spec, (pow(self.coeffs[0], self.spec.p - 2, self.spec.p),))
-        return self ** (self.spec.q - 2)
+        return self._t.by_log[self._t.order - self.log]
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -289,10 +356,9 @@ class FieldElement:
 
     def chi(self) -> int:
         """Quadratic character: 0 on zero, +1 on nonzero squares, -1 otherwise."""
-        if not self:
+        if self.log < 0:
             return 0
-        val = self ** ((self.spec.q - 1) // 2)
-        return 1 if val == self.spec.one() else -1
+        return -1 if self.log & 1 else 1
 
     def is_square(self) -> bool:
         return self.chi() >= 0
@@ -300,66 +366,18 @@ class FieldElement:
     def sqrt(self) -> tuple["FieldElement", ...]:
         """All square roots: () for non-squares, (0,) for zero, else both roots.
 
-        Roots are ordered by canonical index.  Prime fields use deterministic
-        Tonelli-Shanks; extensions use a^((q+1)/4) when q ≡ 3 (mod 4) and an
-        exhaustive scan otherwise (desk scale, q bounded by ~10^4).
+        The squares are the even powers of the primitive element, so a root of
+        g^k is g^(k/2), read from the log table together with its negation.
+        Roots are ordered by canonical index.
         """
-        spec = self.spec
-        if not self:
+        a = self.log
+        if a < 0:
             return (self,)
-        if self.chi() == -1:
+        if a & 1:
             return ()
-        q = spec.q
-        if spec.r == 1:
-            root = spec.element(_tonelli_shanks(self.coeffs[0], spec.p))
-        elif q % 4 == 3:
-            root = self ** ((q + 1) // 4)
-        else:
-            root = None
-            for cand in spec.elements():
-                if cand * cand == self:
-                    root = cand
-                    break
-            assert root is not None, "chi said square but no root found"
-        assert root * root == self
-        pair = sorted({root, -root}, key=lambda e: e.index)
-        return tuple(pair)
+        t = self._t
+        root, neg = t.by_log[a >> 1], t.by_log[(a >> 1) + t.half]
+        return (root, neg) if root.index < neg.index else (neg, root)
 
     def to_json(self) -> int | list[int]:
         return self.coeffs[0] if self.spec.r == 1 else list(self.coeffs)
-
-
-def _tonelli_shanks(a: int, p: int) -> int:
-    """Square root of a quadratic residue a mod p (deterministic variant)."""
-    a %= p
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p-1 = o * 2^s with o odd
-    o, s = p - 1, 0
-    while o % 2 == 0:
-        o //= 2
-        s += 1
-    n = 2
-    while pow(n, (p - 1) // 2, p) != p - 1:
-        n += 1
-    c = pow(n, o, p)
-    t = pow(a, o, p)
-    root = pow(a, (o + 1) // 2, p)
-    m = s
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = (t2 * t2) % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        root = (root * b) % p
-        c = (b * b) % p
-        t = (t * c) % p
-        m = i
-    return root
-
-
-def element_from_json(spec: FieldSpec, obj: int | Sequence[int]) -> FieldElement:
-    return spec.element(obj)

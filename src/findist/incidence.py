@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .counting import max_collinear_cocircular, segment_classes
@@ -54,56 +53,30 @@ def count_incidences(points: Sequence[ProjPoint], planes: Sequence[ProjPlane], m
     return total
 
 
-@lru_cache(maxsize=None)
-def _discrete_logs(spec: FieldSpec) -> tuple[tuple, tuple]:
-    """exp/log tables for the multiplicative group, keyed by element index."""
-    for g in spec.elements():
-        if not g or g == spec.one():
-            continue
-        exp = [spec.one()]
-        while len(exp) <= spec.q and not (len(exp) > 1 and exp[-1] == spec.one()):
-            exp.append(exp[-1] * g)
-        if len(exp) == spec.q:  # full cycle: 1, g, ..., g^{q-2}, 1
-            exp.pop()
-            log = [0] * spec.q
-            for e, elem in enumerate(exp):
-                log[elem.index] = e
-            return tuple(exp), tuple(log)
-    raise AssertionError("the multiplicative group of a finite field is cyclic")
-
-
 def max_collinear(points: Sequence[ProjPoint], spec: FieldSpec) -> int:
     """Largest number of the given projective points on one projective line.
 
     Per anchor point, the others are grouped by the line they span with the
     anchor.  The group key is the residual of the point after eliminating the
-    anchor's pivot, identified up to scale by log differences against its
-    leading coordinate, which keeps field inversions out of the pair loop.
+    anchor's pivot, identified up to scale by the differences of its
+    coordinates' discrete logs against its leading nonzero one.
     """
     distinct = {p.key: p for p in points}
     pts = [distinct[k] for k in sorted(distinct)]
     if len(pts) < 2:
         return len(pts)
-    exp, log = _discrete_logs(spec)
     qm1 = spec.q - 1
     best = 1
     for a in pts:
         pivot = next(i for i, c in enumerate(a.coords) if c)
-        pivot_log = log[a.coords[pivot].index]
         through: dict[tuple, int] = {}
         for b in pts:
             if b is a:
                 continue
-            lead = b.coords[pivot]
-            if lead:
-                f = exp[(log[lead.index] - pivot_log) % qm1]
-                v = [x - f * y for x, y in zip(b.coords, a.coords)]
-            else:
-                v = list(b.coords)
-            base = next(log[x.index] for x in v if x)
-            key = tuple(
-                (log[x.index] - base) % qm1 if x else qm1 for x in v
-            )
+            f = b.coords[pivot] / a.coords[pivot]
+            v = [x - f * y for x, y in zip(b.coords, a.coords)]
+            base = next(x.log for x in v if x)
+            key = tuple((x.log - base) % qm1 if x else qm1 for x in v)
             through[key] = through.get(key, 0) + 1
         best = max(best, 1 + max(through.values()))
     return best

@@ -338,7 +338,8 @@ def transporter_image(x: Point, y: Point) -> list[ProjPoint]:
     """kappa of every motion taking x to y; asserts the points span a line."""
     points = [kappa(m) for m in transporter_set(x, y)]
     spec = x.x.spec
-    assert matrix_rank([p.coords for p in points], spec) == 2
+    if matrix_rank([p.coords for p in points], spec) != 2:
+        raise AssertionError("transporter image does not span a line")
     return points
 
 

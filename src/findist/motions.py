@@ -75,7 +75,8 @@ def enumerate_rotations(spec: FieldSpec) -> list[Rotation]:
         for v in (one - u * u).sqrt():
             out.append(Rotation(u, v))
     out.sort(key=lambda r: r.key)
-    assert len(out) == so2_order(spec)
+    if len(out) != so2_order(spec):
+        raise AssertionError(f"found {len(out)} rotations, expected {so2_order(spec)}")
     return out
 
 
@@ -207,7 +208,8 @@ def motion_between_segments(src: Segment, dst: Segment) -> RigidMotion:
     rot = Rotation(u, v)
     shift = dst.head - rot.apply(src.head)
     g = RigidMotion(u, v, shift.x, shift.y)
-    assert g.apply(src.head) == dst.head and g.apply(src.tail) == dst.tail
+    if g.apply(src.head) != dst.head or g.apply(src.tail) != dst.tail:
+        raise AssertionError("transporter does not map src onto dst")
     return g
 
 
@@ -241,7 +243,8 @@ def r_tau_set(axis: Line) -> list[RigidMotion]:
     """Rotations about the points of a non-isotropic axis, identity included once."""
     spec = axis.n1.spec
     result = sorted(set(iter_r_tau(axis)), key=lambda m: m.key)
-    assert len(result) == spec.q * (so2_order(spec) - 1) + 1
+    if len(result) != spec.q * (so2_order(spec) - 1) + 1:
+        raise AssertionError(f"axial rotation set has {len(result)} motions")
     return result
 
 
@@ -269,5 +272,6 @@ def axial_to_motion(axis: Line, tau: Line) -> RigidMotion:
     c2 = Point(a1.x * b2.x + a2.x * b2.y, a1.y * b2.x + a2.y * b2.y)
     w = Point(a1.x * wb.x + a2.x * wb.y + wa.x, a1.y * wb.x + a2.y * wb.y + wa.y)
     u, v = c1.x, c1.y
-    assert c2.x == -v and c2.y == u, "composition of two reflections must rotate"
+    if c2.x != -v or c2.y != u:
+        raise AssertionError("composition of two reflections must rotate")
     return RigidMotion(u, v, w.x, w.y)

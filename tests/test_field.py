@@ -1,5 +1,7 @@
 """Field layer tests: frozen oracle values plus algebraic property checks."""
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,10 @@ from findist.field import (
     FieldMismatchError,
     FieldSpec,
     NonUnitError,
+    Q_MAX,
+    _poly_mul,
+    _poly_pow,
+    _reduction_rows,
     find_irreducible,
 )
 
@@ -81,6 +87,21 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             FieldSpec(5, 2, (2, 0, 2))
 
+    def test_order_above_the_limit_rejected(self):
+        assert 131101 > Q_MAX  # 131101 is prime
+        with pytest.raises(ValueError, match=f"q = 131101 exceeds the limit {Q_MAX}"):
+            FieldSpec(131101)
+        with pytest.raises(ValueError, match=f"q = 3\\^11 exceeds the limit {Q_MAX}"):
+            FieldSpec(3, 11)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            FieldSpec(3, 10**9)
+
+    def test_lift_of_the_largest_sweep_prime_is_within_the_limit(self):
+        spec = FieldSpec(101, 2)
+        assert spec.q == 10201 <= Q_MAX
+        a = spec.from_index(10200)
+        assert a * a.inverse() == spec.one()
+
     def test_json_roundtrip(self):
         for spec in SMALL_FIELDS:
             assert FieldSpec.from_json(spec.to_json()) == spec
@@ -136,8 +157,10 @@ class TestArithmetic:
             F7.zero().inverse()
 
     def test_cross_field_mix_raises(self):
-        with pytest.raises(FieldMismatchError):
-            F7.one() + F5.one()
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(FieldMismatchError):
+                op(F7.element(3), F5.element(2))
+        assert F7.one() != F5.one()
 
     def test_pow_matches_repeated_product(self):
         a = F9.element([1, 2])
@@ -177,3 +200,128 @@ class TestSquareStructure:
         for spec in SMALL_FIELDS:
             assert len(brute_squares(spec)) == (spec.q + 1) // 2
             assert sum(1 for a in spec.elements() if a.is_square()) == (spec.q + 1) // 2
+
+
+class PolyOracle:
+    """Coefficient-vector arithmetic of one field: the reference for the log/Zech tables."""
+
+    def __init__(self, spec: FieldSpec):
+        self.p, self.q, self.rows = spec.p, spec.q, _reduction_rows(spec)
+        self.zero = (0,) * spec.r
+        self.one = (1,) + self.zero[1:]
+        self.vectors = [tuple((k // spec.p**i) % spec.p for i in range(spec.r)) for k in range(spec.q)]
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        return _poly_mul(a, b, self.p, self.rows)
+
+    def pow(self, a, n):
+        return _poly_pow(a, n, self.p, self.rows)
+
+    def inverse(self, a):
+        return next(x for x in self.vectors if self.mul(a, x) == self.one)
+
+    def chi(self, a):
+        if a == self.zero:
+            return 0
+        return 1 if self.pow(a, (self.q - 1) // 2) == self.one else -1
+
+    def sqrt(self, a):
+        return [x for x in self.vectors if self.mul(x, x) == a]  # vectors run in index order
+
+
+class TestTableKernel:
+    """The log/Zech table arithmetic against polynomial arithmetic."""
+
+    @pytest.mark.parametrize("spec", SMALL_FIELDS)
+    def test_binary_ops_exhaustive(self, spec):
+        oracle = PolyOracle(spec)
+        for a in spec.elements():
+            for b in spec.elements():
+                assert (a + b).coeffs == oracle.add(a.coeffs, b.coeffs)
+                assert (a - b).coeffs == oracle.sub(a.coeffs, b.coeffs)
+                assert (a * b).coeffs == oracle.mul(a.coeffs, b.coeffs)
+                if b:
+                    assert (a / b).coeffs == oracle.mul(a.coeffs, oracle.inverse(b.coeffs))
+                else:
+                    with pytest.raises(NonUnitError):
+                        a / b
+
+    @pytest.mark.parametrize("spec", SMALL_FIELDS)
+    def test_unary_ops_exhaustive(self, spec):
+        oracle = PolyOracle(spec)
+        for a in spec.elements():
+            assert (-a).coeffs == oracle.sub(oracle.zero, a.coeffs)
+            assert a.chi() == oracle.chi(a.coeffs)
+            assert [r.coeffs for r in a.sqrt()] == oracle.sqrt(a.coeffs)
+            if not a:
+                continue
+            inv = oracle.inverse(a.coeffs)
+            assert a.inverse().coeffs == inv
+            power = oracle.one
+            for n in range(2 * spec.q + 1):
+                assert (a**n).coeffs == power
+                power = oracle.mul(power, a.coeffs)
+            power = oracle.one
+            for n in range(0, -spec.q - 2, -1):
+                assert (a**n).coeffs == power
+                power = oracle.mul(power, inv)
+
+    @pytest.mark.parametrize("spec", SMALL_FIELDS)
+    def test_powers_of_zero(self, spec):
+        zero = spec.zero()
+        assert zero**0 == spec.one()
+        assert zero**1 == zero and zero**5 == zero
+        for n in (-1, -2):
+            with pytest.raises(NonUnitError):
+                zero**n
+        with pytest.raises(NonUnitError):
+            zero.inverse()
+
+    @pytest.mark.parametrize("spec", [FieldSpec(31, 2), FieldSpec(3, 4)])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_sampled_triples(self, spec, data):
+        oracle = PolyOracle(spec)
+        a, b, c = (spec.from_index(data.draw(st.integers(0, spec.q - 1))) for _ in range(3))
+        n = data.draw(st.integers(-2 * spec.q, 2 * spec.q))
+        assert (a * b + c).coeffs == oracle.add(oracle.mul(a.coeffs, b.coeffs), c.coeffs)
+        assert (a - b * c).coeffs == oracle.sub(a.coeffs, oracle.mul(b.coeffs, c.coeffs))
+        assert (-a).coeffs == oracle.sub(oracle.zero, a.coeffs)
+        assert a.chi() == oracle.chi(a.coeffs)
+        assert [r.coeffs for r in a.sqrt()] == oracle.sqrt(a.coeffs)
+        if c:
+            assert ((a + b) / c).coeffs == oracle.mul(oracle.add(a.coeffs, b.coeffs), oracle.inverse(c.coeffs))
+        if a:
+            base = a.coeffs if n >= 0 else oracle.inverse(a.coeffs)
+            assert (a**n).coeffs == oracle.pow(base, abs(n))
+
+    def test_equal_distinct_specs_mix(self):
+        A, B = FieldSpec(5, 2), FieldSpec(5, 2)
+        assert A is not B and A == B
+        ops = [operator.add, operator.sub, operator.mul]
+        for a in A.elements():
+            assert a == B.from_index(a.index) and hash(a) == hash(B.from_index(a.index))
+            for b in B.elements():
+                same = A.from_index(b.index)
+                for op in ops:
+                    assert op(a, b) == op(a, same)
+                    assert op(a, b).spec is A
+                if b:
+                    assert a / b == a / same
+
+    def test_direct_build_equals_the_interned_element(self):
+        for spec in SMALL_FIELDS:
+            for e in spec.elements():
+                d = FieldElement(spec, e.coeffs)
+                assert d is not e and d == e and e == d
+                assert hash(d) == hash(e) == hash(e.coeffs)
+                assert (d.index, d.log) == (e.index, e.log)
+                assert len({d, e}) == 1
+                assert d * d == e * e and d + e == e + e
+                assert spec.element(list(e.coeffs)) is e

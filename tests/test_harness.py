@@ -1,14 +1,19 @@
 """Generator, config, report, and CLI behavior of the experiment harness."""
 
+import ast
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import findist
 from findist.cli import main
 from findist.field import FieldSpec
 from findist.generators import GENERATOR_KINDS, UnsupportedGeneratorError, generate
@@ -263,6 +268,21 @@ class TestCli:
     def test_bad_field_exits_two(self):
         assert main(["stats", "--field", "nonsense"]) == 2
 
+    def test_field_above_the_order_limit_exits_two(self):
+        # 131101 is the first prime above Q_MAX = 2^17
+        src = os.path.dirname(os.path.dirname(os.path.abspath(findist.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "findist.cli", "stats", "--field", "131101"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "findist: field order q = 131101 exceeds the limit 131072\n"
+
     def test_unsupported_generator_exits_two(self, tmp_path):
         config = make_config(F7, "isotropic-line", {"size": 3}, checks=("stats",))
         path = tmp_path / "config.json"
@@ -286,3 +306,14 @@ class TestCli:
         assert main(["verify", "--points", str(path), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["config"]["generator"] == "explicit"
+
+
+def test_no_bare_assert_in_the_package():
+    # python -O strips assert statements, so invariants must raise explicitly
+    package = os.path.dirname(os.path.abspath(findist.__file__))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert not lines, f"{name}: assert at lines {lines}"
