@@ -31,7 +31,7 @@ class QuadraticFormSpec:
     lam: FieldElement
 
     def __post_init__(self):
-        if self.lam.spec != self.field:
+        if self.lam.spec is not self.field and self.lam.spec != self.field:
             raise FieldMismatchError("lam lives in a different field")
         if not self.lam:
             raise ValueError("lam must be nonzero")
@@ -92,7 +92,7 @@ class CliffordElement:
         if len(coeffs) != 8:
             raise ValueError("expected 8 blade coefficients")
         for c in coeffs:
-            if c.spec != form.field:
+            if c.spec is not form.field and c.spec != form.field:
                 raise FieldMismatchError("coefficient outside the base field")
         self.form = form
         self.coeffs = tuple(coeffs)
@@ -236,7 +236,7 @@ class EvenCliffordElement:
         g23: FieldElement,
     ):
         for c in (g0, g12, g13, g23):
-            if c.spec != form.field:
+            if c.spec is not form.field and c.spec != form.field:
                 raise FieldMismatchError("coefficient outside the base field")
         self.form = form
         self.g0 = g0

@@ -12,11 +12,13 @@ quadruples.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from functools import lru_cache
+from typing import Callable, Iterable, Optional, Union
 
-from .field import FieldElement
+import numpy as np
+
+from .field import FieldElement, FieldSpec
 from .geometry import (
     Circle,
     Line,
@@ -24,12 +26,19 @@ from .geometry import (
     PointSet,
     Segment,
     all_lines,
-    curve_through,
     distance,
     equidistant_line,
-    line_through,
     reflect,
 )
+
+
+def _per_set(A: PointSet, compute: Callable):
+    """compute(A), evaluated once per point set and kept in its cache."""
+    try:
+        return A._cache[compute]
+    except KeyError:
+        value = A._cache[compute] = compute(A)
+        return value
 
 
 @dataclass(eq=False)
@@ -92,6 +101,11 @@ class SegmentClasses:
 
 
 def segment_classes(A: PointSet) -> SegmentClasses:
+    """The segment classes of A, computed once per point set."""
+    return _per_set(A, _segment_classes)
+
+
+def _segment_classes(A: PointSet) -> SegmentClasses:
     grouped: dict[FieldElement, list[Segment]] = {}
     for a in A:
         for b in A:
@@ -126,13 +140,13 @@ def _isosceles_slow(A: PointSet) -> IsoscelesCounts:
     return IsoscelesCounts(t, t_all)
 
 
-def _isosceles_apex_chunk(A: PointSet, apexes: Iterable[Point]) -> tuple[int, int]:
+def _isosceles_fast(A: PointSet) -> IsoscelesCounts:
     # Equal nonzero legs force a non-isotropic base, so the nonzero part of the
     # histogram counts straight off; zero legs contribute only cross pairs on
     # the two isotropic rays through the apex.
     roots = (-A.spec.one()).sqrt()
     t = extra = 0
-    for a in apexes:
+    for a in A:
         hist = _apex_histogram(A, a)
         t += sum(n * (n - 1) for r, n in hist.items() if r)
         if roots:
@@ -148,28 +162,16 @@ def _isosceles_apex_chunk(A: PointSet, apexes: Iterable[Point]) -> tuple[int, in
                 else:
                     n2 += 1
             extra += 2 * n1 * n2
-    return t, extra
+    return IsoscelesCounts(t, t + extra)
 
 
-def isosceles_count(A: PointSet, method: str = "fast", partitions: int = 1) -> IsoscelesCounts:
-    """Count isosceles triples; both strategies are exact and must agree.
-
-    partitions > 1 splits the apex loop across a thread pool and combines the
-    chunk totals additively; the result is independent of the split.
-    """
+def isosceles_count(A: PointSet, method: str = "fast") -> IsoscelesCounts:
+    """Count isosceles triples; both strategies are exact and must agree."""
     if method == "slow":
         return _isosceles_slow(A)
     if method != "fast":
         raise ValueError(f"unknown method {method!r}")
-    if partitions <= 1 or len(A) <= 1:
-        t, extra = _isosceles_apex_chunk(A, A.points)
-    else:
-        chunks = [A.points[i::partitions] for i in range(partitions)]
-        with ThreadPoolExecutor(max_workers=partitions) as pool:
-            parts = list(pool.map(lambda chunk: _isosceles_apex_chunk(A, chunk), chunks))
-        t = sum(p[0] for p in parts)
-        extra = sum(p[1] for p in parts)
-    return IsoscelesCounts(t, t + extra)
+    return _isosceles_fast(A)
 
 
 @dataclass(frozen=True)
@@ -299,45 +301,125 @@ class CurveOccupancy:
     m_circle: int
 
 
-def _line_occupancies(A: PointSet) -> dict:
-    hits: dict[tuple, set] = {}
-    curves: dict[tuple, Line] = {}
-    pts = A.points
-    for i, a in enumerate(pts):
-        for b in pts[i + 1:]:
-            line = line_through(a, b)
-            hits.setdefault(line.key, set()).update((a, b))
-            curves[line.key] = line
-    return {key: (curves[key], members) for key, members in hits.items()}
+class _IndexField:
+    """Vectorised arithmetic on canonical element indices held in int64 arrays.
+
+    ``+`` and ``-`` work digit by digit mod p on the index, which needs no
+    table; ``*`` and ``/`` go through numpy copies of the spec's log table and
+    doubled exp table, so a sum of two logs needs no reduction.
+    """
+
+    def __init__(self, spec: FieldSpec):
+        t = spec.tables
+        self.p, self.order = spec.p, t.order
+        self.digits = [spec.p**i for i in range(spec.r)]
+        self.log = np.array([e.log for e in t.elements], dtype=np.int64)
+        self.exp = np.array([e.index for e in t.by_log], dtype=np.int64)
+
+    def add(self, a, b):
+        if len(self.digits) == 1:
+            return (a + b) % self.p
+        return sum(((a // d + b // d) % self.p) * d for d in self.digits)
+
+    def sub(self, a, b):
+        if len(self.digits) == 1:
+            return (a - b) % self.p
+        return sum(((a // d - b // d) % self.p) * d for d in self.digits)
+
+    def mul(self, a, b):
+        la, lb = self.log[a], self.log[b]
+        return np.where((la < 0) | (lb < 0), 0, self.exp[la + lb])
+
+    def div(self, a, b):
+        """a / b for nonzero b."""
+        la = self.log[a]
+        return np.where(la < 0, 0, self.exp[la - self.log[b] + self.order])
 
 
-def _circle_occupancies(A: PointSet) -> dict:
-    hits: dict[tuple, set] = {}
-    curves: dict[tuple, Circle] = {}
-    pts = A.points
-    for i, a in enumerate(pts):
-        for j in range(i + 1, len(pts)):
-            for k in range(j + 1, len(pts)):
-                circle = curve_through((a, pts[j], pts[k]))
-                if circle is None or not circle.radius_sq:
-                    continue
-                hits.setdefault(circle.key, set()).update((a, pts[j], pts[k]))
-                curves[circle.key] = circle
-    return {key: (curves[key], members) for key, members in hits.items()}
+_index_field = lru_cache(maxsize=None)(_IndexField)
+
+
+def _points_from_pairs(pairs: np.ndarray) -> np.ndarray:
+    """The m with C(m, 2) = pairs, exactly: 1 + 8 C(m, 2) = (2m - 1)^2."""
+    return (1 + np.rint(np.sqrt(1 + 8 * pairs)).astype(np.int64)) // 2
+
+
+def _curve_scan(A: PointSet, heavy_cube: Optional[int] = None) -> tuple[CurveOccupancy, list]:
+    """Curve occupancy of A by the index kernel, and the curves holding m points with m^3 > heavy_cube.
+
+    Every pair of points keys its line by the canonical (n1, n2, c), so a line
+    through m points carries C(m, 2) pairs.  Every non-collinear triple keys
+    its circle by (centre, r^2), skipping r^2 = 0; a circle with r^2 != 0 is a
+    nondegenerate conic and holds no three collinear points.  Triples are
+    taken per anchor a with both partners after a, which keeps memory O(n^2):
+    a circle through m points is seen with C(m - 1, 2) pairs at its first
+    point and with fewer at each later one.  The heavy list holds
+    (-m, kind, key) with kind 0 for lines and 1 for circles, sorted.
+    """
+    n = len(A)
+    if n < 2:
+        return CurveOccupancy(n, n, 0), []
+    spec = A.spec
+    F, q = _index_field(spec), spec.q
+    x = np.array([p.x.index for p in A.points], dtype=np.int64)
+    y = np.array([p.y.index for p in A.points], dtype=np.int64)
+    first, second = np.triu_indices(n, 1)
+    heavy: dict = {}
+
+    def collect(kind, keys, m):
+        if heavy_cube is not None:
+            over = m**3 > heavy_cube
+            for key, count in zip(keys[over].tolist(), m[over].tolist()):
+                heavy[kind, key] = max(heavy.get((kind, key), 0), count)
+
+    # lines: x + n2*y = c when the pair differs in y, else y = c
+    dy = F.sub(y[second], y[first])
+    flat = dy == 0
+    n2 = np.where(flat, 1, F.div(F.sub(x[first], x[second]), np.where(flat, 1, dy)))
+    c = np.where(flat, y[first], F.add(x[first], F.mul(n2, y[first])))
+    keys, pairs = np.unique((np.where(flat, 0, q) + n2) * q + c, return_counts=True)
+    m = _points_from_pairs(pairs)
+    m_line = int(m.max())
+    collect(0, keys, m)
+
+    # circles: with u, v the partners relative to the anchor, the centre
+    # offset w solves 2u.w = |u|^2 and 2v.w = |v|^2
+    m_circle = 0
+    row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    for a in range(n - 2):
+        j, k = first[row_start[a + 1]:], second[row_start[a + 1]:]
+        ux, uy = F.sub(x, x[a]), F.sub(y, y[a])
+        norm = F.add(F.mul(ux, ux), F.mul(uy, uy))
+        cross = F.sub(F.mul(ux[j], uy[k]), F.mul(uy[j], ux[k]))
+        j, k, cross = j[cross != 0], k[cross != 0], cross[cross != 0]
+        den = F.add(cross, cross)
+        wx = F.div(F.sub(F.mul(norm[j], uy[k]), F.mul(norm[k], uy[j])), den)
+        wy = F.div(F.sub(F.mul(ux[j], norm[k]), F.mul(ux[k], norm[j])), den)
+        r2 = F.add(F.mul(wx, wx), F.mul(wy, wy))
+        live = r2 != 0
+        if not live.any():
+            continue
+        cx, cy = F.add(wx[live], x[a]), F.add(wy[live], y[a])
+        keys, pairs = np.unique((cx * q + cy) * q + r2[live], return_counts=True)
+        m = 1 + _points_from_pairs(pairs)
+        m_circle = max(m_circle, int(m.max()))
+        collect(1, keys, m)
+
+    listed = sorted((-count, kind, key) for (kind, key), count in heavy.items())
+    return CurveOccupancy(max(m_line, m_circle), m_line, m_circle), listed
 
 
 def max_collinear_cocircular(A: PointSet) -> CurveOccupancy:
-    """Exact curve occupancy maxima by pair/triple hash accumulation.
+    """Exact curve occupancy maxima, computed once per point set.
 
     A circle holding fewer than three points never appears in the triple
-    accumulation, but such a circle cannot beat the best line either.
+    scan, but such a circle cannot beat the best line either.
     """
-    if len(A) < 2:
-        return CurveOccupancy(len(A), len(A), 0)
-    m_line = max(len(members) for _, members in _line_occupancies(A).values())
-    circle_hits = _circle_occupancies(A)
-    m_circle = max((len(members) for _, members in circle_hits.values()), default=0)
-    return CurveOccupancy(max(m_line, m_circle), m_line, m_circle)
+    return _per_set(A, _occupancy)
+
+
+def _occupancy(A: PointSet) -> CurveOccupancy:
+    return _curve_scan(A)[0]
 
 
 def verify_identities(A: PointSet) -> list[dict]:
@@ -439,13 +521,15 @@ def _ceil_cbrt(n: int) -> int:
 
 
 def _heavy_curves(S: PointSet, orig_sq: int) -> list:
-    candidates = []
-    for kind, table in ((0, _line_occupancies(S)), (1, _circle_occupancies(S))):
-        for key, (curve, members) in table.items():
-            if len(members) ** 3 > orig_sq:
-                candidates.append((-len(members), kind, key, curve))
-    candidates.sort(key=lambda item: item[:3])
-    return [item[3] for item in candidates]
+    """Curves holding m points of S with m^3 > orig_sq, heaviest first, lines before circles, then by key."""
+    occupancy, listed = _curve_scan(S, orig_sq)
+    S._cache.setdefault(_occupancy, occupancy)
+    spec, q = S.spec, S.spec.q
+    curves = []
+    for _, kind, key in listed:
+        u, v, w = (spec.from_index(i) for i in (key // (q * q), key // q % q, key % q))
+        curves.append(Line(u, v, w) if kind == 0 else Circle(Point(u, v), w))
+    return curves
 
 
 def prune_heavy(A: PointSet) -> tuple[PointSet, int]:

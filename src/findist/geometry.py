@@ -214,15 +214,20 @@ class Circle:
 
 
 class PointSet:
-    """Deduplicated point set with canonical iteration order."""
+    """Deduplicated point set with canonical iteration order.
 
-    __slots__ = ("spec", "points", "_members")
+    A PointSet never changes, so ``_cache`` can hold quantities derived from
+    its points; ``counting`` fills it on first use.
+    """
+
+    __slots__ = ("spec", "points", "_members", "_cache")
 
     def __init__(self, spec: FieldSpec, points: Iterable[Point]):
         members = frozenset(points)
         self.spec = spec
         self.points = tuple(sorted(members, key=lambda p: p.key))
         self._members = members
+        self._cache: dict = {}
 
     def __len__(self) -> int:
         return len(self.points)

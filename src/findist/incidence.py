@@ -13,6 +13,7 @@ the difference exactly.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -311,22 +312,17 @@ def _scan_axis(fixed, spec: FieldSpec) -> Optional[Line]:
 
 
 def _on_axis_pair_count(A: PointSet, r: FieldElement) -> int:
-    """Independent enumeration of the incidences no off-axis pair produces.
+    """The incidences no off-axis pair produces, read off the apex histograms.
 
     Each equal-leg triple with legs of length r yields two mirrored segment
     pairs sharing an endpoint, and every segment mirrors to itself across its
-    own spanning line; together: 2*T_r + |S_r|.
+    own spanning line; together: 2*T_r + |S_r|.  Equal nonzero legs force a
+    non-isotropic base, so an apex a heading h_a segments of length r carries
+    h_a(h_a - 1) of those triples.
     """
-    triples = 0
-    for a in A:
-        for b in A:
-            if distance(a, b) != r:
-                continue
-            for b2 in A:
-                if b2 != b and distance(a, b2) == r and distance(b, b2):
-                    triples += 1
-    segments = sum(1 for a in A for b in A if distance(a, b) == r)
-    return 2 * triples + segments
+    segs = segment_classes(A).class_for(r)
+    heads = Counter(s.head for s in segs)
+    return 2 * sum(h * (h - 1) for h in heads.values()) + len(segs)
 
 
 @dataclass(eq=False)

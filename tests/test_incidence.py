@@ -23,6 +23,7 @@ from findist.incidence import (
     IncidenceInstance,
     ReductionWitness,
     _find_valid_axis,
+    _on_axis_pair_count,
     _pairwise_fixed_points,
     axial_pair_count,
     claim_reduction,
@@ -69,6 +70,20 @@ def brute_axial_pairs(A, r):
             if mirrored != (s.head, s.tail) and mirrored in members:
                 count += 1
     return count
+
+
+def brute_on_axis_pairs(A, r):
+    """Triple-loop oracle: 2 * (equal-leg triples with legs r) + |S_r|."""
+    triples = 0
+    for a in A:
+        for b in A:
+            if distance(a, b) != r:
+                continue
+            for b2 in A:
+                if b2 != b and distance(a, b2) == r and distance(b, b2):
+                    triples += 1
+    segments = sum(1 for a in A for b in A if distance(a, b) == r)
+    return 2 * triples + segments
 
 
 def brute_epsilon(A):
@@ -206,6 +221,18 @@ class TestAxialPairCount:
             A = PointSet(spec, rng.sample(pts, rng.randint(2, 8)))
             for r, _segs in segment_classes(A).nonzero_items():
                 assert axial_pair_count(A, r) == brute_axial_pairs(A, r)
+
+
+class TestOnAxisPairCount:
+    @pytest.mark.parametrize("spec", [F3, F5, F7, F9, FieldSpec(13)], ids=["F3", "F5", "F7", "F9", "F13"])
+    def test_histogram_matches_triple_loop(self, spec):
+        rng = random.Random(2024 + spec.q)
+        pts = list(all_points(spec))
+        for _ in range(10):
+            A = PointSet(spec, rng.sample(pts, rng.randint(1, min(12, len(pts)))))
+            for r in spec.elements():
+                if r:
+                    assert _on_axis_pair_count(A, r) == brute_on_axis_pairs(A, r), (r, [p.key for p in A])
 
 
 class TestEpsilonTerm:

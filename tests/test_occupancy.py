@@ -1,0 +1,225 @@
+"""Differential tests of the index curve-occupancy kernel and the per-set cache.
+
+The object-level pair/triple loops below are the oracles: they key every line
+through two points and every circle through three with the geometry module's
+own constructors, and collect the points on each curve.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import pytest
+
+from findist import harness
+from findist.counting import (
+    _heavy_curves,
+    max_collinear_cocircular,
+    prune_heavy,
+    segment_classes,
+)
+from findist.field import FieldSpec
+from findist.geometry import (
+    Circle,
+    Point,
+    PointSet,
+    all_points,
+    curve_through,
+    isotropic_vectors,
+    line_through,
+    point,
+)
+from findist.harness import make_config
+
+F3 = FieldSpec(3)
+F5 = FieldSpec(5)
+F7 = FieldSpec(7)
+F9 = FieldSpec(3, 2)
+F25 = FieldSpec(5, 2)
+F31 = FieldSpec(31)
+F49 = FieldSpec(7, 2)
+
+SMALL = [F3, F5, F7, F9, F25]
+SMALL_IDS = ["F3", "F5", "F7", "F9", "F25"]
+
+
+def line_occupancies(A):
+    hits, curves = {}, {}
+    pts = A.points
+    for i, a in enumerate(pts):
+        for b in pts[i + 1:]:
+            line = line_through(a, b)
+            hits.setdefault(line.key, set()).update((a, b))
+            curves[line.key] = line
+    return {key: (curves[key], members) for key, members in hits.items()}
+
+
+def circle_occupancies(A):
+    hits, curves = {}, {}
+    pts = A.points
+    for i, a in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            for k in range(j + 1, len(pts)):
+                circle = curve_through((a, pts[j], pts[k]))
+                if circle is None or not circle.radius_sq:
+                    continue
+                hits.setdefault(circle.key, set()).update((a, pts[j], pts[k]))
+                curves[circle.key] = circle
+    return {key: (curves[key], members) for key, members in hits.items()}
+
+
+def oracle_occupancy(A):
+    """(m, m_line, m_circle) by the object loops."""
+    if len(A) < 2:
+        return len(A), len(A), 0
+    m_line = max(len(members) for _, members in line_occupancies(A).values())
+    m_circle = max((len(members) for _, members in circle_occupancies(A).values()), default=0)
+    return max(m_line, m_circle), m_line, m_circle
+
+
+def oracle_heavy(S, orig_sq):
+    candidates = []
+    for kind, table in ((0, line_occupancies(S)), (1, circle_occupancies(S))):
+        for key, (curve, members) in table.items():
+            if len(members) ** 3 > orig_sq:
+                candidates.append((-len(members), kind, key, curve))
+    candidates.sort(key=lambda item: item[:3])
+    return [item[3] for item in candidates]
+
+
+def oracle_prune(A):
+    """The curves prune_heavy strips, in order, driven by the oracle list."""
+    orig_sq = len(A) ** 2
+    current, removed = A, []
+    while True:
+        heavy = oracle_heavy(current, orig_sq)
+        if not heavy:
+            return current, removed
+        removed.append(heavy[0])
+        current = PointSet(current.spec, [p for p in current if not heavy[0].contains(p)])
+
+
+def fresh_copy(A):
+    return PointSet(A.spec, [Point(p.x, p.y) for p in A])
+
+
+def assert_matches_oracle(A):
+    occ = max_collinear_cocircular(fresh_copy(A))
+    assert (occ.m, occ.m_line, occ.m_circle) == oracle_occupancy(A), [p.key for p in A]
+    for cube in (0, len(A) ** 2, 8):
+        assert _heavy_curves(fresh_copy(A), cube) == oracle_heavy(A, cube), (cube, [p.key for p in A])
+
+
+def on_isotropic_circle(spec, size, rng):
+    """Points on a circle r^2 = 1 around a centre off the origin, plus the two
+    points centre + v for an isotropic v, whose radius vector has norm 0."""
+    centre = point(spec, 1, 2)
+    ring = [p for p in all_points(spec) if Circle(centre, spec.one()).contains(p)]
+    pts = rng.sample(ring, min(size, len(ring)))
+    pts += [centre + v for v in isotropic_vectors(spec)[:2]]
+    return PointSet(spec, pts)
+
+
+def point_sets(spec, max_size):
+    pts = list(all_points(spec))
+    return st.builds(
+        lambda idx: PointSet(spec, [pts[i] for i in idx]),
+        st.lists(st.integers(0, len(pts) - 1), min_size=0, max_size=max_size),
+    )
+
+
+class TestKernelAgainstOracle:
+    @pytest.mark.parametrize("spec", SMALL, ids=SMALL_IDS)
+    @pytest.mark.parametrize("size", [0, 1, 2])
+    def test_tiny_sets(self, spec, size):
+        A = PointSet(spec, list(all_points(spec))[:size])
+        assert_matches_oracle(A)
+        assert max_collinear_cocircular(A).m == size
+
+    @pytest.mark.parametrize("spec", SMALL, ids=SMALL_IDS)
+    def test_collinear_sets(self, spec):
+        rng = random.Random(5 + spec.q)
+        for direction in ((1, 0), (0, 1), (1, 1), (2, 1)):
+            line = [point(spec, 1 + t * direction[0], 2 + t * direction[1]) for t in range(spec.p)]
+            A = PointSet(spec, rng.sample(line, rng.randint(3, len(line))))
+            assert_matches_oracle(A)
+            occ = max_collinear_cocircular(A)
+            assert occ.m_line == len(A)
+
+    @pytest.mark.parametrize("spec", SMALL, ids=SMALL_IDS)
+    def test_random_sets(self, spec):
+        rng = random.Random(97 + spec.q)
+        pts = list(all_points(spec))
+        for _ in range(12):
+            A = PointSet(spec, rng.sample(pts, rng.randint(3, min(14, len(pts)))))
+            assert_matches_oracle(A)
+
+    @pytest.mark.parametrize("spec", [F5, F9, F25], ids=["F5", "F9", "F25"])
+    def test_isotropic_radius_vectors(self, spec):
+        rng = random.Random(13 + spec.q)
+        for size in (3, 4, 6):
+            assert_matches_oracle(on_isotropic_circle(spec, size, rng))
+
+    def test_every_subset_of_f3(self):
+        pts = list(all_points(F3))
+        for mask in range(1 << len(pts)):
+            assert_matches_oracle(PointSet(F3, [p for i, p in enumerate(pts) if mask >> i & 1]))
+
+    @given(point_sets(F31, 16))
+    @settings(max_examples=30, deadline=None)
+    def test_hypothesis_f31(self, A):
+        assert_matches_oracle(A)
+
+    @given(point_sets(F49, 14))
+    @settings(max_examples=30, deadline=None)
+    def test_hypothesis_f49(self, A):
+        assert_matches_oracle(A)
+
+
+class TestPruneOrder:
+    @pytest.mark.parametrize("spec", [F5, F7, F9, F25], ids=["F5", "F7", "F9", "F25"])
+    def test_prune_heavy_matches_oracle(self, spec):
+        rng = random.Random(606 + spec.q)
+        pts = list(all_points(spec))
+        line = [Point(spec.one(), e) for e in spec.elements()]
+        circle = [p for p in pts if Circle(point(spec, 2, 1), spec.one()).contains(p)]
+        total_steps = 0
+        for trial in range(8):
+            heavy = (line, circle, [])[trial % 3]
+            A = PointSet(spec, rng.sample(pts, rng.randint(2, min(12, len(pts)))) + heavy)
+            expected, removed = oracle_prune(A)
+            pruned, steps = prune_heavy(A)
+            assert pruned == expected
+            assert steps == len(removed)
+            total_steps += steps
+        assert total_steps
+
+    @pytest.mark.parametrize("spec", [F7, F9, F25], ids=["F7", "F9", "F25"])
+    def test_check_prune_removes_oracle_curves(self, spec):
+        rng = random.Random(707 + spec.q)
+        pts = list(all_points(spec))
+        for _ in range(4):
+            line = [Point(e, spec.one()) for e in spec.elements()]
+            A = PointSet(spec, rng.sample(pts, 4) + line)
+            config = make_config(spec, "explicit", {"points": [p.to_json() for p in A]}, checks=("prune",))
+            _, metrics, _ = harness._check_prune(A, config)
+            _, removed = oracle_prune(A)
+            assert removed, "the set must carry a heavy curve"
+            assert metrics["removed"] == [curve.to_json() for curve in removed]
+
+
+class TestPerSetCache:
+    @pytest.mark.parametrize("spec", [F7, F25], ids=["F7", "F25"])
+    def test_cached_equals_fresh(self, spec):
+        rng = random.Random(909 + spec.q)
+        A = PointSet(spec, rng.sample(list(all_points(spec)), 12))
+        occ, classes = max_collinear_cocircular(A), segment_classes(A)
+        assert max_collinear_cocircular(A) is occ
+        assert segment_classes(A) is classes
+        B = fresh_copy(A)
+        assert B == A and B is not A
+        assert max_collinear_cocircular(B) == occ
+        fresh = segment_classes(B)
+        assert fresh is not classes
+        assert fresh.q_value == classes.q_value
+        assert fresh.classes == classes.classes
