@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 from .field import FieldSpec
 from .generators import UnsupportedGeneratorError
+from .geometry import PointSet
 from .harness import ExperimentConfig, Thresholds, make_config, run
 
 SUBCOMMANDS = ("stats", "verify", "reduce", "prune", "kinematic-check", "clifford-check", "sweep")
@@ -24,6 +25,14 @@ _DEFAULT_SWEEP_SIZES = [20, 40, 60, 80, 97]
 
 class CliError(Exception):
     pass
+
+
+# what a JSON value of the wrong shape raises on its way into a config
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError)
+
+
+def _describe(exc: Exception) -> str:
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
 def _parse_field(text: str) -> tuple[int, int]:
@@ -65,12 +74,15 @@ def _load_json(path: str) -> dict:
 
 
 def _resolve_config(args) -> ExperimentConfig:
+    points = None  # an explicit point list as read, before the config freezes it
     if args.config:
         obj = _load_json(args.config)
         try:
             config = ExperimentConfig.from_json(obj)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"bad config {args.config}: {exc}") from exc
+            if config.generator == "explicit":
+                points = obj["params"]["points"]
+        except _MALFORMED as exc:
+            raise CliError(f"bad config {args.config}: {_describe(exc)}") from exc
     else:
         p, r = _DEFAULT_SWEEP_FIELD if args.subcommand == "sweep" else _DEFAULT_FIELD
         params = {"sizes": list(_DEFAULT_SWEEP_SIZES)} if args.subcommand == "sweep" else {"size": 10}
@@ -92,15 +104,15 @@ def _resolve_config(args) -> ExperimentConfig:
     if points_path:
         blob = _load_json(points_path)
         try:
-            spec = FieldSpec.from_json(blob["field"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"bad point-set file {points_path}: {exc}") from exc
-        updates["field"] = spec
+            updates["field"] = FieldSpec.from_json(blob["field"])
+            points = blob["points"]
+        except _MALFORMED as exc:
+            raise CliError(f"bad point-set file {points_path}: {_describe(exc)}") from exc
         updates["generator"] = "explicit"
-        updates["params"] = {"points": blob["points"]}
+        updates["params"] = {"points": points}
 
     checks = (args.subcommand,)
-    return make_config(
+    config = make_config(
         field=updates.get("field", config.field),
         generator=updates.get("generator", config.generator),
         params=updates.get("params", config.params_dict()),
@@ -109,6 +121,13 @@ def _resolve_config(args) -> ExperimentConfig:
         out=updates.get("out", config.out),
         thresholds=config.thresholds,
     )
+    if config.generator == "explicit":
+        # read the points now, so a malformed set is a usage error, not a crash mid-run
+        try:
+            PointSet.from_json({"field": config.field.to_json(), "points": points})
+        except _MALFORMED as exc:
+            raise CliError(f"bad point set in {points_path or args.config}: {_describe(exc)}") from exc
+    return config
 
 
 def _emit(report, subcommand: str) -> None:

@@ -13,7 +13,7 @@ quadruples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
@@ -25,10 +25,7 @@ from .geometry import (
     Point,
     PointSet,
     Segment,
-    all_lines,
     distance,
-    equidistant_line,
-    reflect,
 )
 
 
@@ -39,6 +36,51 @@ def _per_set(A: PointSet, compute: Callable):
     except KeyError:
         value = A._cache[compute] = compute(A)
         return value
+
+
+class _IndexField:
+    """Vectorised arithmetic on canonical element indices held in int64 arrays.
+
+    ``+`` and ``-`` work digit by digit mod p on the index, which needs no
+    table; ``*`` and ``/`` go through numpy copies of the spec's log table and
+    doubled exp table, so a sum of two logs needs no reduction.
+    """
+
+    def __init__(self, spec: FieldSpec):
+        t = spec.tables
+        self.p, self.order = spec.p, t.order
+        self.digits = [spec.p**i for i in range(spec.r)]
+        self.log = np.array([e.log for e in t.elements], dtype=np.int64)
+        self.exp = np.array([e.index for e in t.by_log], dtype=np.int64)
+
+    def add(self, a, b):
+        if len(self.digits) == 1:
+            return (a + b) % self.p
+        return sum(((a // d + b // d) % self.p) * d for d in self.digits)
+
+    def sub(self, a, b):
+        if len(self.digits) == 1:
+            return (a - b) % self.p
+        return sum(((a // d - b // d) % self.p) * d for d in self.digits)
+
+    def mul(self, a, b):
+        la, lb = self.log[a], self.log[b]
+        return np.where((la < 0) | (lb < 0), 0, self.exp[la + lb])
+
+    def div(self, a, b):
+        """a / b for nonzero b."""
+        la = self.log[a]
+        return np.where(la < 0, 0, self.exp[la - self.log[b] + self.order])
+
+
+_index_field = lru_cache(maxsize=None)(_IndexField)
+
+
+def _index_coords(A: PointSet) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates of A's points as index arrays, in the order of ``A.points``."""
+    x = np.array([p.x.index for p in A.points], dtype=np.int64)
+    y = np.array([p.y.index for p in A.points], dtype=np.int64)
+    return x, y
 
 
 @dataclass(eq=False)
@@ -64,22 +106,18 @@ def _apex_histogram(points: Iterable[Point], a: Point) -> dict:
 
 
 def distance_stats(A: PointSet) -> DistanceStats:
-    """Full pair enumeration of the distance multiset."""
-    per_point = {}
-    union: set[FieldElement] = set()
-    pind = 0
-    pind_nonzero = 0
-    nonzero_pairs = 0
-    for a in A:
-        hist = _apex_histogram(A, a)
-        spectrum = frozenset(hist)
-        per_point[a] = spectrum
-        union |= spectrum
-        pind = max(pind, len(spectrum))
-        nonzero = sum(1 for r in spectrum if r)
-        pind_nonzero = max(pind_nonzero, nonzero)
-        nonzero_pairs += sum(n for r, n in hist.items() if r)
-    return DistanceStats(per_point, frozenset(union), pind, pind_nonzero, nonzero_pairs)
+    """The distance spectra, one row of the bisector table's distance matrix per point."""
+    dist = bisector_table(A).dist
+    spectra = [frozenset(map(A.spec.from_index, set(row))) for row in dist.tolist()]
+    pind = max(map(len, spectra), default=0)
+    # every spectrum holds d(a, a) = 0
+    return DistanceStats(
+        dict(zip(A.points, spectra)),
+        frozenset().union(*spectra),
+        pind,
+        max(pind - 1, 0),
+        int(np.count_nonzero(dist)),
+    )
 
 
 @dataclass(eq=False)
@@ -183,6 +221,52 @@ class LineBisectorRecord:
 
 
 @dataclass(eq=False)
+class BisectorTable:
+    """The pair tables of A, indexed in the order of ``A.points``.
+
+    ``dist[i, j]`` is the index of d(a_i, a_j).  ``keys[i, j]`` is the
+    canonical equidistant_line(a_i, a_j) as an int: m*q + c for the line
+    x + m*y = c and q^2 + c for y = c, so integer order is ``all_lines``
+    order.  It is -1 on the diagonal and wherever d(a_i, a_j) = 0, where the
+    locus is isotropic and mirrors nothing; everywhere else a_j is the
+    reflection of a_i across that line.
+    """
+
+    dist: np.ndarray
+    keys: np.ndarray
+
+
+def bisector_table(A: PointSet) -> BisectorTable:
+    """The distance and bisector-key tables of A, computed once per point set."""
+    return _per_set(A, _bisector_table)
+
+
+def _bisector_table(A: PointSet) -> BisectorTable:
+    F, q = _index_field(A.spec), A.spec.q
+    x, y = _index_coords(A)
+    # equidistant_line(a, b) is 2(b - a).z = |b|^2 - |a|^2, with a the row point
+    dx, dy = F.sub(x[None, :], x[:, None]), F.sub(y[None, :], y[:, None])
+    dist = F.add(F.mul(dx, dx), F.mul(dy, dy))
+    norm = F.add(F.mul(x, x), F.mul(y, y))
+    flat = dx == 0
+    lead = np.where(flat, dy, dx)
+    lead = F.add(lead, lead)
+    c = F.div(F.sub(norm[None, :], norm[:, None]), np.where(lead == 0, 1, lead))
+    m = F.div(dy, np.where(flat, 1, dx))
+    keys = np.where(flat, q * q + c, m * q + c)
+    keys[dist == 0] = -1
+    return BisectorTable(dist, keys)
+
+
+def line_from_key(spec: FieldSpec, key: int) -> Line:
+    """The line a bisector-table key encodes."""
+    q = spec.q
+    if key < q * q:
+        return Line(spec.one(), spec.from_index(key // q), spec.from_index(key % q))
+    return Line(spec.zero(), spec.one(), spec.from_index(key - q * q))
+
+
+@dataclass(eq=False)
 class BisectorStats:
     """Per-line symmetry counts and their second moments.
 
@@ -193,15 +277,32 @@ class BisectorStats:
     n_isotropic = max(cone_count - 1, 0) is the partner count the affine
     relation b = i * n_isotropic + b_star predicts; the relation is recorded
     per line, never assumed.
+
+    The per-line counts are arrays over ``line_keys``, the bisector-table
+    keys of every line holding a point of A or a reflection pair, ascending;
+    every other line has all counts zero.
     """
 
-    entries: dict
     b_energy: int
     b_star_energy: int
     cone_count: int
     n_isotropic: int
-    method: str
-    relation_universal: Optional[bool]
+    relation_universal: bool
+    spec: FieldSpec
+    line_keys: np.ndarray
+    incidence: np.ndarray
+    b: np.ndarray
+    b_star: np.ndarray
+
+    @cached_property
+    def entries(self) -> dict:
+        """Line.key -> record for every line in ``line_keys``, in ``all_lines`` order."""
+        columns = (self.line_keys, self.incidence, self.b, self.b_star)
+        records = (
+            LineBisectorRecord(line_from_key(self.spec, key), inc, b, b_star)
+            for key, inc, b, b_star in zip(*(col.tolist() for col in columns))
+        )
+        return {rec.line.key: rec for rec in records}
 
     def record_for(self, line: Line) -> LineBisectorRecord:
         rec = self.entries.get(line.key)
@@ -213,83 +314,43 @@ class BisectorStats:
         return rec.b == rec.incidence * self.n_isotropic + rec.b_star
 
 
-def _cone_count(A: PointSet) -> int:
-    return sum(1 for a in A if not a.norm_sq())
+def bisector_stats(A: PointSet) -> BisectorStats:
+    """Bisector counts of A on every line, computed once per point set.
+
+    A pair at nonzero distance mirrors across exactly its bisector, so b_star
+    of a line is the number of bisector-table keys naming it.  The lines
+    through each point, q + 1 of them, give the incidences, and each carries
+    the point's partner count (the other points at distance 0) into the
+    anchored part b - b_star.
+    """
+    return _per_set(A, _bisector_stats)
 
 
-def _isotropic_partner_counts(A: PointSet) -> dict:
-    counts = {}
-    for a in A:
-        hits = sum(1 for b in A if b != a and not distance(a, b))
-        if hits:
-            counts[a] = hits
-    return counts
-
-
-def _finish_stats(entries: dict, A: PointSet, method: str, universal: Optional[bool]) -> BisectorStats:
-    b_energy = sum(rec.b ** 2 for rec in entries.values())
-    b_star_energy = sum(rec.b_star ** 2 for rec in entries.values())
-    cone = _cone_count(A)
-    return BisectorStats(entries, b_energy, b_star_energy, cone, max(cone - 1, 0), method, universal)
-
-
-def _sweep_bisector_stats(A: PointSet) -> BisectorStats:
-    cone = _cone_count(A)
-    n_value = max(cone - 1, 0)
-    partners = _isotropic_partner_counts(A)
-    entries = {}
-    universal = True
-    for line in all_lines(A.spec):
-        inc = sum(1 for p in A if line.contains(p))
-        if line.is_isotropic():
-            b_star = 0
-        else:
-            b_star = sum(1 for p in A if not line.contains(p) and reflect(line, p) in A)
-        anchored = sum(hits for a, hits in partners.items() if line.contains(a))
-        rec = LineBisectorRecord(line, inc, b_star + anchored, b_star)
-        entries[line.key] = rec
-        if rec.b != inc * n_value + b_star:
-            universal = False
-    return _finish_stats(entries, A, "sweep", universal)
-
-
-def _locus_bisector_stats(A: PointSet) -> BisectorStats:
-    # Only bisectors of A-pairs carry reflections, and only lines through an
-    # isotropically-partnered point carry anchored pairs; enumerate those two
-    # families instead of sweeping the whole plane.
-    spec = A.spec
-    reflections: dict[tuple, int] = {}
-    anchored: dict[tuple, int] = {}
-    lines: dict[tuple, Line] = {}
-    for a in A:
-        for b in A:
-            if a == b or not distance(a, b):
-                continue
-            locus = equidistant_line(a, b)
-            reflections[locus.key] = reflections.get(locus.key, 0) + 1
-            lines[locus.key] = locus
-    one, zero = spec.one(), spec.zero()
-    for a, hits in _isotropic_partner_counts(A).items():
-        through = [Line(one, m, a.x + m * a.y) for m in spec.elements()]
-        through.append(Line(zero, one, a.y))
-        for line in through:
-            anchored[line.key] = anchored.get(line.key, 0) + hits
-            lines.setdefault(line.key, line)
-    entries = {}
-    for key, line in lines.items():
-        inc = sum(1 for p in A if line.contains(p))
-        b_star = reflections.get(key, 0)
-        extra = anchored.get(key, 0)
-        entries[key] = LineBisectorRecord(line, inc, b_star + extra, b_star)
-    return _finish_stats(entries, A, "bisectors", None)
-
-
-def bisector_stats(A: PointSet, method: str = "sweep") -> BisectorStats:
-    if method == "sweep":
-        return _sweep_bisector_stats(A)
-    if method == "bisectors":
-        return _locus_bisector_stats(A)
-    raise ValueError(f"unknown method {method!r}")
+def _bisector_stats(A: PointSet) -> BisectorStats:
+    spec, q = A.spec, A.spec.q
+    F = _index_field(spec)
+    x, y = _index_coords(A)
+    table = bisector_table(A)
+    partners = np.count_nonzero(table.dist == 0, axis=1) - 1
+    # the q + 1 lines through each point: x + m*y = c for every slope m, and y = c
+    slopes = np.arange(q)
+    sloped = slopes * q + F.add(x[:, None], F.mul(slopes, y[:, None]))
+    through = np.hstack([sloped, q * q + y[:, None]]).ravel()
+    reflected = table.keys[table.keys >= 0]
+    # unique's sort path (return_counts), as in _curve_scan: its hash path and
+    # the argsort behind return_inverse each page in hundreds of KB of numpy code
+    lines, _ = np.unique(np.concatenate([reflected, through]), return_counts=True)
+    b_star = np.bincount(np.searchsorted(lines, reflected), minlength=len(lines))
+    placed = np.searchsorted(lines, through)
+    incidence = np.bincount(placed, minlength=len(lines))
+    anchored = np.bincount(placed, weights=np.repeat(partners, q + 1), minlength=len(lines)).astype(np.int64)
+    b = b_star + anchored
+    cone = int(np.count_nonzero(F.add(F.mul(x, x), F.mul(y, y)) == 0))
+    n_isotropic = max(cone - 1, 0)
+    universal = bool(np.all(anchored == incidence * n_isotropic))
+    return BisectorStats(
+        int(b @ b), int(b_star @ b_star), cone, n_isotropic, universal, spec, lines, incidence, b, b_star
+    )
 
 
 @dataclass(frozen=True)
@@ -299,44 +360,6 @@ class CurveOccupancy:
     m: int
     m_line: int
     m_circle: int
-
-
-class _IndexField:
-    """Vectorised arithmetic on canonical element indices held in int64 arrays.
-
-    ``+`` and ``-`` work digit by digit mod p on the index, which needs no
-    table; ``*`` and ``/`` go through numpy copies of the spec's log table and
-    doubled exp table, so a sum of two logs needs no reduction.
-    """
-
-    def __init__(self, spec: FieldSpec):
-        t = spec.tables
-        self.p, self.order = spec.p, t.order
-        self.digits = [spec.p**i for i in range(spec.r)]
-        self.log = np.array([e.log for e in t.elements], dtype=np.int64)
-        self.exp = np.array([e.index for e in t.by_log], dtype=np.int64)
-
-    def add(self, a, b):
-        if len(self.digits) == 1:
-            return (a + b) % self.p
-        return sum(((a // d + b // d) % self.p) * d for d in self.digits)
-
-    def sub(self, a, b):
-        if len(self.digits) == 1:
-            return (a - b) % self.p
-        return sum(((a // d - b // d) % self.p) * d for d in self.digits)
-
-    def mul(self, a, b):
-        la, lb = self.log[a], self.log[b]
-        return np.where((la < 0) | (lb < 0), 0, self.exp[la + lb])
-
-    def div(self, a, b):
-        """a / b for nonzero b."""
-        la = self.log[a]
-        return np.where(la < 0, 0, self.exp[la - self.log[b] + self.order])
-
-
-_index_field = lru_cache(maxsize=None)(_IndexField)
 
 
 def _points_from_pairs(pairs: np.ndarray) -> np.ndarray:
@@ -361,8 +384,7 @@ def _curve_scan(A: PointSet, heavy_cube: Optional[int] = None) -> tuple[CurveOcc
         return CurveOccupancy(n, n, 0), []
     spec = A.spec
     F, q = _index_field(spec), spec.q
-    x = np.array([p.x.index for p in A.points], dtype=np.int64)
-    y = np.array([p.y.index for p in A.points], dtype=np.int64)
+    x, y = _index_coords(A)
     first, second = np.triu_indices(n, 1)
     heavy: dict = {}
 
@@ -439,12 +461,11 @@ def verify_identities(A: PointSet) -> list[dict]:
     bstats = bisector_stats(A)
     occupancy = max_collinear_cocircular(A)
 
-    cone_second_moment = 0
-    max_cone0 = 0
-    for a in A:
-        hist = _apex_histogram(A, a)
-        cone_second_moment += sum(cnt ** 2 for r, cnt in hist.items() if r)
-        max_cone0 = max(max_cone0, hist.get(A.spec.zero(), 0))
+    # the apex histograms, one row of the distance table each
+    dist, q = bisector_table(A).dist, A.spec.q
+    cells, counts = np.unique(np.arange(n)[:, None] * q + dist, return_counts=True)
+    cone_second_moment = int(np.sum(counts[cells % q != 0] ** 2))
+    max_cone0 = int(np.count_nonzero(dist == 0, axis=1).max(initial=0))
 
     d_count = stats.nonzero_pairs
     report = []
@@ -495,15 +516,11 @@ def verify_identities(A: PointSet) -> list[dict]:
     return report
 
 
-def _triple_count(A: PointSet) -> int:
-    return isosceles_count(A, method="slow").t
-
-
 def prune_curve(A: PointSet, curve: Union[Line, Circle]) -> tuple[PointSet, dict]:
     """Drop the points on one curve and recount the isosceles triples."""
     B = PointSet(A.spec, [p for p in A if not curve.contains(p)])
-    t_before = _triple_count(A)
-    t_after = _triple_count(B)
+    t_before = isosceles_count(A).t
+    t_after = isosceles_count(B).t
     bound = t_after + 8 * len(A) ** 2
     check = {
         "name": "prune-curve-triple-bound",

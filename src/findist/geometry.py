@@ -252,9 +252,26 @@ class PointSet:
 
     @staticmethod
     def from_json(obj: dict) -> "PointSet":
+        """The set a ``to_json`` blob describes; ValueError names the first malformed point."""
         spec = FieldSpec.from_json(obj["field"])
-        pts = [Point(spec.element(x), spec.element(y)) for x, y in obj["points"]]
+        points = obj["points"]
+        if not isinstance(points, list):
+            raise ValueError(f"points must be a list of [x, y] pairs, got {points!r}")
+        pts = []
+        for i, xy in enumerate(points):
+            if not (isinstance(xy, list) and len(xy) == 2):
+                raise ValueError(f"point {i} must be an [x, y] pair, got {xy!r}")
+            pts.append(Point(*(_coordinate_from_json(spec, c, i) for c in xy)))
         return PointSet(spec, pts)
+
+
+def _coordinate_from_json(spec: FieldSpec, value, i: int) -> FieldElement:
+    """An element written as an integer or, over F_{p^r}, as a list of at most r integers."""
+    coeffs = value if isinstance(value, list) else [value]
+    if not 0 < len(coeffs) <= spec.r or any(type(c) is not int for c in coeffs):
+        raise ValueError(f"point {i}: a coordinate over F_{spec.q} must be an integer or a list of "
+                         f"1..{spec.r} integers, got {value!r}")
+    return spec.element(coeffs)
 
 
 def equidistant_line(a: Point, b: Point) -> Line:

@@ -156,11 +156,16 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(obj: Mapping) -> "ExperimentConfig":
+        generator, seed = obj.get("generator", "random"), obj.get("seed", 0)
+        if not isinstance(generator, str):
+            raise ValueError(f"generator must be a string, got {generator!r}")
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         return make_config(
             field=FieldSpec.from_json(obj["field"]),
-            generator=obj.get("generator", "random"),
+            generator=generator,
             params=obj.get("params", {}),
-            seed=obj.get("seed", 0),
+            seed=seed,
             checks=tuple(obj.get("checks", ("stats",))),
             out=obj.get("out"),
             thresholds=Thresholds.from_json(obj.get("thresholds", {})),
@@ -243,6 +248,11 @@ def _finding(name: str, inputs: str, lhs, relation: str, rhs, ok: bool) -> dict:
     }
 
 
+def _reduction_unavailable(name: str, inputs: str, exc: Exception) -> dict:
+    """The failing finding of a reduction that raised instead of producing a witness."""
+    return _finding(name, inputs, [f"{type(exc).__name__}: {exc}"], "=", [], False)
+
+
 def _pind_meets_floor(pind: int, size: int, floor: Fraction) -> bool:
     # pind / size^(2/3) >= floor, cubed to stay in integers
     return (pind * floor.denominator) ** 3 >= size**2 * floor.numerator**3
@@ -308,7 +318,11 @@ def _check_reduce(A: PointSet, config: ExperimentConfig):
     for r, segments in counting.segment_classes(A).nonzero_items():
         if not segments:
             continue
-        w = incidence.claim_reduction(A, r)
+        try:
+            w = incidence.claim_reduction(A, r)
+        except (incidence.ReductionUnavailableError, AssertionError) as exc:
+            findings.append(_reduction_unavailable(f"reduction-available[r={r.index}]", inputs, exc))
+            continue
         explained = w.verdict == "explained"
         findings.append(
             _finding(
@@ -562,12 +576,13 @@ def _child_seed(seed: int, index: int) -> int:
 
 
 def _sweep_row(spec: FieldSpec, kind: str, params: Mapping, size: int, seed: int,
-               thresholds: Thresholds) -> tuple[dict, list]:
+               thresholds: Thresholds) -> tuple[dict, list, list]:
+    """One sweep row, the witnesses of an unexplained reduction, and the findings of a failed one."""
     A = generate(spec, kind, dict(params, size=size), seed)
     dist = counting.distance_stats(A)
     iso_t = counting.isosceles_count(A).t
     classes = counting.segment_classes(A)
-    b_star = counting.bisector_stats(A, method="bisectors").b_star_energy
+    b_star = counting.bisector_stats(A).b_star_energy
     occ = counting.max_collinear_cocircular(A)
 
     flags = []
@@ -578,34 +593,35 @@ def _sweep_row(spec: FieldSpec, kind: str, params: Mapping, size: int, seed: int
     if not in_hyp:
         flags.append("out-of-hypothesis")
 
-    witnesses = []
+    witnesses, failures = [], []
+    reduction = dict.fromkeys(
+        ("reduction_r", "reduction_lifted", "rudnev_surrogate", "rudnev_float", "rudnev_ok")
+    )
     nonzero = [(r, segs) for r, segs in classes.nonzero_items() if segs]
     if nonzero:
         r_star, _ = max(nonzero, key=lambda item: (len(item[1]), -item[0].index))
-        w = incidence.claim_reduction(A, r_star)
-        work_spec = w.points[0].coords[0].spec if w.points else spec
-        ratio = incidence.rudnev_ratio(w.points, w.planes, work_spec)
-        rudnev_ok = ratio.surrogate_ratio <= thresholds.rudnev_ceiling
-        if not rudnev_ok:
-            flags.append("rudnev-above-ceiling")
-        if w.verdict != "explained":
-            flags.append("unexplained-reduction")
-            witnesses.append(w.to_json())
-        reduction = {
-            "reduction_r": r_star.index,
-            "reduction_lifted": w.lifted,
-            "rudnev_surrogate": ratio.surrogate_ratio,
-            "rudnev_float": ratio.float_ratio,
-            "rudnev_ok": rudnev_ok,
-        }
-    else:
-        reduction = {
-            "reduction_r": None,
-            "reduction_lifted": None,
-            "rudnev_surrogate": None,
-            "rudnev_float": None,
-            "rudnev_ok": None,
-        }
+        reduction["reduction_r"] = r_star.index
+        try:
+            w = incidence.claim_reduction(A, r_star)
+        except (incidence.ReductionUnavailableError, AssertionError) as exc:
+            flags.append("reduction-unavailable")
+            name = f"reduction-available[size={size},r={r_star.index}]"
+            failures.append(_reduction_unavailable(name, _digest(A.to_json()), exc))
+        else:
+            work_spec = w.points[0].coords[0].spec if w.points else spec
+            ratio = incidence.rudnev_ratio(w.points, w.planes, work_spec)
+            rudnev_ok = ratio.surrogate_ratio <= thresholds.rudnev_ceiling
+            if not rudnev_ok:
+                flags.append("rudnev-above-ceiling")
+            if w.verdict != "explained":
+                flags.append("unexplained-reduction")
+                witnesses.append(w.to_json())
+            reduction.update(
+                reduction_lifted=w.lifted,
+                rudnev_surrogate=ratio.surrogate_ratio,
+                rudnev_float=ratio.float_ratio,
+                rudnev_ok=rudnev_ok,
+            )
 
     row = {
         "q": spec.q,
@@ -622,7 +638,7 @@ def _sweep_row(spec: FieldSpec, kind: str, params: Mapping, size: int, seed: int
         "flags": sorted(flags),
     }
     row.update(reduction)
-    return row, witnesses
+    return row, witnesses, failures
 
 
 def _check_sweep(config: ExperimentConfig):
@@ -634,11 +650,12 @@ def _check_sweep(config: ExperimentConfig):
     findings, rows, witnesses = [], [], []
     inputs = config.digest()
     for i, size in enumerate(sizes):
-        row, extra = _sweep_row(
+        row, extra, failures = _sweep_row(
             config.field, kind, params, size, _child_seed(config.seed, i), config.thresholds
         )
         rows.append(row)
         witnesses.extend(extra)
+        findings.extend(failures)
         # an unexplained reduction is an exactness regression, never a
         # monitored ratio: it fails the run unconditionally
         if "unexplained-reduction" in row["flags"]:
@@ -646,7 +663,8 @@ def _check_sweep(config: ExperimentConfig):
                 _finding(f"sweep-reduction[size={size}]", inputs, ["unexplained-reduction"], "=", [], False)
             )
         monitored = [
-            f for f in row["flags"] if f not in ("out-of-hypothesis", "unexplained-reduction")
+            f for f in row["flags"]
+            if f not in ("out-of-hypothesis", "unexplained-reduction", "reduction-unavailable")
         ]
         if config.thresholds.enforce:
             findings.append(

@@ -18,9 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .counting import max_collinear_cocircular, segment_classes
+import numpy as np
+
+from .counting import bisector_table, max_collinear_cocircular, segment_classes
 from .field import FieldElement, FieldSpec
-from .geometry import Line, Point, PointSet, Segment, all_lines, distance, equidistant_line, reflect
+from .geometry import Line, Point, PointSet, Segment, reflect
 from .kinematic import ProjPlane, ProjPoint, kappa, phi_left, r_tau_plane
 from .motions import RigidMotion, motion_between_segments
 
@@ -171,41 +173,22 @@ def rudnev_ratio(points: Sequence[ProjPoint], planes: Sequence[ProjPlane], spec:
     )
 
 
-def _bisector_keys(A: PointSet) -> dict:
-    keys = {}
-    for a in A:
-        for b in A:
-            if a == b:
-                continue
-            locus = equidistant_line(a, b)
-            if locus.is_isotropic():
-                continue
-            keys[(a, b)] = locus.key
-    return keys
-
-
 def axial_pair_count(A: PointSet, r: FieldElement) -> int:
     """Ordered pairs of equal-length segments that mirror across a common axis.
 
     The axis is the shared perpendicular bisector of the head pair and the
     tail pair; coincident heads or tails are excluded, which is exactly the
-    endpoints-off-axis convention.
+    endpoints-off-axis convention.  Both exclusions come from the bisector
+    table: its key is -1 on coincident points, and on head pairs at distance
+    0, whose locus mirrors nothing.
     """
     if not r:
         raise ValueError("a nonzero quadratic length is required")
-    segs = segment_classes(A).class_for(r)
-    keys = _bisector_keys(A)
-    count = 0
-    for s1 in segs:
-        for s2 in segs:
-            if s1.head == s2.head or s1.tail == s2.tail:
-                continue
-            head_key = keys.get((s1.head, s2.head))
-            if head_key is None:
-                continue
-            if head_key == keys.get((s1.tail, s2.tail)):
-                count += 1
-    return count
+    table = bisector_table(A)
+    heads, tails = np.nonzero(table.dist == r.index)
+    head_keys = table.keys[np.ix_(heads, heads)]
+    tail_keys = table.keys[np.ix_(tails, tails)]
+    return int(np.count_nonzero((head_keys >= 0) & (head_keys == tail_keys)))
 
 
 @dataclass(frozen=True)
@@ -227,17 +210,14 @@ def epsilon_term(A: PointSet) -> EpsilonTerm:
     group, count the ordered pairs whose heads are at quadratic distance 0,
     the diagonal included.  Over a field without isotropic vectors this is
     just the nonzero-distance pair count.
+
+    A point heads at most one pair of a group, the one to its mirror image,
+    so the count is, over the head pairs (a, c) at distance 0, the number of
+    axes that both a and c mirror onto points of A.
     """
-    groups: dict[tuple, list] = {}
-    for a in A:
-        for b in A:
-            if a == b or not distance(a, b):
-                continue
-            groups.setdefault(equidistant_line(a, b).key, []).append((a, b))
-    value = 0
-    for pairs in groups.values():
-        for a, _ in pairs:
-            value += sum(1 for c, _ in pairs if not distance(a, c))
+    table = bisector_table(A)
+    axes = [set(row[row >= 0].tolist()) for row in table.keys]
+    value = sum(len(axes[a] & axes[c]) for a, c in zip(*np.nonzero(table.dist == 0)))
     m = max_collinear_cocircular(A).m
     bound = 2 * m * len(A) ** 2
     return EpsilonTerm(value, bound, value <= bound)

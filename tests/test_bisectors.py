@@ -1,0 +1,248 @@
+"""Differential tests of the bisector table against the object-level oracles.
+
+``bisector_stats``, ``axial_pair_count``, ``epsilon_term`` and the apex
+moments of ``verify_identities`` all read one cached table per point set;
+each is compared here with the loop it replaced (see ``bisector_oracles``).
+"""
+
+import itertools
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import pytest
+
+from bisector_oracles import (
+    apex_moments,
+    brute_axial_pairs,
+    locus_bisector_stats,
+    loop_axial_pair_count,
+    loop_distance_stats,
+    loop_epsilon_value,
+    sweep_bisector_stats,
+)
+from findist import counting
+from findist.counting import bisector_stats, bisector_table, distance_stats, segment_classes, verify_identities
+from findist.field import FieldSpec
+from findist.generators import generate
+from findist.geometry import Line, PointSet, all_lines, all_points, equidistant_line, point
+from findist.incidence import _lift_point_set, axial_pair_count, epsilon_term
+
+F3 = FieldSpec(3)
+F5 = FieldSpec(5)
+F7 = FieldSpec(7)
+F9 = FieldSpec(3, 2)
+F13 = FieldSpec(13)
+F25 = FieldSpec(5, 2)
+F31 = FieldSpec(31)
+F49 = FieldSpec(7, 2)
+
+# no non-isotropic axis over F_3 survives the fixed points of its largest class
+LIFT_SET_F3 = PointSet(F3, [point(F3, 0, 0), point(F3, 0, 1), point(F3, 1, 0),
+                            point(F3, 2, 1), point(F3, 2, 2)])
+
+
+def random_sets(spec, count, max_size, seed):
+    rng = random.Random(seed)
+    pts = list(all_points(spec))
+    return [PointSet(spec, rng.sample(pts, rng.randint(1, max_size))) for _ in range(count)]
+
+
+def special_sets(spec, seed):
+    """On-circle sets, and over q = 1 mod 4 isotropic-line sets alone and mixed with random points."""
+    sets = [generate(spec, "on-circle", {"size": 4, "center": [1, 2], "radius_sq": 1}, seed)]
+    if spec.chi_minus_one() == 1:
+        line = generate(spec, "isotropic-line", {"size": 5}, seed)
+        scattered = generate(spec, "random", {"size": 4}, seed + 1)
+        sets += [line, PointSet(spec, list(line) + list(scattered))]
+    return sets
+
+
+def sets_over(spec, count, max_size, seed):
+    return random_sets(spec, count, max_size, seed) + special_sets(spec, seed)
+
+
+def subsets(spec, max_size):
+    pts = list(all_points(spec))
+    return st.builds(
+        lambda idx: PointSet(spec, [pts[i] for i in idx]),
+        st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=max_size),
+    )
+
+
+def all_subsets(spec):
+    pts = list(all_points(spec))
+    for mask in range(2 ** len(pts)):
+        yield PointSet(spec, [p for i, p in enumerate(pts) if mask >> i & 1])
+
+
+def assert_stats_match_sweep(A):
+    stats = bisector_stats(A)
+    oracle = sweep_bisector_stats(A)
+    for line in all_lines(A.spec):
+        assert stats.record_for(line) == oracle.entries[line.key], line
+    assert stats.b_energy == oracle.b_energy
+    assert stats.b_star_energy == oracle.b_star_energy
+    assert stats.cone_count == oracle.cone_count
+    assert stats.n_isotropic == oracle.n_isotropic
+    assert stats.relation_universal is oracle.relation_universal
+    # entries hold exactly the lines with a point or a reflection pair, in all_lines order
+    live = [key for key, rec in oracle.entries.items() if rec.incidence or rec.b_star]
+    assert list(stats.entries) == live
+
+
+class TestBisectorTable:
+    @pytest.mark.parametrize("spec", [F5, F9, F25], ids=["F5", "F9", "F25"])
+    def test_keys_and_distances_match_the_geometry(self, spec):
+        for A in sets_over(spec, 4, 8, 11 + spec.q):
+            table = bisector_table(A)
+            pts = A.points
+            for (i, a), (j, b) in itertools.product(enumerate(pts), repeat=2):
+                d = a - b
+                assert table.dist[i, j] == d.norm_sq().index
+                if a == b or not d.norm_sq():
+                    assert table.keys[i, j] == -1
+                else:
+                    key = int(table.keys[i, j])
+                    assert counting.line_from_key(spec, key) == equidistant_line(a, b)
+
+    def test_key_order_is_all_lines_order(self):
+        for spec in (F5, F9):
+            lines = list(all_lines(spec))
+            keys = [spec.q * spec.q + line.c.index if not line.n1 else line.n2.index * spec.q + line.c.index
+                    for line in lines]
+            assert keys == list(range(spec.q * spec.q + spec.q))
+            assert [counting.line_from_key(spec, k) for k in keys] == lines
+
+
+class TestBisectorStats:
+    def test_every_subset_of_f3(self):
+        for A in all_subsets(F3):
+            assert_stats_match_sweep(A)
+
+    @pytest.mark.parametrize("spec", [F5, F7, F9, F25], ids=["F5", "F7", "F9", "F25"])
+    def test_random_and_special_sets(self, spec):
+        count = 4 if spec is F25 else 12
+        for A in sets_over(spec, count, 10, 300 + spec.q):
+            assert_stats_match_sweep(A)
+
+    @pytest.mark.parametrize("spec", [F5, F9, F25], ids=["F5", "F9", "F25"])
+    def test_locus_oracle_agrees_on_its_lines(self, spec):
+        for A in sets_over(spec, 4, 9, 700 + spec.q):
+            stats, locus = bisector_stats(A), locus_bisector_stats(A)
+            assert (stats.b_energy, stats.b_star_energy) == (locus.b_energy, locus.b_star_energy)
+            for rec in locus.entries.values():
+                assert stats.record_for(rec.line) == rec
+
+    def test_empty_and_singleton(self):
+        for A in (PointSet(F5, []), PointSet(F5, [point(F5, 1, 2)])):
+            assert_stats_match_sweep(A)
+
+    @given(subsets(F31, max_size=8))
+    @settings(max_examples=15, deadline=None)
+    def test_hypothesis_f31(self, A):
+        assert_stats_match_sweep(A)
+
+    @given(subsets(F49, max_size=7))
+    @settings(max_examples=8, deadline=None)
+    def test_hypothesis_f49(self, A):
+        assert_stats_match_sweep(A)
+
+
+class TestAxialPairCount:
+    @pytest.mark.parametrize("spec", [F5, F7, F9, F25], ids=["F5", "F7", "F9", "F25"])
+    def test_against_key_loop_and_line_sweep(self, spec):
+        for A in sets_over(spec, 5, 8, 1500 + spec.q):
+            for r, _ in segment_classes(A).nonzero_items():
+                expected = loop_axial_pair_count(A, r)
+                assert axial_pair_count(A, r) == expected
+                if spec.q <= 9:
+                    assert expected == brute_axial_pairs(A, r)
+
+    def test_every_subset_of_f3(self):
+        for A in all_subsets(F3):
+            for r, _ in segment_classes(A).nonzero_items():
+                assert axial_pair_count(A, r) == loop_axial_pair_count(A, r)
+
+    def test_on_the_lifted_copy(self):
+        # claim_reduction counts on the F_{q^2} copy when no base axis is valid,
+        # as for LIFT_SET_F3
+        for A in random_sets(F3, 4, 6, 2103) + random_sets(F5, 4, 6, 2105) + [LIFT_SET_F3]:
+            lifted, embed = _lift_point_set(A)
+            for r, _ in segment_classes(A).nonzero_items():
+                count = axial_pair_count(lifted, embed(r))
+                assert count == loop_axial_pair_count(lifted, embed(r))
+                assert count == axial_pair_count(A, r)
+
+
+class TestEpsilonTerm:
+    @pytest.mark.parametrize("spec", [F5, F9, F13, F25], ids=["F5", "F9", "F13", "F25"])
+    def test_against_grouped_loop(self, spec):
+        for A in sets_over(spec, 6, 10, 4000 + spec.q):
+            assert epsilon_term(A).value == loop_epsilon_value(A)
+
+    def test_every_subset_of_f3(self):
+        for A in all_subsets(F3):
+            assert epsilon_term(A).value == loop_epsilon_value(A)
+
+
+class TestApexHistograms:
+    @pytest.mark.parametrize("spec", [F5, F7, F9, F25], ids=["F5", "F7", "F9", "F25"])
+    def test_verify_moments_against_histogram_loop(self, spec):
+        for A in sets_over(spec, 6, 10, 5000 + spec.q) + [PointSet(spec, [])]:
+            records = {rec["name"]: rec for rec in verify_identities(A)}
+            moment, max_cone0 = apex_moments(A)
+            assert records["cone-second-moment-exact"]["lhs"] == moment
+            assert records["pinned-line-bound"]["max_zero_cone_occupancy"] == max_cone0
+
+    @pytest.mark.parametrize("spec", [F5, F7, F9, F25], ids=["F5", "F7", "F9", "F25"])
+    def test_distance_stats_against_histogram_loop(self, spec):
+        for A in sets_over(spec, 6, 10, 5100 + spec.q) + [PointSet(spec, [])]:
+            stats = distance_stats(A)
+            got = (stats.per_point, stats.distances, stats.pind, stats.pind_nonzero, stats.nonzero_pairs)
+            assert got == loop_distance_stats(A)
+
+    def test_distance_stats_on_every_subset_of_f3(self):
+        for A in all_subsets(F3):
+            stats = distance_stats(A)
+            got = (stats.per_point, stats.distances, stats.pind, stats.pind_nonzero, stats.nonzero_pairs)
+            assert got == loop_distance_stats(A)
+
+
+class TestPerSetCache:
+    def test_one_table_per_set_and_equal_values_on_an_equal_set(self, monkeypatch):
+        calls = []
+        build = counting._bisector_table
+
+        def counted(A):
+            calls.append(A)
+            return build(A)
+
+        monkeypatch.setattr(counting, "_bisector_table", counted)
+        A = generate(F25, "isotropic-line", {"size": 6}, 3)
+        stats = bisector_stats(A)
+        verify_identities(A)
+        epsilon_term(A)
+        for r, _ in segment_classes(A).nonzero_items():
+            axial_pair_count(A, r)
+        assert calls == [A]
+        assert bisector_stats(A) is stats
+
+        B = PointSet(F25, list(reversed(A.points)))
+        assert B == A and B is not A
+        again = bisector_stats(B)
+        assert len(calls) == 2 and calls[1] is B
+        assert (again.b_energy, again.b_star_energy, again.cone_count, again.relation_universal) == (
+            stats.b_energy, stats.b_star_energy, stats.cone_count, stats.relation_universal)
+        assert again.entries == stats.entries
+        assert epsilon_term(B) == epsilon_term(A)
+
+    def test_entries_are_built_only_on_demand(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(counting, "line_from_key", lambda spec, key: built.append(key) or Line(
+            spec.one(), spec.zero(), spec.zero()))
+        stats = bisector_stats(random_sets(F9, 1, 8, 6000)[0])
+        assert stats.b_energy >= stats.b_star_energy
+        assert built == []
+        stats.entries
+        assert built

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from bisector_oracles import locus_bisector_stats, sweep_bisector_stats
 from findist.counting import (
     bisector_stats,
     distance_stats,
@@ -247,16 +248,20 @@ class TestBisectorStats:
 
     @pytest.mark.parametrize("spec", [F5, F7, F9], ids=["F5", "F7", "F9"])
     def test_strategies_agree(self, spec):
+        # the table against both loops it replaced: the reflection sweep over
+        # every line and the bisector-locus enumeration
         rng = random.Random(5150 + spec.q)
         pts = list(all_points(spec))
         for _ in range(20):
             A = PointSet(spec, rng.sample(pts, rng.randint(1, 10)))
-            sweep = bisector_stats(A)
-            fast = bisector_stats(A, method="bisectors")
-            assert sweep.b_energy == fast.b_energy
-            assert sweep.b_star_energy == fast.b_star_energy
-            assert sweep.b_star_energy == brute_b_star_energy(A)
-            for key, rec in fast.entries.items():
+            stats = bisector_stats(A)
+            sweep = sweep_bisector_stats(A)
+            locus = locus_bisector_stats(A)
+            assert stats.b_energy == sweep.b_energy == locus.b_energy
+            assert stats.b_star_energy == sweep.b_star_energy == locus.b_star_energy
+            assert stats.b_star_energy == brute_b_star_energy(A)
+            assert stats.relation_universal is sweep.relation_universal
+            for key, rec in stats.entries.items():
                 assert sweep.entries[key] == rec
 
     @given(subsets(F9, max_size=9))

@@ -1,12 +1,14 @@
 """Generator, config, report, and CLI behavior of the experiment harness."""
 
 import ast
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -14,14 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import findist
+from findist import incidence
 from findist.cli import main
+from findist.counting import segment_classes
 from findist.field import FieldSpec
 from findist.generators import GENERATOR_KINDS, UnsupportedGeneratorError, generate
 from findist.geometry import Line, distance, origin
 from findist.harness import (
+    CHECK_NAMES,
     SWEEP_COLUMNS,
     ExperimentConfig,
     Thresholds,
+    _child_seed,
+    _digest,
     canonical_json,
     config_point_set,
     make_config,
@@ -306,6 +313,161 @@ class TestCli:
         assert main(["verify", "--points", str(path), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["config"]["generator"] == "explicit"
+
+
+class TestReductionFailures:
+    """A reduction that raises becomes a failing, replayable finding, never a traceback."""
+
+    @pytest.fixture
+    def no_axis(self, monkeypatch):
+        # no axis over the base field or its quadratic extension
+        monkeypatch.setattr(incidence, "_scan_axis", lambda fixed, spec: None)
+
+    def test_reduce_check_fails_with_one_finding_per_class(self, no_axis, tmp_path):
+        config = make_config(F7, "random", {"size": 6}, seed=7, checks=("reduce",))
+        path = tmp_path / "config.json"
+        path.write_text(canonical_json(config.to_json()))
+        out = tmp_path / "report.json"
+        assert main(["reduce", "--config", str(path), "--out", str(out)]) == 1
+        findings = json.loads(out.read_text())["findings"]
+        A = config_point_set(config)
+        classes = [r.index for r, segs in segment_classes(A).nonzero_items() if segs]
+        assert [f["name"] for f in findings] == [f"reduction-available[r={r}]" for r in classes]
+        for f in findings:
+            assert f["pass"] is False
+            assert f["inputs"] == _digest(A.to_json())
+            assert f["lhs"][0].startswith("ReductionUnavailableError: no valid axis")
+
+    def test_an_invariant_raise_is_a_finding_too(self, monkeypatch):
+        def broken(fixed, spec):
+            raise AssertionError("planes must be pairwise distinct")
+
+        monkeypatch.setattr(incidence, "_scan_axis", broken)
+        report = run(make_config(F5, "random", {"size": 4}, seed=3, checks=("reduce",)))
+        assert report.findings and not report.passed()
+        assert all(f["lhs"] == ["AssertionError: planes must be pairwise distinct"] for f in report.findings)
+
+    def test_sweep_row_gets_a_flag_and_a_failing_finding(self, no_axis, tmp_path):
+        config = make_config(F5, "random", {"sizes": [4, 6]}, seed=5, checks=("sweep",))
+        path = tmp_path / "config.json"
+        path.write_text(canonical_json(config.to_json()))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep.csv")]) == 1
+        report = run(config)
+        expected = []
+        for i, (size, row) in enumerate(zip([4, 6], report.rows)):
+            assert "reduction-unavailable" in row["flags"]
+            assert row["reduction_lifted"] is None and row["rudnev_surrogate"] is None
+            A = generate(F5, "random", {"size": size}, _child_seed(5, i))
+            expected.append((f"reduction-available[size={size},r={row['reduction_r']}]", _digest(A.to_json())))
+        assert [(f["name"], f["inputs"]) for f in report.findings] == expected
+        assert not any(f["pass"] for f in report.findings)
+
+
+def _cli(argv):
+    """(exit code, stdout, stderr) of one in-process findist call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_with_file(subcommand, option, blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(blob, fh)
+        return _cli([subcommand, option, path])
+
+
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=4))
+_json = st.recursive(_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)), max_leaves=6)
+# over F_5 a coordinate is an integer or a one-integer list; none of these is
+_bad_coordinates = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.lists(st.integers(), min_size=2, max_size=3), st.just([]),
+    st.lists(st.one_of(st.none(), st.text(max_size=2), st.floats(allow_nan=False)), min_size=1, max_size=2),
+)
+_bad_points = st.one_of(
+    _scalars,
+    st.dictionaries(st.text(max_size=2), _scalars, max_size=2),
+    st.lists(st.integers(0, 4), max_size=3).filter(lambda xy: len(xy) != 2).map(lambda xy: [xy]),
+    # a good point, then a pair with one bad coordinate in either slot
+    st.tuples(_bad_coordinates, st.integers(0, 4), st.booleans()).map(
+        lambda t: [[0, 0], [t[0], t[1]] if t[2] else [t[1], t[0]]]),
+)
+_bad_fields = st.one_of(
+    _scalars.filter(lambda v: not isinstance(v, dict)),
+    st.lists(st.integers(), max_size=2),
+    st.sampled_from([4, 2, 1, 0, -3, 9, "x", None, [5], 131101]).map(lambda p: {"p": p}),
+    st.sampled_from([0, -1, "x", None]).map(lambda r: {"p": 5, "r": r}),
+)
+
+
+def _config_with(key, value):
+    blob = make_config(F5, "random", {"size": 4}, seed=1).to_json()
+    blob[key] = value
+    return blob
+
+
+_bad_configs = st.one_of(
+    _json.filter(lambda v: not isinstance(v, dict)),
+    st.builds(_config_with, st.just("field"), _bad_fields),
+    st.builds(_config_with, st.just("seed"), st.one_of(
+        st.none(), st.booleans(), st.floats(), st.text(), st.integers(max_value=-1), st.integers(min_value=2**64))),
+    st.builds(_config_with, st.just("generator"), st.one_of(st.none(), st.integers(), st.lists(st.text(), max_size=2))),
+    st.builds(_config_with, st.just("params"), st.one_of(
+        st.integers().filter(bool), st.text(min_size=1), st.lists(st.integers(), min_size=1))),
+    st.builds(_config_with, st.just("checks"), st.one_of(
+        st.integers(), st.text(min_size=1), st.lists(st.text().filter(lambda t: t not in CHECK_NAMES), min_size=1))),
+    st.builds(_config_with, st.just("thresholds"), st.one_of(
+        _json.filter(lambda v: not isinstance(v, dict)),
+        st.sampled_from([[1, 0], "ab", [1, 2, 3]]).map(lambda v: {"pind_floor": v}))),
+    _bad_points.map(lambda pts: dict(_config_with("generator", "explicit"), params={"points": pts})),
+)
+
+
+class TestMalformedInput:
+    """Malformed JSON exits 2 with one ``findist:`` line and writes no report."""
+
+    @staticmethod
+    def assert_usage_error(result):
+        code, out, err = result
+        assert code == 2
+        assert out == ""
+        assert err.startswith("findist: ") and err.endswith("\n") and err.count("\n") == 1
+
+    @given(_bad_points)
+    @settings(max_examples=60, deadline=None)
+    def test_points_file_with_malformed_points(self, points):
+        self.assert_usage_error(_run_with_file("stats", "--points", {"field": F5.to_json(), "points": points}))
+
+    @given(st.one_of(
+        _json.filter(lambda v: not isinstance(v, dict)),
+        _bad_fields.map(lambda field: {"field": field, "points": [[0, 0]]}),
+        st.just({"field": {"p": 5}}),
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_points_file_with_malformed_blob(self, blob):
+        self.assert_usage_error(_run_with_file("verify", "--points", blob))
+
+    @given(_bad_configs)
+    @settings(max_examples=150, deadline=None)
+    def test_malformed_config(self, blob):
+        self.assert_usage_error(_run_with_file("stats", "--config", blob))
+
+    @pytest.mark.parametrize("points", [7, [[1, None]]], ids=["scalar", "null"])
+    def test_reported_cases(self, points):
+        code, out, err = _run_with_file("stats", "--points", {"field": F7.to_json(), "points": points})
+        assert (code, out) == (2, "")
+        assert err.startswith("findist: bad point set in ") and err.count("\n") == 1
+
+    def test_wellformed_points_still_run(self):
+        blob = {"field": FieldSpec(5, 2).to_json(), "points": [[[1, 2], 3], [0, [4]], [-1, 7]]}
+        code, out, err = _run_with_file("stats", "--points", blob)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["metrics"]["stats"]["size"] == 3
 
 
 def test_no_bare_assert_in_the_package():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from bisector_oracles import brute_axial_pairs
 from findist.counting import bisector_stats, distance_stats, segment_classes
 from findist.field import FieldSpec
 from findist.geometry import (
@@ -16,7 +17,6 @@ from findist.geometry import (
     bisector,
     distance,
     point,
-    reflect,
 )
 from findist.incidence import (
     EmptySegmentClassError,
@@ -53,23 +53,6 @@ def proj(spec, *coords):
 
 def plane(spec, *coeffs):
     return ProjPlane(tuple(spec.element(c) for c in coeffs))
-
-
-def brute_axial_pairs(A, r):
-    """Line sweep oracle: mirror each segment across every candidate axis."""
-    segs = [s for s in segment_classes(A).class_for(r)]
-    members = {(s.head, s.tail) for s in segs}
-    count = 0
-    for axis in all_lines(A.spec):
-        if axis.is_isotropic():
-            continue
-        for s in segs:
-            if axis.contains(s.head) or axis.contains(s.tail):
-                continue
-            mirrored = (reflect(axis, s.head), reflect(axis, s.tail))
-            if mirrored != (s.head, s.tail) and mirrored in members:
-                count += 1
-    return count
 
 
 def brute_on_axis_pairs(A, r):
