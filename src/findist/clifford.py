@@ -4,6 +4,12 @@ Generators anticommute (e_i e_j = -e_j e_i for i != j) and square to e1^2 = 1,
 e2^2 = -lam, e3^2 = 0.  The even subalgebra is 4-dimensional; its unit group,
 taken projectively, is isomorphic to the rigid motion group when lam = -1, and
 ``rho_star`` realises that map.  All values are immutable.
+
+The element classes are the public API.  The index kernel at the end
+(``product_rows``, ``sandwich_batch``, ``rho_star_keys``) computes the same
+products on int64 arrays of canonical coefficient indices, many elements per
+call, from the same structure constants; the harness's Clifford check runs on
+it, and the tests hold it equal to the classes.
 """
 
 from __future__ import annotations
@@ -12,8 +18,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .field import FieldElement, FieldMismatchError, FieldSpec, NonUnitError
-from .motions import RigidMotion
+import numpy as np
+
+from .field import FieldElement, FieldMismatchError, FieldSpec, NonUnitError, _index_field
+from .motions import RigidMotion, SpecMismatchError
 
 # slot order: scalar, the three vectors, the three bivectors, the volume blade
 BLADE_NAMES = ("e0", "e1", "e2", "e3", "e12", "e13", "e23", "e123")
@@ -194,10 +202,6 @@ def blade(form: QuadraticFormSpec, name: str) -> CliffordElement:
     return CliffordElement(form, tuple(coeffs))
 
 
-def multiply(a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    return a * b
-
-
 def conjugate(a: CliffordElement) -> CliffordElement:
     """Reversal composed with the main involution: blades pick up (-1)^(k(k+1)/2)."""
     out = []
@@ -337,10 +341,6 @@ def even_element(
     )
 
 
-def invert_even(g: EvenCliffordElement) -> EvenCliffordElement:
-    return g.inverse()
-
-
 def even_units(form: QuadraticFormSpec) -> Iterator[EvenCliffordElement]:
     """All even elements of nonzero norm, in coefficient index order."""
     for g0 in form.field.elements():
@@ -386,3 +386,122 @@ def rho_star(g: EvenCliffordElement) -> RigidMotion:
     s = -(two * (g.g0 * g.g13 + lam * (g.g12 * g.g23))) * inv
     t = two * lam * (g.g0 * g.g23 + g.g12 * g.g13) * inv
     return RigidMotion(u, v, s, t)
+
+
+# ---------------------------------------------------------------------------
+# index kernel: batches of elements as int64 arrays of canonical coefficient
+# indices.  An element batch is a list of 8 blade columns, each an array or
+# None for a blade that is zero throughout; the columns of one batch, and of
+# two batches multiplied together, broadcast against each other.
+
+_NON_VECTOR_SLOTS = (0, 4, 5, 6, 7)
+
+
+@lru_cache(maxsize=None)
+def _product_terms(form: QuadraticFormSpec) -> tuple[tuple[int, int, int, int], ...]:
+    """The nonzero entries of ``_blade_table`` as (i, j, result slot, coefficient index)."""
+    return tuple(
+        (i, j, slot, coeff.index)
+        for i, row in enumerate(_blade_table(form))
+        for j, (slot, coeff) in enumerate(row)
+        if coeff
+    )
+
+
+def _product(form: QuadraticFormSpec, a: list, b: list) -> list:
+    """The products of two element batches given as blade columns."""
+    F = _index_field(form.field)
+    minus_one = (-form.field.one()).index
+    out = [None] * 8
+    for i, j, slot, c in _product_terms(form):
+        if a[i] is None or b[j] is None:
+            continue
+        term = F.mul(a[i], b[j])
+        if c not in (1, minus_one):
+            term = F.mul(term, c)
+        acc = 0 if out[slot] is None else out[slot]
+        out[slot] = F.sub(acc, term) if c == minus_one else F.add(acc, term)
+    return out
+
+
+def product_rows(form: QuadraticFormSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products a[k] * b[k] of two (N, 8) index arrays, as ``CliffordElement.__mul__``."""
+    cols = _product(form, list(a.T), list(b.T))
+    zero = np.zeros(len(a), dtype=np.int64)
+    return np.stack([zero if c is None else c for c in cols], axis=1)
+
+
+def even_norms(form: QuadraticFormSpec, g0: np.ndarray, g12: np.ndarray) -> np.ndarray:
+    """The norms g0^2 - lam g12^2 of even elements, from index arrays of g0 and g12."""
+    F = _index_field(form.field)
+    return F.sub(F.mul(g0, g0), F.mul(form.lam.index, F.mul(g12, g12)))
+
+
+def even_unit_columns(form: QuadraticFormSpec) -> tuple[np.ndarray, ...]:
+    """Every even unit as index columns (g0, g12, g13, g23).
+
+    g0 and g12 have shape (P, 1), one row per (g0, g12) of nonzero norm, and
+    g13 and g23 shape (1, q^2); broadcast and flattened, they list the units
+    in ``even_units`` order.
+    """
+    q = form.field.q
+    g0, g12 = np.divmod(np.arange(q * q, dtype=np.int64), q)
+    units = even_norms(form, g0, g12) != 0
+    g13, g23 = np.divmod(np.arange(q * q, dtype=np.int64), q)
+    return g0[units, None], g12[units, None], g13[None, :], g23[None, :]
+
+
+def _inverse_norms(form: QuadraticFormSpec, g0: np.ndarray, g12: np.ndarray) -> np.ndarray:
+    norms = even_norms(form, g0, g12)
+    if not norms.all():
+        raise NonUnitError("an even element of norm 0 has no inverse")
+    F = _index_field(form.field)
+    return F.div(np.ones_like(norms), norms)
+
+
+def sandwich_batch(form: QuadraticFormSpec, g: tuple, x: tuple) -> tuple[np.ndarray, ...]:
+    """g x g^{-1} for even units g = (g0, g12, g13, g23) and vectors x = (x1, x2, x3).
+
+    All seven are index arrays that broadcast together; the result is the
+    three vector coefficients.  The product is multiplied out in the full
+    algebra, as ``sandwich`` does, and a result outside grade 1 raises
+    ``AssertionError``.
+    """
+    F = _index_field(form.field)
+    g0, g12, g13, g23 = g
+    inv = _inverse_norms(form, g0, g12)
+    # g^{-1} = conjugate(g) / norm(g): the bivector parts change sign
+    g_inv = [F.mul(inv, g0), None, None, None] + [F.sub(0, F.mul(inv, c)) for c in (g12, g13, g23)] + [None]
+    out = _product(
+        form,
+        _product(form, [g0, None, None, None, g12, g13, g23, None], [None, *x, None, None, None, None]),
+        g_inv,
+    )
+    if any(out[slot] is not None and out[slot].any() for slot in _NON_VECTOR_SLOTS):
+        raise AssertionError("sandwich left grade 1")
+    return tuple(np.broadcast_arrays(*out[1:4]))
+
+
+def rho_star_keys(form: QuadraticFormSpec, g: tuple) -> np.ndarray:
+    """``rho_star`` of even units g = (g0, g12, g13, g23), broadcast index arrays.
+
+    Each motion is keyed ((u q + v) q + s) q + t on the indices of its
+    entries.  A unit with u^2 + v^2 != 1 raises ``SpecMismatchError``, as the
+    ``RigidMotion`` constructor does.
+    """
+    spec = form.field
+    if form.lam != -spec.one():
+        raise ValueError("rho_star requires the lam = -1 form")
+    F, q = _index_field(spec), spec.q
+    if q**4 > np.iinfo(np.int64).max:
+        raise ValueError(f"motion keys in [0, q^4) overflow int64 at q = {q}")
+    lam, two = form.lam.index, (spec.one() + spec.one()).index
+    g0, g12, g13, g23 = g
+    inv = _inverse_norms(form, g0, g12)
+    u = F.mul(F.add(F.mul(g0, g0), F.mul(lam, F.mul(g12, g12))), inv)
+    v = F.sub(0, F.mul(F.mul(two, F.mul(lam, F.mul(g0, g12))), inv))
+    s = F.sub(0, F.mul(F.mul(two, F.add(F.mul(g0, g13), F.mul(lam, F.mul(g12, g23)))), inv))
+    t = F.mul(F.mul(F.mul(two, lam), F.add(F.mul(g0, g23), F.mul(g12, g13))), inv)
+    if (F.add(F.mul(u, u), F.mul(v, v)) != 1).any():
+        raise SpecMismatchError("u^2+v^2 != 1 in rho_star of an even unit")
+    return ((u * q + v) * q + s) * q + t

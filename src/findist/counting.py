@@ -13,12 +13,12 @@ quadruples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, _index_field
 from .geometry import (
     Circle,
     Line,
@@ -36,44 +36,6 @@ def _per_set(A: PointSet, compute: Callable):
     except KeyError:
         value = A._cache[compute] = compute(A)
         return value
-
-
-class _IndexField:
-    """Vectorised arithmetic on canonical element indices held in int64 arrays.
-
-    ``+`` and ``-`` work digit by digit mod p on the index, which needs no
-    table; ``*`` and ``/`` go through numpy copies of the spec's log table and
-    doubled exp table, so a sum of two logs needs no reduction.
-    """
-
-    def __init__(self, spec: FieldSpec):
-        t = spec.tables
-        self.p, self.order = spec.p, t.order
-        self.digits = [spec.p**i for i in range(spec.r)]
-        self.log = np.array([e.log for e in t.elements], dtype=np.int64)
-        self.exp = np.array([e.index for e in t.by_log], dtype=np.int64)
-
-    def add(self, a, b):
-        if len(self.digits) == 1:
-            return (a + b) % self.p
-        return sum(((a // d + b // d) % self.p) * d for d in self.digits)
-
-    def sub(self, a, b):
-        if len(self.digits) == 1:
-            return (a - b) % self.p
-        return sum(((a // d - b // d) % self.p) * d for d in self.digits)
-
-    def mul(self, a, b):
-        la, lb = self.log[a], self.log[b]
-        return np.where((la < 0) | (lb < 0), 0, self.exp[la + lb])
-
-    def div(self, a, b):
-        """a / b for nonzero b."""
-        la = self.log[a]
-        return np.where(la < 0, 0, self.exp[la - self.log[b] + self.order])
-
-
-_index_field = lru_cache(maxsize=None)(_IndexField)
 
 
 def _index_coords(A: PointSet) -> tuple[np.ndarray, np.ndarray]:

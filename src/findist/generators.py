@@ -43,9 +43,27 @@ def _check_params(kind: str, params: Mapping, required: set, optional: set) -> N
         raise ValueError(f"{kind}: missing parameters {sorted(missing)}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _element_param(spec: FieldSpec, kind: str, name: str, value):
+    """The field element a parameter names by its canonical index."""
+    if not _is_int(value) or not 0 <= value < spec.q:
+        raise ValueError(f"{kind}: {name} must be an element index in 0..{spec.q - 1}, got {value!r}")
+    return spec.from_index(value)
+
+
+def _elements_param(spec: FieldSpec, kind: str, name: str, value, count: int) -> list:
+    """The field elements a parameter lists, ``count`` canonical indices."""
+    if not isinstance(value, (list, tuple)) or len(value) != count:
+        raise ValueError(f"{kind}: {name} must list {count} element indices, got {value!r}")
+    return [_element_param(spec, kind, name, v) for v in value]
+
+
 def _size(params: Mapping, kind: str, available: int) -> int:
     size = params["size"]
-    if not isinstance(size, int) or size < 1:
+    if not _is_int(size) or size < 1:
         raise ValueError(f"{kind}: size must be a positive integer, got {size!r}")
     if size > available:
         raise ValueError(f"{kind}: size {size} exceeds the {available} available points")
@@ -74,7 +92,7 @@ def _grid(spec: FieldSpec, params: Mapping, rng) -> list:
     _check_params("grid", params, {"rows", "cols"}, set())
     rows, cols = params["rows"], params["cols"]
     for name, value in (("rows", rows), ("cols", cols)):
-        if not isinstance(value, int) or not 1 <= value <= spec.q:
+        if not _is_int(value) or not 1 <= value <= spec.q:
             raise ValueError(f"grid: {name} must lie in 1..{spec.q}, got {value!r}")
     return [
         Point(spec.from_index(i), spec.from_index(j))
@@ -90,8 +108,7 @@ def _line_points(spec: FieldSpec, line: Line) -> list:
 def _on_line(spec: FieldSpec, params: Mapping, rng) -> list:
     _check_params("on-line", params, {"size"}, {"line"})
     if "line" in params:
-        n1, n2, c = (spec.from_index(i) for i in params["line"])
-        line = Line(n1, n2, c)
+        line = Line(*_elements_param(spec, "on-line", "line", params["line"], 3))
     else:
         # default carrier is the x-axis
         line = Line(spec.zero(), spec.one(), spec.zero())
@@ -102,11 +119,10 @@ def _on_line(spec: FieldSpec, params: Mapping, rng) -> list:
 def _on_circle(spec: FieldSpec, params: Mapping, rng) -> list:
     _check_params("on-circle", params, {"size"}, {"center", "radius_sq"})
     if "center" in params:
-        cx, cy = params["center"]
-        center = Point(spec.from_index(cx), spec.from_index(cy))
+        center = Point(*_elements_param(spec, "on-circle", "center", params["center"], 2))
     else:
         center = origin(spec)
-    radius_sq = spec.from_index(params.get("radius_sq", 1))
+    radius_sq = _element_param(spec, "on-circle", "radius_sq", params.get("radius_sq", 1))
     if not radius_sq:
         raise UnsupportedGeneratorError("on-circle: radius_sq 0 is the degenerate cone")
     circle = Circle(center, radius_sq)

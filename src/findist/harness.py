@@ -21,19 +21,19 @@ import numpy as np
 
 from . import counting, incidence
 from .clifford import (
-    BLADE_NAMES,
-    CliffordElement,
     QuadraticFormSpec,
-    blade,
     even_element,
+    even_norms,
+    even_unit_columns,
     even_units,
-    rho_star,
-    sandwich,
+    product_rows,
+    rho_star_keys,
+    sandwich_batch,
 )
-from .field import FieldSpec
+from .field import FieldSpec, _index_field
 from .generators import generate
 from .geometry import PointSet
-from .kinematic import all_proj_points, exceptional_set, kappa, kappa_inv
+from .kinematic import all_proj_points, is_exceptional, kappa, kappa_inv
 from .motions import all_motions
 
 # Largest Rudnev surrogate ratio observed on the standard F_31 corpus,
@@ -74,11 +74,12 @@ def _digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("ascii")).hexdigest()
 
 
-def _freeze(value):
+def _freeze(name: str, value):
+    # a mapping would thaw back as a list of pairs, so no parameter may hold one
+    if isinstance(value, Mapping):
+        raise ValueError(f"parameter {name!r} holds a mapping; parameters hold scalars and lists")
     if isinstance(value, (list, tuple)):
-        return tuple(_freeze(v) for v in value)
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
+        return tuple(_freeze(name, v) for v in value)
     return value
 
 
@@ -175,7 +176,7 @@ class ExperimentConfig:
 def make_config(field: FieldSpec, generator: str = "random", params: Mapping | None = None,
                 seed: int = 0, checks: Sequence[str] = ("stats",), out: Optional[str] = None,
                 thresholds: Thresholds = Thresholds()) -> ExperimentConfig:
-    frozen = tuple(sorted((k, _freeze(v)) for k, v in (params or {}).items()))
+    frozen = tuple(sorted((k, _freeze(k, v)) for k, v in (params or {}).items()))
     return ExperimentConfig(field, generator, frozen, seed, tuple(checks), out, thresholds)
 
 
@@ -398,20 +399,28 @@ def _check_prune(A: PointSet, config: ExperimentConfig):
 def _check_kinematic(config: ExperimentConfig):
     spec = config.field
     inputs = _digest({"field": spec.to_json()})
-    motions = list(all_motions(spec))
-    images = [kappa(g) for g in motions]
-    image_keys = {p.key for p in images}
-    complement = {p.key for p in all_proj_points(spec)} - {p.key for p in exceptional_set(spec)}
-    roundtrip_misses = sum(1 for g, p in zip(motions, images) if kappa_inv(p) != g)
+    image_keys, n_motions, roundtrip_misses = set(), 0, 0
+    for g in all_motions(spec):
+        p = kappa(g)
+        image_keys.add(p.key)
+        n_motions += 1
+        roundtrip_misses += kappa_inv(p) != g
+    # one pass over projective 3-space, split on X0^2 + X1^2 = 0
+    complement, n_exceptional = set(), 0
+    for p in all_proj_points(spec):
+        if is_exceptional(p):
+            n_exceptional += 1
+        else:
+            complement.add(p.key)
     findings = [
-        _finding("kinematic-injective", inputs, len(image_keys), "=", len(motions), len(image_keys) == len(motions)),
+        _finding("kinematic-injective", inputs, len(image_keys), "=", n_motions, len(image_keys) == n_motions),
         _finding(
             "kinematic-count",
             inputs,
-            len(motions),
+            n_motions,
             "=",
             len(complement),
-            len(motions) == len(complement),
+            n_motions == len(complement),
         ),
         _finding(
             "kinematic-image-complement",
@@ -424,62 +433,58 @@ def _check_kinematic(config: ExperimentConfig):
         _finding("kinematic-roundtrip", inputs, roundtrip_misses, "=", 0, roundtrip_misses == 0),
     ]
     metrics = {
-        "motions": len(motions),
-        "proj_points": len(complement) + len(exceptional_set(spec)),
-        "exceptional": len(exceptional_set(spec)),
+        "motions": n_motions,
+        "proj_points": len(complement) + n_exceptional,
+        "exceptional": n_exceptional,
     }
     return findings, metrics, []
 
 
-def _sandwich_display_mismatches(form: QuadraticFormSpec, vectors, units) -> int:
-    """Sandwich each vector and compare with the closed-form coefficients.
+def _sandwich_display_misses(form: QuadraticFormSpec, units: tuple, vectors: tuple) -> int:
+    """Sandwich each vector by each unit and compare with the closed form.
 
-    For g = g0 + g12 e12 + g13 e13 + g23 e23 of norm n the conjugate action
+    ``units`` (g0, g12, g13, g23) and ``vectors`` (x1, x2, x3) are index
+    arrays that broadcast to one entry per (unit, vector) pair.  For
+    g = g0 + g12 e12 + g13 e13 + g23 e23 of norm n the conjugate action
     on x1 e1 + x2 e2 + x3 e3 has displayed coefficients
       a = (g0^2 + lam g12^2)/n,  b = 2 g0 g12 / n,
       c13 = 2 (g0 g13 + lam g12 g23)/n,  c23 = 2 lam (g0 g23 + g12 g13)/n,
     sending x1 -> a x1 - lam b x2, x2 -> -b x1 + a x2,
     x3 -> -c13 x1 + c23 x2 + x3.
     """
-    lam = form.lam
-    two = form.field.one() + form.field.one()
-    zero = form.field.zero()
-    misses = 0
-    for g in units:
-        inv = g.norm().inverse()
-        a = (g.g0 * g.g0 + lam * (g.g12 * g.g12)) * inv
-        b = two * (g.g0 * g.g12) * inv
-        c13 = two * (g.g0 * g.g13 + lam * (g.g12 * g.g23)) * inv
-        c23 = two * lam * (g.g0 * g.g23 + g.g12 * g.g13) * inv
-        for x1, x2, x3 in vectors:
-            v = CliffordElement(form, (zero, x1, x2, x3, zero, zero, zero, zero))
-            expected = CliffordElement(
-                form,
-                (
-                    zero,
-                    a * x1 - lam * (b * x2),
-                    -(b * x1) + a * x2,
-                    -(c13 * x1) + c23 * x2 + x3,
-                    zero,
-                    zero,
-                    zero,
-                    zero,
-                ),
-            )
-            if sandwich(g, v) != expected:
-                misses += 1
-    return misses
+    got = sandwich_batch(form, units, vectors)
+    F = _index_field(form.field)
+    lam, two = form.lam.index, (form.field.one() + form.field.one()).index
+    g0, g12, g13, g23 = units
+    x1, x2, x3 = vectors
+    inv = F.div(np.ones_like(g0), even_norms(form, g0, g12))
+    a = F.mul(F.add(F.mul(g0, g0), F.mul(lam, F.mul(g12, g12))), inv)
+    b = F.mul(F.mul(two, F.mul(g0, g12)), inv)
+    c13 = F.mul(F.mul(two, F.add(F.mul(g0, g13), F.mul(lam, F.mul(g12, g23)))), inv)
+    c23 = F.mul(F.mul(F.mul(two, lam), F.add(F.mul(g0, g23), F.mul(g12, g13))), inv)
+    expected = (
+        F.sub(F.mul(a, x1), F.mul(lam, F.mul(b, x2))),
+        F.sub(F.mul(a, x2), F.mul(b, x1)),
+        F.add(F.sub(F.mul(c23, x2), F.mul(c13, x1)), x3),
+    )
+    miss = (got[0] != expected[0]) | (got[1] != expected[1]) | (got[2] != expected[2])
+    return int(np.count_nonzero(miss))
+
+
+def _associativity_misses(form: QuadraticFormSpec) -> int:
+    """The basis triples (a, b, c) with (a b) c != a (b c), all 512 as rows at once."""
+    # row k of the identity is blade k with coefficient index 1, the field's one
+    a, b, c = (np.eye(8, dtype=np.int64)[i] for i in np.indices((8, 8, 8)).reshape(3, -1))
+    left = product_rows(form, product_rows(form, a, b), c)
+    right = product_rows(form, a, product_rows(form, b, c))
+    return int(np.count_nonzero((left != right).any(axis=1)))
 
 
 def _check_clifford(config: ExperimentConfig):
     spec = config.field
     inputs = _digest({"field": spec.to_json()})
     form = QuadraticFormSpec.standard(spec)
-    basis = [blade(form, name) for name in BLADE_NAMES]
-
-    assoc_misses = sum(
-        1 for a in basis for b in basis for c in basis if (a * b) * c != a * (b * c)
-    )
+    assoc_misses = _associativity_misses(form)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, 0xC11F))))
     exhaustive_norm = spec.q == 3
@@ -505,19 +510,16 @@ def _check_clifford(config: ExperimentConfig):
     }
 
     if spec.q <= 11:
-        fibers: dict[str, int] = {}
-        for g in even_units(form):
-            key = canonical_json(rho_star(g).to_json())
-            fibers[key] = fibers.get(key, 0) + 1
-        motions = list(all_motions(spec))
-        surjective = len(fibers) == len(motions)
-        uniform = all(count == spec.q - 1 for count in fibers.values())
+        # one bin per motion key in [0, q^4); the nonzero bins are the fibres
+        fibers = np.bincount(rho_star_keys(form, even_unit_columns(form)).ravel())
+        fibers = fibers[fibers > 0]
+        n_motions = sum(1 for _ in all_motions(spec))
+        bad_fibers = int(np.count_nonzero(fibers != spec.q - 1))
         findings.append(
-            _finding("clifford-rho-star-image", inputs, len(fibers), "=", len(motions), surjective)
+            _finding("clifford-rho-star-image", inputs, len(fibers), "=", n_motions, len(fibers) == n_motions)
         )
-        bad_fibers = sum(1 for count in fibers.values() if count != spec.q - 1)
         findings.append(
-            _finding("clifford-rho-star-fiber-size", inputs, bad_fibers, "=", 0, uniform)
+            _finding("clifford-rho-star-fiber-size", inputs, bad_fibers, "=", 0, bad_fibers == 0)
         )
         metrics["fiber_size"] = spec.q - 1
 
@@ -527,25 +529,17 @@ def _check_clifford(config: ExperimentConfig):
         lam_values.append(QuadraticFormSpec(spec, alt_lam))
     display_misses = 0
     vec_draws = rng.integers(0, spec.q, size=(12, 3))
+    # the drawn vectors, then e1, e2, e3; each unit column gets a trailing
+    # axis, so units and vectors broadcast to one entry per pair
+    vectors = tuple(np.concatenate([vec_draws, np.eye(3, dtype=np.int64)]).T)
     for variant in lam_values:
         if spec.q <= 7:
-            units = list(even_units(variant))
+            units = even_unit_columns(variant)
         else:
-            units = []
             unit_draws = rng.integers(0, spec.q, size=(200, 4))
-            for row in unit_draws:
-                g = even_element(variant, *(int(i) for i in row))
-                if g.norm():
-                    units.append(g)
-        vectors = [
-            tuple(spec.from_index(int(i)) for i in row) for row in vec_draws
-        ]
-        for name in ("e1", "e2", "e3"):
-            idx = BLADE_NAMES.index(name)
-            coords = [spec.zero()] * 3
-            coords[idx - 1] = spec.one()
-            vectors.append(tuple(coords))
-        display_misses += _sandwich_display_mismatches(variant, vectors, units)
+            units = unit_draws[even_norms(variant, unit_draws[:, 0], unit_draws[:, 1]) != 0].T
+        units = tuple(c[..., None] for c in units)
+        display_misses += _sandwich_display_misses(variant, units, vectors)
     findings.append(
         _finding("clifford-sandwich-displays", inputs, display_misses, "=", 0, display_misses == 0)
     )
@@ -644,7 +638,7 @@ def _sweep_row(spec: FieldSpec, kind: str, params: Mapping, size: int, seed: int
 def _check_sweep(config: ExperimentConfig):
     params = config.params_dict()
     sizes = params.pop("sizes", None)
-    if not sizes:
+    if not isinstance(sizes, list) or not sizes:
         raise ValueError("sweep: params must include a non-empty 'sizes' list")
     kind = config.generator
     findings, rows, witnesses = [], [], []

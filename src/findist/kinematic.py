@@ -292,14 +292,15 @@ def all_proj_points(spec: FieldSpec) -> Iterator[ProjPoint]:
         yield from rest(tail, ())
 
 
+def is_exceptional(p: ProjPoint) -> bool:
+    """X0^2 + X1^2 = 0: p lies outside the image of kappa."""
+    x0, x1 = p.coords[0], p.coords[1]
+    return not (x0 * x0 + x1 * x1)
+
+
 def exceptional_set(spec: FieldSpec) -> list[ProjPoint]:
     """All projective points with X0^2 + X1^2 = 0: the complement of the image."""
-    out = []
-    for p in all_proj_points(spec):
-        x0, x1 = p.coords[0], p.coords[1]
-        if not (x0 * x0 + x1 * x1):
-            out.append(p)
-    return out
+    return [p for p in all_proj_points(spec) if is_exceptional(p)]
 
 
 def phi_left(g: RigidMotion) -> ProjMap:

@@ -248,13 +248,13 @@ def r_tau_set(axis: Line) -> list[RigidMotion]:
     return result
 
 
-def _reflection_parts(line: Line) -> tuple[Rotation | None, tuple, Point]:
+def _reflection_parts(line: Line) -> tuple[tuple[Point, Point], Point]:
+    """The reflection across ``line`` as its linear part's columns (e1 | e2) and translation w."""
     spec = line.n1.spec
     w = reflect(line, origin(spec))
     e1 = reflect(line, Point(spec.one(), spec.zero())) - w
     e2 = reflect(line, Point(spec.zero(), spec.one())) - w
-    # linear part as columns (e1 | e2), plus translation w
-    return None, (e1, e2), w
+    return (e1, e2), w
 
 
 def axial_to_motion(axis: Line, tau: Line) -> RigidMotion:
@@ -265,8 +265,8 @@ def axial_to_motion(axis: Line, tau: Line) -> RigidMotion:
     """
     if axis.is_isotropic() or tau.is_isotropic():
         raise IsotropicAxisError("both axes must be non-isotropic")
-    _, (a1, a2), wa = _reflection_parts(axis)
-    _, (b1, b2), wb = _reflection_parts(tau)
+    (a1, a2), wa = _reflection_parts(axis)
+    (b1, b2), wb = _reflection_parts(tau)
     # compose x -> A(Bx + wb) + wa
     c1 = Point(a1.x * b1.x + a2.x * b1.y, a1.y * b1.x + a2.y * b1.y)
     c2 = Point(a1.x * b2.x + a2.x * b2.y, a1.y * b2.x + a2.y * b2.y)

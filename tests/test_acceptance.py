@@ -10,6 +10,7 @@ import json
 import random
 import time
 
+from clifford_oracles import sandwich_display_mismatches
 from findist.clifford import (
     BLADE_NAMES,
     QuadraticFormSpec,
@@ -32,7 +33,6 @@ from findist.geometry import Circle, Line, Point, all_points
 from findist.harness import (
     FROZEN_RUDNEV_CEILING,
     _isotropic_line_occupancy,
-    _sandwich_display_mismatches,
     standard_corpus_sets,
 )
 from findist.incidence import claim_reduction, rudnev_ratio
@@ -174,7 +174,7 @@ def test_06_clifford_suite():
             coords = [F7.zero()] * 3
             coords[i] = F7.one()
             vectors.append(tuple(coords))
-        assert _sandwich_display_mismatches(variant, vectors, units) == 0
+        assert sandwich_display_mismatches(variant, vectors, units) == 0
         display_details.append(f"lam={variant.lam.index}:{len(units)} units")
     _report(
         "06 clifford suite",

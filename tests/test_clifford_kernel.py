@@ -1,0 +1,211 @@
+"""Differential tests of the Clifford index kernel against the element classes.
+
+``product_rows``, ``sandwich_batch``, ``rho_star_keys`` and the unit and norm
+helpers are compared with ``CliffordElement.__mul__``, ``sandwich``,
+``rho_star`` and ``even_units`` entry by entry, and the harness's Clifford
+check with the object loops it replaced (``clifford_oracles``).
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clifford_oracles import check_clifford
+from findist import clifford, field
+from findist.clifford import (
+    BLADE_NAMES,
+    CliffordElement,
+    QuadraticFormSpec,
+    blade,
+    even_element,
+    even_norms,
+    even_unit_columns,
+    even_units,
+    product_rows,
+    rho_star,
+    rho_star_keys,
+    sandwich,
+    sandwich_batch,
+)
+from findist.field import FieldSpec, NonUnitError
+from findist.harness import _check_clifford, _check_kinematic, make_config
+from findist.kinematic import all_proj_points, exceptional_set, is_exceptional
+from findist.motions import SpecMismatchError
+
+FIELDS = [FieldSpec(3), FieldSpec(5), FieldSpec(7), FieldSpec(3, 2), FieldSpec(5, 2)]
+# lam = -1 and lam = 2 over each field; over F_3 they are one form
+FORMS = list({
+    (spec.q, lam): QuadraticFormSpec(spec, spec.from_index(lam))
+    for spec in FIELDS
+    for lam in ((-spec.one()).index, 2)
+}.values())
+FORM_IDS = [f"q={form.field.q},lam={form.lam.index}" for form in FORMS]
+
+
+def element(form, row):
+    return CliffordElement(form, tuple(form.field.from_index(int(i)) for i in row))
+
+
+def indices(a):
+    return [c.index for c in a.coeffs]
+
+
+def unit_list(g):
+    """The broadcast unit columns as one flat list of (g0, g12, g13, g23) rows."""
+    return np.stack(np.broadcast_arrays(*g), axis=-1).reshape(-1, 4).tolist()
+
+
+@pytest.mark.parametrize("form", FORMS, ids=FORM_IDS)
+def test_product_on_all_basis_pairs(form):
+    pairs = list(itertools.product(range(8), repeat=2))
+    eye = np.eye(8, dtype=np.int64)
+    a = eye[[i for i, _ in pairs]]
+    b = eye[[j for _, j in pairs]]
+    got = product_rows(form, a, b)
+    for k, (i, j) in enumerate(pairs):
+        want = blade(form, BLADE_NAMES[i]) * blade(form, BLADE_NAMES[j])
+        assert got[k].tolist() == indices(want), (BLADE_NAMES[i], BLADE_NAMES[j])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(FORMS))), st.data())
+def test_product_on_drawn_pairs(which, data):
+    form = FORMS[which]
+    q = form.field.q
+    row = st.lists(st.integers(0, q - 1), min_size=8, max_size=8)
+    rows = data.draw(st.lists(st.tuples(row, row), min_size=1, max_size=6))
+    a = np.array([r for r, _ in rows], dtype=np.int64)
+    b = np.array([r for _, r in rows], dtype=np.int64)
+    got = product_rows(form, a, b)
+    for k, (ra, rb) in enumerate(rows):
+        assert got[k].tolist() == indices(element(form, ra) * element(form, rb))
+
+
+@pytest.mark.parametrize(
+    "form",
+    [f for f in FORMS if f.field.q <= 9],
+    ids=[i for f, i in zip(FORMS, FORM_IDS) if f.field.q <= 9],
+)
+def test_unit_columns_list_even_units_in_order(form):
+    g = even_unit_columns(form)
+    assert unit_list(g) == [list(u.key) for u in even_units(form)]
+
+
+@pytest.mark.parametrize("form", FORMS, ids=FORM_IDS)
+def test_norms_match_the_class(form):
+    q = form.field.q
+    g0, g12 = np.divmod(np.arange(q * q, dtype=np.int64), q)
+    got = even_norms(form, g0, g12)
+    for k in range(q * q):
+        assert got[k] == even_element(form, int(g0[k]), int(g12[k]), 0, 0).norm().index
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(3), FieldSpec(5), FieldSpec(3, 2)], ids=["q=3", "q=5", "q=9"])
+def test_rho_star_keys_on_every_unit(spec):
+    form = QuadraticFormSpec.standard(spec)
+    q = spec.q
+    keys = rho_star_keys(form, even_unit_columns(form)).ravel().tolist()
+    want = []
+    for g in even_units(form):
+        u, v, s, t = rho_star(g).key
+        want.append(((u * q + v) * q + s) * q + t)
+    assert keys == want
+
+
+@pytest.mark.parametrize(
+    "form",
+    [f for f in FORMS if f.field.q <= 5],
+    ids=[i for f, i in zip(FORMS, FORM_IDS) if f.field.q <= 5],
+)
+def test_sandwich_on_every_unit_and_vector(form):
+    # every vector over F_3; over F_5, those with coordinate indices 0..2
+    vectors = np.array(list(itertools.product(range(3), repeat=3)), dtype=np.int64)
+    g = even_unit_columns(form)
+    got = sandwich_batch(form, tuple(c[..., None] for c in g), tuple(vectors.T))
+    got = np.stack(got, axis=-1).reshape(-1, len(vectors), 3)
+    zero = form.field.zero()
+    for k, unit in enumerate(even_units(form)):
+        for j, x in enumerate(vectors.tolist()):
+            v = CliffordElement(form, (zero, *(form.field.from_index(i) for i in x), zero, zero, zero, zero))
+            assert got[k, j].tolist() == indices(sandwich(unit, v))[1:4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(FORMS))), st.data())
+def test_sandwich_on_drawn_rows(which, data):
+    form = FORMS[which]
+    q = form.field.q
+    unit = data.draw(
+        st.lists(st.integers(0, q - 1), min_size=4, max_size=4).filter(
+            lambda r: even_element(form, *r).is_unit()
+        )
+    )
+    x = data.draw(st.lists(st.integers(0, q - 1), min_size=3, max_size=3))
+    got = sandwich_batch(form, tuple(np.array(unit)), tuple(np.array(x)))
+    v = element(form, [0, *x, 0, 0, 0, 0])
+    assert [int(c) for c in got] == indices(sandwich(even_element(form, *unit), v))[1:4]
+
+
+def test_rho_star_keys_require_the_standard_form():
+    form = QuadraticFormSpec(FieldSpec(7), FieldSpec(7).from_index(2))
+    with pytest.raises(ValueError, match="lam = -1"):
+        rho_star_keys(form, even_unit_columns(form))
+
+
+def test_rho_star_keys_refuse_fields_whose_keys_overflow():
+    spec = FieldSpec(55109)  # the least prime with q^4 >= 2^63
+    g = tuple(np.array([c]) for c in (1, 0, 0, 0))
+    with pytest.raises(ValueError, match="overflow"):
+        rho_star_keys(QuadraticFormSpec.standard(spec), g)
+
+
+def test_non_units_are_rejected():
+    form = QuadraticFormSpec.standard(FieldSpec(5))
+    g = tuple(np.array([c]) for c in (1, 2, 3, 0))  # 1 + 4 = 0
+    with pytest.raises(NonUnitError):
+        rho_star_keys(form, g)
+    with pytest.raises(NonUnitError):
+        sandwich_batch(form, g, tuple(np.array([c]) for c in (1, 0, 0)))
+
+
+def test_a_sandwich_outside_grade_one_raises(monkeypatch):
+    form = QuadraticFormSpec.standard(FieldSpec(5))
+    terms = clifford._product_terms(form)
+    # send the e1 * e12 term to the scalar slot instead of its vector slot
+    bent = tuple((i, j, 0, c) if (i, j) == (1, 4) else (i, j, s, c) for i, j, s, c in terms)
+    monkeypatch.setattr(clifford, "_product_terms", lambda f: bent)
+    g = tuple(c[..., None] for c in even_unit_columns(form))
+    with pytest.raises(AssertionError, match="grade 1"):
+        sandwich_batch(form, g, tuple(np.eye(3, dtype=np.int64)))
+
+
+def test_a_motion_off_the_circle_raises(monkeypatch):
+    spec = FieldSpec(5)
+    form = QuadraticFormSpec.standard(spec)
+    # a division that returns 0 makes u = v = 0, so u^2 + v^2 = 0
+    monkeypatch.setattr(field._index_field(spec), "div", lambda a, b: a * 0)
+    with pytest.raises(SpecMismatchError):
+        rho_star_keys(form, even_unit_columns(form))
+
+
+# q = 3 pairs every unit in the norm check, q <= 7 sandwiches every unit, and
+# q <= 11 takes the rho_star fibres; the seed moves the sampled draws
+@pytest.mark.parametrize("p,r,seed", [(3, 1, 0), (5, 1, 0), (5, 1, 4242), (7, 1, 4242), (3, 2, 0), (3, 2, 4242),
+                                      (11, 1, 0), (11, 1, 4242)])
+def test_clifford_check_matches_the_object_loops(p, r, seed):
+    config = make_config(FieldSpec(p, r), "random", {}, seed=seed, checks=("clifford-check",))
+    assert _check_clifford(config) == check_clifford(config)
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(3), FieldSpec(5), FieldSpec(3, 2), FieldSpec(13)],
+                         ids=["q=3", "q=5", "q=9", "q=13"])
+def test_kinematic_check_splits_projective_space_like_exceptional_set(spec):
+    points = list(all_proj_points(spec))
+    assert [p for p in points if is_exceptional(p)] == exceptional_set(spec)
+    findings, metrics, _ = _check_kinematic(make_config(spec, "random", {}, checks=("kinematic-check",)))
+    assert all(f["pass"] for f in findings)
+    assert metrics["proj_points"] == len(points)
+    assert metrics["exceptional"] == len(exceptional_set(spec))

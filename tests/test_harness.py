@@ -117,6 +117,36 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generate(F3, "random", {"size": 10}, 0)
 
+    @pytest.mark.parametrize("kind,name,value", [
+        ("on-circle", "center", 5),
+        ("on-circle", "center", [1, 2, 3]),
+        ("on-circle", "center", [1, "2"]),
+        ("on-circle", "center", [1, 7]),
+        ("on-circle", "center", [True, 0]),
+        ("on-circle", "radius_sq", 1.0),
+        ("on-circle", "radius_sq", [1]),
+        ("on-circle", "radius_sq", -1),
+        ("on-line", "line", 3),
+        ("on-line", "line", [1, 2]),
+        ("on-line", "line", [1, 2, None]),
+        ("random", "size", True),
+        ("random", "size", 2.0),
+    ])
+    def test_malformed_params_name_themselves(self, kind, name, value):
+        params = {"size": 3, name: value}
+        with pytest.raises(ValueError, match=f"{kind}: {name} "):
+            generate(F7, kind, params, 0)
+
+    def test_on_line_with_a_zero_normal_rejected(self):
+        with pytest.raises(ValueError, match="line normal"):
+            generate(F7, "on-line", {"size": 3, "line": [0, 0, 1]}, 0)
+
+    def test_wellformed_optional_params_accept_tuples(self):
+        A = generate(F7, "on-circle", {"size": 3, "center": (1, 2), "radius_sq": 4}, 0)
+        assert [p.to_json() for p in A] == [
+            p.to_json() for p in generate(F7, "on-circle", {"size": 3, "center": [1, 2], "radius_sq": 4}, 0)
+        ]
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**64 - 1))
     def test_any_seed_gives_distinct_points(self, seed):
@@ -155,6 +185,12 @@ class TestConfig:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
             make_config(F7, "random", {"size": 5}, checks=("stats", "vibes"))
+
+    @pytest.mark.parametrize("params", [{"points": {}}, {"points": [{"x": 1}]}, {"sizes": [3, {}]}])
+    def test_mapping_params_rejected(self, params):
+        # a mapping would thaw back as a list of its pairs, e.g. an empty point set
+        with pytest.raises(ValueError, match="holds a mapping"):
+            make_config(F7, "explicit", params)
 
     def test_thresholds_roundtrip(self):
         t = Thresholds(pind_floor=Fraction(2, 7), rudnev_ceiling=Fraction(9, 8), enforce=True)
@@ -411,7 +447,44 @@ def _config_with(key, value):
     return blob
 
 
+# one malformed parameter per generator, next to well-formed ones; over F_5
+# an element index lies in 0..4
+_bad_index = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+    st.integers(max_value=-1), st.integers(min_value=5), st.lists(st.integers(0, 4), max_size=2),
+)
+
+
+def _bad_indices(count):
+    return st.one_of(
+        _bad_index.filter(lambda v: not isinstance(v, list)),
+        st.lists(st.integers(0, 4), max_size=4).filter(lambda v: len(v) != count),
+        st.tuples(st.lists(st.integers(0, 4), min_size=count - 1, max_size=count - 1), _bad_index,
+                  st.integers(0, count - 1)).map(lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:]),
+    )
+
+
+_bad_size = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+    st.integers(max_value=0), st.integers(min_value=26), st.lists(st.integers(1, 3), max_size=2),
+)
+_bad_generator_params = st.one_of(
+    st.tuples(st.just("on-circle"), st.just({"size": 2}), st.just("center"), _bad_indices(2)),
+    st.tuples(st.just("on-circle"), st.just({"size": 2}), st.just("radius_sq"), _bad_index),
+    st.tuples(st.just("on-line"), st.just({"size": 2}), st.just("line"), _bad_indices(3)),
+    st.tuples(st.just("grid"), st.just({"rows": 2, "cols": 2}), st.sampled_from(["rows", "cols"]), _bad_size),
+    st.tuples(st.sampled_from(["random", "on-line", "on-circle", "isotropic-line"]), st.just({"size": 2}),
+              st.just("size"), _bad_size),
+)
+
+
+def _generator_config(drawn):
+    kind, params, name, value = drawn
+    return dict(_config_with("generator", kind), params=dict(params, **{name: value}))
+
+
 _bad_configs = st.one_of(
+    _bad_generator_params.map(_generator_config),
     _json.filter(lambda v: not isinstance(v, dict)),
     st.builds(_config_with, st.just("field"), _bad_fields),
     st.builds(_config_with, st.just("seed"), st.one_of(
@@ -456,6 +529,23 @@ class TestMalformedInput:
     @settings(max_examples=150, deadline=None)
     def test_malformed_config(self, blob):
         self.assert_usage_error(_run_with_file("stats", "--config", blob))
+
+    @given(st.one_of(
+        _bad_size.filter(lambda v: not isinstance(v, list)),
+        st.lists(_bad_size, min_size=1, max_size=2),
+        st.lists(st.dictionaries(st.text(max_size=2), st.integers(), max_size=1), min_size=1, max_size=2),
+    ))
+    @settings(max_examples=40, deadline=None)
+    def test_malformed_sweep_sizes(self, sizes):
+        blob = make_config(F5, "random", {"sizes": [3]}, seed=1, checks=("sweep",)).to_json()
+        blob["params"]["sizes"] = sizes
+        self.assert_usage_error(_run_with_file("sweep", "--config", blob))
+
+    def test_reported_generator_case(self):
+        blob = {"field": {"p": 7}, "generator": "on-circle", "params": {"size": 3, "center": 5}}
+        code, out, err = _run_with_file("stats", "--config", blob)
+        assert (code, out) == (2, "")
+        assert err == "findist: on-circle: center must list 2 element indices, got 5\n"
 
     @pytest.mark.parametrize("points", [7, [[1, None]]], ids=["scalar", "null"])
     def test_reported_cases(self, points):
