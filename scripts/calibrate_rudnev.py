@@ -25,8 +25,7 @@ def main() -> int:
             continue
         r_star, _ = max(nonzero, key=lambda item: (len(item[1]), -item[0].index))
         w = incidence.claim_reduction(A, r_star)
-        work_spec = w.points[0].coords[0].spec
-        ratio = incidence.rudnev_ratio(w.points, w.planes, work_spec)
+        ratio = w.ratio()
         if w.verdict != "explained":
             print(f"UNEXPLAINED reduction on {label}", file=sys.stderr)
             return 1

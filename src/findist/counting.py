@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -511,22 +511,28 @@ def _heavy_curves(S: PointSet, orig_sq: int) -> list:
     return curves
 
 
-def prune_heavy(A: PointSet) -> tuple[PointSet, int]:
-    """Greedily strip curves holding more than |A|^(2/3) of the current set.
+def prune_steps(A: PointSet) -> Iterator[tuple[Union[Line, Circle], PointSet, dict]]:
+    """Greedily strip curves holding more than |A|^(2/3) of the current set, one step at a time.
 
-    The threshold stays fixed at the original size; n > |A|^(2/3) is decided
-    as the exact integer comparison n^3 > |A|^2.  Heaviest curve first, lines
-    before circles, canonical key as the final tie-break.
+    Yields (curve, pruned set, triple-bound check) per step.  The threshold
+    stays fixed at the original size; n > |A|^(2/3) is decided as the exact
+    integer comparison n^3 > |A|^2.  Heaviest curve first, lines before
+    circles, canonical key as the final tie-break.
     """
     orig_sq = len(A) ** 2
     current = A
-    steps = 0
     while True:
         heavy = _heavy_curves(current, orig_sq)
         if not heavy:
-            break
-        curve = heavy[0]
-        current = PointSet(current.spec, [p for p in current if not curve.contains(p)])
+            return
+        current, check = prune_curve(current, heavy[0])
+        yield heavy[0], current, check
+
+
+def prune_heavy(A: PointSet) -> tuple[PointSet, int]:
+    """The set left after every ``prune_steps`` step, and the number of steps."""
+    current, steps = A, 0
+    for _, current, _ in prune_steps(A):
         steps += 1
     if steps > _ceil_cbrt(len(A)) + 1:
         raise AssertionError(f"pruning took {steps} steps on {len(A)} points")

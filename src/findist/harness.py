@@ -34,7 +34,7 @@ from .field import FieldSpec, _index_field
 from .generators import generate
 from .geometry import PointSet
 from .kinematic import all_proj_points, is_exceptional, kappa, kappa_inv
-from .motions import all_motions
+from .motions import all_motions, so2_order
 
 # Largest Rudnev surrogate ratio observed on the standard F_31 corpus,
 # reproducible with scripts/calibrate_rudnev.py: 1917/1729 on the 8x12 grid.
@@ -353,29 +353,14 @@ def _check_reduce(A: PointSet, config: ExperimentConfig):
 
 def _check_prune(A: PointSet, config: ExperimentConfig):
     inputs = _digest(A.to_json())
-    findings = []
+    findings, removed = [], []
     orig_sq = len(A) ** 2
     current = A
-    steps = 0
-    removed = []
-    while True:
-        heavy = counting._heavy_curves(current, orig_sq)
-        if not heavy:
-            break
-        curve = heavy[0]
-        current, check = counting.prune_curve(current, curve)
-        findings.append(
-            _finding(
-                f"prune-triple-bound[step={steps}]",
-                inputs,
-                check["lhs"],
-                check["relation"],
-                check["rhs"],
-                check["pass"],
-            )
-        )
+    for step, (curve, current, check) in enumerate(counting.prune_steps(A)):
+        name = f"prune-triple-bound[step={step}]"
+        findings.append(_finding(name, inputs, check["lhs"], check["relation"], check["rhs"], check["pass"]))
         removed.append(curve.to_json())
-        steps += 1
+    steps = len(removed)
     budget = counting._ceil_cbrt(len(A)) + 1
     occ = counting.max_collinear_cocircular(current)
     findings.append(_finding("prune-step-budget", inputs, steps, "<=", budget, steps <= budget))
@@ -513,7 +498,7 @@ def _check_clifford(config: ExperimentConfig):
         # one bin per motion key in [0, q^4); the nonzero bins are the fibres
         fibers = np.bincount(rho_star_keys(form, even_unit_columns(form)).ravel())
         fibers = fibers[fibers > 0]
-        n_motions = sum(1 for _ in all_motions(spec))
+        n_motions = spec.q**2 * so2_order(spec)
         bad_fibers = int(np.count_nonzero(fibers != spec.q - 1))
         findings.append(
             _finding("clifford-rho-star-image", inputs, len(fibers), "=", n_motions, len(fibers) == n_motions)
@@ -602,8 +587,7 @@ def _sweep_row(spec: FieldSpec, kind: str, params: Mapping, size: int, seed: int
             name = f"reduction-available[size={size},r={r_star.index}]"
             failures.append(_reduction_unavailable(name, _digest(A.to_json()), exc))
         else:
-            work_spec = w.points[0].coords[0].spec if w.points else spec
-            ratio = incidence.rudnev_ratio(w.points, w.planes, work_spec)
+            ratio = w.ratio()
             rudnev_ok = ratio.surrogate_ratio <= thresholds.rudnev_ceiling
             if not rudnev_ok:
                 flags.append("rudnev-above-ceiling")

@@ -8,23 +8,32 @@ The incidence count always exceeds the off-axis pair count by an on-axis
 contribution (segments fixed or swapped by the mirror itself); the witness
 enumerates that contribution independently and reports whether it explains
 the difference exactly.
+
+It runs on the field's index kernel, with motions as (u, v, s, t) index
+columns and point and plane families as (N, 4) arrays of canonical rows;
+objects are built only for the witness.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from functools import lru_cache
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
-from .counting import bisector_table, max_collinear_cocircular, segment_classes
-from .field import FieldElement, FieldSpec
-from .geometry import Line, Point, PointSet, Segment, reflect
-from .kinematic import ProjPlane, ProjPoint, kappa, phi_left, r_tau_plane
-from .motions import RigidMotion, motion_between_segments
+from .counting import _index_coords, bisector_table, max_collinear_cocircular
+from .field import FieldElement, FieldSpec, _index_field
+from .geometry import Line, Point, PointSet, Segment
+from .kinematic import ProjPlane, ProjPoint, r_tau_plane
+from .motions import RigidMotion
+
+# Cells (rows x columns) in one block of a pairwise kernel: it bounds their
+# temporaries whatever the family sizes, N in the thousands included.
+CHUNK_CELLS = 1 << 16
 
 
 class EmptySegmentClassError(ValueError):
@@ -40,72 +49,73 @@ def _ceil_sqrt(n: int) -> int:
     return s if s * s == n else s + 1
 
 
-def count_incidences(points: Sequence[ProjPoint], planes: Sequence[ProjPlane], method: str = "sweep") -> int:
-    """Exact #{(p, pi): p on pi} by full sweep or by plane-key deduplication."""
-    if method == "sweep":
-        return sum(1 for p in points for plane in planes if plane.contains(p))
-    if method != "hash":
-        raise ValueError(f"unknown method {method!r}")
-    buckets: dict[tuple, list] = {}
-    for plane in planes:
-        entry = buckets.setdefault(plane.key, [plane, 0])
-        entry[1] += 1
+def _row_blocks(n_rows: int, n_cols: int):
+    """Consecutive row ranges with at most CHUNK_CELLS cells each (one row at least)."""
+    step = max(1, CHUNK_CELLS // max(n_cols, 1))
+    return ((lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step))
+
+
+def _rows(family: Sequence) -> np.ndarray:
+    """The (N, 4) index array of ProjPoints or ProjPlanes."""
+    return np.array([x.key for x in family], dtype=np.int64).reshape(-1, 4)
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows, in lexicographic order."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
+def _canonical_rows(F, rows: np.ndarray) -> np.ndarray:
+    """Nonzero rows scaled so that their leading nonzero coordinate is 1."""
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    return F.div(rows, lead[:, None])
+
+
+def count_incidences(points: np.ndarray, planes: np.ndarray, spec: FieldSpec) -> int:
+    """Exact #{(X, P): X . P = 0} over (N, 4) point and (M, 4) plane index arrays, a block of points at a time."""
+    F = _index_field(spec)
     total = 0
-    for plane, mult in buckets.values():
-        total += mult * sum(1 for p in points if plane.contains(p))
+    for lo, hi in _row_blocks(len(points), len(planes)):
+        t0, t1, t2, t3 = (F.mul(points[lo:hi, i, None], planes[:, i]) for i in range(4))
+        total += int(np.count_nonzero(F.add(F.add(t0, t1), F.add(t2, t3)) == 0))
     return total
 
 
-def max_collinear(points: Sequence[ProjPoint], spec: FieldSpec) -> int:
+def max_collinear(points: np.ndarray, spec: FieldSpec) -> int:
     """Largest number of the given projective points on one projective line.
 
-    Per anchor point, the others are grouped by the line they span with the
-    anchor.  The group key is the residual of the point after eliminating the
-    anchor's pivot, identified up to scale by the differences of its
-    coordinates' discrete logs against its leading nonzero one.
+    ``points`` holds canonical coordinate indices, one point per row; a
+    repeated row counts once.  Per anchor a with pivot p (its leading 1),
+    the points b on one line through a have proportional residuals
+    b - b_p * a.  Scaled to a leading 1 and read without coordinate p, which
+    is 0, a residual keys its line as one int below q^3: 0 for a itself, at
+    least 1 for every other point.  The answer is 1 plus the longest run.
     """
-    distinct = {p.key: p for p in points}
-    pts = [distinct[k] for k in sorted(distinct)]
-    if len(pts) < 2:
-        return len(pts)
-    qm1 = spec.q - 1
-    best = 1
-    for a in pts:
-        pivot = next(i for i, c in enumerate(a.coords) if c)
-        through: dict[tuple, int] = {}
-        for b in pts:
-            if b is a:
-                continue
-            f = b.coords[pivot] / a.coords[pivot]
-            v = [x - f * y for x, y in zip(b.coords, a.coords)]
-            base = next(x.log for x in v if x)
-            key = tuple((x.log - base) % qm1 if x else qm1 for x in v)
-            through[key] = through.get(key, 0) + 1
-        best = max(best, 1 + max(through.values()))
-    return best
-
-
-class IncidenceInstance:
-    """A finite point family and plane family, with the collinearity bound."""
-
-    __slots__ = ("spec", "points", "planes", "k")
-
-    def __init__(self, spec: FieldSpec, points: Iterable[ProjPoint], planes: Iterable[ProjPlane]):
-        self.spec = spec
-        self.points = tuple(sorted({p.key: p for p in points}.values(), key=lambda p: p.key))
-        self.planes = tuple(sorted({pl.key: pl for pl in planes}.values(), key=lambda pl: pl.key))
-        self.k = max_collinear(self.points, spec)
-
-    def incidence_count(self) -> int:
-        return count_incidences(self.points, self.planes)
-
-    def to_json(self) -> dict:
-        return {
-            "field": self.spec.to_json(),
-            "points": [p.to_json() for p in self.points],
-            "planes": [pl.to_json() for pl in self.planes],
-            "k": self.k,
-        }
+    pts = _distinct_rows(points)
+    n = len(pts)
+    if n < 2:
+        return n
+    F, q = _index_field(spec), spec.q
+    pivot = np.argmax(pts != 0, axis=1)
+    cols = np.arange(4)
+    longest = 0
+    for lo, hi in _row_blocks(n, n):
+        piv = pivot[lo:hi, None]
+        scale = pts[:, pivot[lo:hi]].T
+        residual = F.sub(pts[None, :, :], F.mul(scale[..., None], pts[lo:hi, None, :]))
+        lead = np.take_along_axis(residual, np.argmax(residual != 0, axis=2)[..., None], axis=2)
+        residual = F.div(residual, np.where(lead == 0, 1, lead))
+        # the three coordinates other than the pivot, most significant first
+        weight = np.where(cols == piv, 0, q ** np.maximum(2 - cols + (cols > piv), 0))
+        keys = np.sort((residual * weight[:, None, :]).sum(axis=2), axis=1)
+        starts = np.ones(keys.shape, dtype=bool)
+        starts[:, 1:] = keys[:, 1:] != keys[:, :-1]
+        runs = np.diff(np.append(np.flatnonzero(starts), keys.size))
+        longest = max(longest, int(runs.max()))
+    return 1 + longest
 
 
 @dataclass(eq=False)
@@ -124,53 +134,38 @@ class RudnevRatio:
     within_char_bound: bool
 
     def to_json(self) -> dict:
-        return {
-            "incidences": self.incidences,
-            "n_points": self.n_points,
-            "n_planes": self.n_planes,
-            "k": self.k,
-            "sqrt_ceiling": self.sqrt_ceiling,
-            "surrogate_ratio": [self.surrogate_ratio.numerator, self.surrogate_ratio.denominator],
-            "float_ratio": self.float_ratio,
-            "duality_swapped": self.duality_swapped,
-            "char_squared": self.char_squared,
-            "within_char_bound": self.within_char_bound,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["surrogate_ratio"] = [self.surrogate_ratio.numerator, self.surrogate_ratio.denominator]
+        return out
+
+
+def _ratio_from_counts(incidences: int, n: int, m: int, k: int, spec: FieldSpec,
+                       swapped: bool = False) -> RudnevRatio:
+    """The ratio for n points, at most k of them on a line, and m planes.
+
+    The surrogate ratio replaces sqrt(n) by its integer ceiling, keeping the
+    arithmetic exact; the float ratio is reported alongside it.
+    """
+    ceiling = _ceil_sqrt(n)
+    # the float denominator keeps this association: its rounding is part of the reports
+    denom, float_denom = (ceiling + k) * m, math.sqrt(n) * m + k * m
+    surrogate = Fraction(incidences, denom) if denom else Fraction(0)
+    float_ratio = incidences / float_denom if float_denom else 0.0
+    return RudnevRatio(incidences, n, m, k, ceiling, surrogate, float_ratio, swapped, spec.p ** 2, n < spec.p ** 2)
 
 
 def rudnev_ratio(points: Sequence[ProjPoint], planes: Sequence[ProjPlane], spec: FieldSpec) -> RudnevRatio:
-    """Incidence ratio with the fewer of the two families in the point role.
+    """Incidence ratio of two families, with the fewer of them in the point role.
 
-    The surrogate ratio replaces sqrt(|P|) by its integer ceiling, keeping the
-    arithmetic exact; the float ratio is reported alongside it.
+    ``ReductionWitness.ratio`` gives a witness's ratio from its own counts.
     """
     if not planes:
         raise ValueError("the plane family must be nonempty")
-    incidences = count_incidences(points, planes)
-    swapped = len(points) > len(planes)
-    if swapped:
-        pts = [ProjPoint(pl.coeffs) for pl in planes]
-        pls = [ProjPlane(p.coords) for p in points]
-    else:
-        pts, pls = list(points), list(planes)
-    k = max_collinear(pts, spec)
-    n, m = len(pts), len(pls)
-    ceiling = _ceil_sqrt(n)
-    denom = ceiling * m + k * m
-    surrogate = Fraction(incidences, denom) if denom else Fraction(0)
-    float_denom = math.sqrt(n) * m + k * m
-    return RudnevRatio(
-        incidences=incidences,
-        n_points=n,
-        n_planes=m,
-        k=k,
-        sqrt_ceiling=ceiling,
-        surrogate_ratio=surrogate,
-        float_ratio=incidences / float_denom if float_denom else 0.0,
-        duality_swapped=swapped,
-        char_squared=spec.p ** 2,
-        within_char_bound=n < spec.p ** 2,
-    )
+    pts, pls = _rows(points), _rows(planes)
+    incidences = count_incidences(pts, pls, spec)
+    if len(pts) > len(pls):
+        return _ratio_from_counts(incidences, len(pls), len(pts), max_collinear(pls, spec), spec, True)
+    return _ratio_from_counts(incidences, len(pts), len(pls), max_collinear(pts, spec), spec)
 
 
 def axial_pair_count(A: PointSet, r: FieldElement) -> int:
@@ -223,15 +218,17 @@ def epsilon_term(A: PointSet) -> EpsilonTerm:
     return EpsilonTerm(value, bound, value <= bound)
 
 
-def _field_embedding(spec: FieldSpec) -> tuple[FieldSpec, Callable[[FieldElement], FieldElement]]:
-    """The quadratic extension together with a field embedding into it.
+@lru_cache(maxsize=None)
+def _field_embedding(spec: FieldSpec) -> tuple[FieldSpec, np.ndarray]:
+    """The quadratic extension, and the index of each base element's image under a field embedding.
 
-    Degree one embeds by constants; otherwise the base generator goes to the
-    canonically first root of the base modulus inside the extension.
+    Degree one embeds by constants, which keep their index; otherwise the
+    base generator goes to the canonically first root of the base modulus
+    inside the extension.
     """
     ext = FieldSpec(spec.p, 2 * spec.r)
     if spec.r == 1:
-        return ext, lambda x: ext.element(x.coeffs[0])
+        return ext, np.arange(spec.q, dtype=np.int64)
 
     def evaluate(coeffs: Sequence[int], at: FieldElement) -> FieldElement:
         acc = ext.zero()
@@ -240,55 +237,122 @@ def _field_embedding(spec: FieldSpec) -> tuple[FieldSpec, Callable[[FieldElement
         return acc
 
     root = next(alpha for alpha in ext.elements() if not evaluate(spec.modulus, alpha))
-    return ext, lambda x: evaluate(x.coeffs, root)
+    return ext, np.array([evaluate(e.coeffs, root).index for e in spec.elements()], dtype=np.int64)
 
 
-def _lift_point_set(A: PointSet) -> tuple[PointSet, Callable[[FieldElement], FieldElement]]:
-    ext, embed = _field_embedding(A.spec)
-    lifted = PointSet(ext, [Point(embed(p.x), embed(p.y)) for p in A])
-    if len(lifted) != len(A):
-        raise AssertionError("field embedding must be injective on the set")
-    return lifted, embed
+def _transporters(F, segs: tuple, target: tuple) -> tuple:
+    """Columns (u, v, s, t) of the motions taking each segment onto the target segment.
 
-
-def _pairwise_fixed_points(motions: Sequence[RigidMotion]) -> set:
-    fixed = set()
-    for i, g in enumerate(motions):
-        g_inv = g.inverse()
-        for h in motions[i + 1:]:
-            z = g_inv.compose(h).fixed_point()
-            if z is not None:
-                fixed.add(z)
-    return fixed
-
-
-def _find_valid_axis(motions: Sequence[RigidMotion], spec: FieldSpec) -> Optional[Line]:
-    """First canonical non-isotropic line avoiding every pairwise fixed point."""
-    return _scan_axis(_pairwise_fixed_points(motions), spec)
-
-
-def _scan_axis(fixed, spec: FieldSpec) -> Optional[Line]:
-    """First canonical non-isotropic line through none of the given points.
-
-    The invalid lines are exactly the lines through a fixed point, so instead
-    of sweeping all q^2 + q lines the scan walks the canonical order family
-    by family: for normal (1, m) the blocked intercepts are {z.x + m*z.y},
-    for the trailing normal (0, 1) they are {z.y}.
+    ``segs`` holds head x, head y, tail x, tail y index columns and ``target``
+    the same four indices.  As in ``motion_between_segments``, the rotation is
+    w2 / w1 for the displacements w1 of a segment and w2 of the target, a
+    rotation only if their lengths agree, and the shift takes head to head.
     """
+    hx, hy, tx, ty = segs
+    ax, ay, bx, by = (np.int64(c) for c in target)
+    w1x, w1y = F.sub(tx, hx), F.sub(ty, hy)
+    w2x, w2y = F.sub(bx, ax), F.sub(by, ay)
+    r = F.add(F.mul(w1x, w1x), F.mul(w1y, w1y))
+    u = F.div(F.add(F.mul(w2x, w1x), F.mul(w2y, w1y)), r)
+    v = F.div(F.sub(F.mul(w2y, w1x), F.mul(w2x, w1y)), r)
+    s = F.sub(ax, F.sub(F.mul(u, hx), F.mul(v, hy)))
+    t = F.sub(ay, F.add(F.mul(v, hx), F.mul(u, hy)))
+    if not np.all(F.add(F.mul(u, u), F.mul(v, v)) == 1):
+        raise AssertionError("transporters must rotate: a segment differs in length from the target")
+    return u, v, s, t
+
+
+def _kappa_rows(F, motions: tuple) -> np.ndarray:
+    """kappa of each motion as a canonical (N, 4) row.
+
+    Both charts are [2a : 2b : s*a + t*b : s*b - t*a]: chart a with (a, b) =
+    (u + 1, v), and chart b with (v, 1 - u) = (0, 2) ~ (0, 1) at u = -1.
+    """
+    u, v, s, t = motions
+    a = F.add(u, np.int64(1))
+    b = np.where(a == 0, 1, v)
+    rows = [F.add(a, a), F.add(b, b), F.add(F.mul(s, a), F.mul(t, b)), F.sub(F.mul(s, b), F.mul(t, a))]
+    return _canonical_rows(F, np.stack(rows, axis=1))
+
+
+def _pairwise_fixed_points(F, q: int, motions: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct fixed points of g_i^-1 g_j over the pairs i < j, as (x, y) index columns.
+
+    g_i^-1 g_j has rotation (u, v) = conj(R_i) R_j and translation
+    t = conj(R_i)(w_j - w_i).  For u != 1 its fixed point solves (I - R) z = t:
+    with a = 1 - u and det = a^2 + v^2, z = (a t_x - v t_y, v t_x + a t_y) / det.
+    With u = 1 it is a translation (never the identity: the motions are
+    distinct) and fixes nothing.  Points are keyed x*q + y, a block at a time.
+    """
+    u, v, s, t = motions
+    n = len(u)
+    found = [np.zeros(0, dtype=np.int64)]
+    for lo, hi in _row_blocks(n, n):
+        i, j = np.nonzero(np.arange(lo, hi)[:, None] < np.arange(n))
+        ru = F.add(F.mul(u[i + lo], u[j]), F.mul(v[i + lo], v[j]))
+        i, j, ru = i[ru != 1] + lo, j[ru != 1], ru[ru != 1]
+        ui, vi = u[i], v[i]
+        rv = F.sub(F.mul(ui, v[j]), F.mul(vi, u[j]))
+        dx, dy = F.sub(s[j], s[i]), F.sub(t[j], t[i])
+        tx, ty = F.add(F.mul(ui, dx), F.mul(vi, dy)), F.sub(F.mul(ui, dy), F.mul(vi, dx))
+        a = F.sub(np.int64(1), ru)
+        det = F.add(F.mul(a, a), F.mul(rv, rv))
+        zx = F.div(F.sub(F.mul(a, tx), F.mul(rv, ty)), det)
+        zy = F.div(F.add(F.mul(rv, tx), F.mul(a, ty)), det)
+        found.append(np.unique(zx * q + zy, return_counts=True)[0])
+    keys = np.unique(np.concatenate(found), return_counts=True)[0]
+    return keys // q, keys % q
+
+
+def _scan_axis(fixed, spec: FieldSpec):
+    """First canonical non-isotropic line through none of the points ``fixed`` = (x, y) index columns.
+
+    The scan walks the canonical order one family of parallel lines at a
+    time, with a length-q mask of the intercepts the points block: {x + m*y}
+    for the normal (1, m), and {y} for the trailing normal (0, 1).
+    """
+    F, q = _index_field(spec), spec.q
+    fx, fy = fixed
     one, zero = spec.one(), spec.zero()
-    for m in spec.elements():
-        if not (one + m * m):
-            # isotropic normal, never a reflection axis
-            continue
-        blocked = {(z.x + m * z.y).index for z in fixed}
-        if len(blocked) < spec.q:
-            c = next(e for e in spec.elements() if e.index not in blocked)
-            return Line(one, m, c)
-    blocked = {z.y.index for z in fixed}
-    if len(blocked) < spec.q:
-        c = next(e for e in spec.elements() if e.index not in blocked)
-        return Line(zero, one, c)
+    # an isotropic normal is never a reflection axis; None stands for (0, 1)
+    for m in chain((e for e in spec.elements() if one + e * e), [None]):
+        blocked = np.zeros(q, dtype=bool)
+        blocked[fy if m is None else F.add(fx, F.mul(np.int64(m.index), fy))] = True
+        if not blocked.all():
+            c = spec.from_index(int(np.argmin(blocked)))
+            return Line(zero, one, c) if m is None else Line(one, m, c)
     return None
+
+
+def _reflect_columns(F, axis: Line, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reflection across a non-isotropic axis: z - 2((n.z - c)/(n.n)) n."""
+    n1, n2, c = (np.int64(e.index) for e in (axis.n1, axis.n2, axis.c))
+    nn = F.add(F.mul(n1, n1), F.mul(n2, n2))
+    k = F.div(F.sub(F.add(F.mul(n1, x), F.mul(n2, y)), c), nn)
+    k = F.add(k, k)
+    return F.sub(x, F.mul(k, n1)), F.sub(y, F.mul(k, n2))
+
+
+def _phi_planes(F, plane: ProjPlane, motions: tuple) -> np.ndarray:
+    """The image plane of ``plane`` under phi_left(g) for each motion g, as canonical rows.
+
+    Plane coefficients move by the inverse transpose, and phi_left(g)^-1 is
+    phi_left(g^-1) up to scale, so the image is the row P * phi_left(g^-1).
+    With (h0, h1, h2, h3) = kappa(g^-1) and the standard form's lam = -1 that
+    row is (P.h, -P0 h1 + P1 h0 - P2 h3 + P3 h2, P2 h0 - P3 h1, P2 h1 + P3 h0).
+    """
+    u, v, s, t = motions
+    inverse = (u, F.sub(np.int64(0), v),
+               F.sub(np.int64(0), F.add(F.mul(u, s), F.mul(v, t))), F.sub(F.mul(v, s), F.mul(u, t)))
+    h0, h1, h2, h3 = _kappa_rows(F, inverse).T
+    p0, p1, p2, p3 = (np.int64(c.index) for c in plane.coeffs)
+    rows = np.stack([
+        F.add(F.add(F.mul(p0, h0), F.mul(p1, h1)), F.add(F.mul(p2, h2), F.mul(p3, h3))),
+        F.add(F.sub(F.mul(p1, h0), F.mul(p0, h1)), F.sub(F.mul(p3, h2), F.mul(p2, h3))),
+        F.sub(F.mul(p2, h0), F.mul(p3, h1)),
+        F.add(F.mul(p2, h1), F.mul(p3, h0)),
+    ], axis=1)
+    return _canonical_rows(F, rows)
 
 
 def _on_axis_pair_count(A: PointSet, r: FieldElement) -> int:
@@ -300,9 +364,8 @@ def _on_axis_pair_count(A: PointSet, r: FieldElement) -> int:
     non-isotropic base, so an apex a heading h_a segments of length r carries
     h_a(h_a - 1) of those triples.
     """
-    segs = segment_classes(A).class_for(r)
-    heads = Counter(s.head for s in segs)
-    return 2 * sum(h * (h - 1) for h in heads.values()) + len(segs)
+    heads = np.count_nonzero(bisector_table(A).dist == r.index, axis=1)
+    return int(2 * heads @ (heads - 1) + heads.sum())
 
 
 @dataclass(eq=False)
@@ -329,28 +392,27 @@ class ReductionWitness:
     max_class_size: int
     erdos_ceiling: int
 
+    def ratio(self) -> RudnevRatio:
+        """The Rudnev ratio of the witness's families, from its own counts.
+
+        Both families have |S_r| members, so they are never swapped.
+        """
+        return _ratio_from_counts(self.incidences, len(self.points), len(self.planes), self.k, self.work_field)
+
     def to_json(self) -> dict:
-        return {
-            "base_field": self.base_field.to_json(),
-            "work_field": self.work_field.to_json(),
-            "lifted": self.lifted,
-            "r": self.r.to_json(),
-            "s_r": self.s_r.to_json(),
-            "axis": self.axis.to_json(),
-            "g_motions": [g.to_json() for g in self.g_motions],
-            "h_motions": [h.to_json() for h in self.h_motions],
-            "points": [p.to_json() for p in self.points],
-            "planes": [pl.to_json() for pl in self.planes],
-            "i_ax": self.i_ax,
-            "i_on_axis": self.i_on_axis,
-            "incidences": self.incidences,
-            "equal": self.equal,
-            "verdict": self.verdict,
-            "k": self.k,
-            "m_curve": self.m_curve,
-            "max_class_size": self.max_class_size,
-            "erdos_ceiling": self.erdos_ceiling,
-        }
+        def encode(value):
+            if isinstance(value, tuple):
+                return [x.to_json() for x in value]
+            return value.to_json() if hasattr(value, "to_json") else value
+
+        return {f.name: encode(getattr(self, f.name)) for f in fields(self)}
+
+
+def _segment_columns(heads, tails, x: np.ndarray, y: np.ndarray) -> tuple:
+    """(head x, head y, tail x, tail y) columns of the given pairs, ordered by ``Segment.key``."""
+    segs = (x[heads], y[heads], x[tails], y[tails])
+    order = np.lexsort(segs[::-1])
+    return tuple(c[order] for c in segs)
 
 
 def claim_reduction(A: PointSet, r: FieldElement) -> ReductionWitness:
@@ -366,87 +428,75 @@ def claim_reduction(A: PointSet, r: FieldElement) -> ReductionWitness:
     """
     if not r:
         raise ValueError("a nonzero quadratic length is required")
-    base_segs = segment_classes(A).class_for(r)
-    if not base_segs:
+    table = bisector_table(A)
+    heads, tails = np.nonzero(table.dist == r.index)
+    if not len(heads):
         raise EmptySegmentClassError(f"no segments of length {r!r}")
-
-    work_A, work_r, lifted = A, r, False
-    segs = base_segs
-    s_r = segs[0]
-    g_motions = tuple(motion_between_segments(x, s_r) for x in segs)
-    fixed = _pairwise_fixed_points(g_motions)
-    axis = _scan_axis(fixed, work_A.spec)
+    x, y = _index_coords(A)
+    spec, work_r, lifted = A.spec, r, False
+    F = _index_field(spec)
+    segs = _segment_columns(heads, tails, x, y)
+    g = _transporters(F, segs, [c[0] for c in segs])
+    fixed = _pairwise_fixed_points(F, spec.q, g)
+    axis = _scan_axis(fixed, spec)
     if axis is None:
-        work_A, embed = _lift_point_set(A)
-        work_r = embed(r)
-        lifted = True
-        segs = segment_classes(work_A).class_for(work_r)
-        if len(segs) != len(base_segs):
-            raise AssertionError("lifting must preserve the segment class")
-        s_r = segs[0]
-        g_motions = tuple(motion_between_segments(x, s_r) for x in segs)
-        # The lifted motions are the embedded base motions (each is the unique
-        # motion between its segments, and the construction is rational), so
-        # their pairwise fixed points are the embedded base fixed points.
-        fixed = {Point(embed(z.x), embed(z.y)) for z in fixed}
-        axis = _scan_axis(fixed, work_A.spec)
+        spec, into = _field_embedding(A.spec)
+        work_r, lifted, F = spec.from_index(int(into[r.index])), True, _index_field(spec)
+        # g_i^-1 g_j takes segment j onto segment i whatever s_r is, so the
+        # lifted fixed points are the embedded base ones
+        fixed = (into[fixed[0]], into[fixed[1]])
+        axis = _scan_axis(fixed, spec)
         if axis is None:
-            raise ReductionUnavailableError(
-                f"no valid axis over {work_A.spec!r} for r={r!r}, |S_r|={len(segs)}"
-            )
+            raise ReductionUnavailableError(f"no valid axis over {spec!r} for r={r!r}, |S_r|={len(heads)}")
+        segs = _segment_columns(heads, tails, into[x], into[y])
+        g = _transporters(F, segs, [c[0] for c in segs])
 
-    mirrored = [Segment(reflect(axis, s.head), reflect(axis, s.tail)) for s in segs]
-    h_motions = tuple(motion_between_segments(y, s_r) for y in mirrored)
-    points = tuple(kappa(h) for h in h_motions)
-    base_plane = r_tau_plane(axis)
-    planes = tuple(phi_left(g).apply_plane(base_plane) for g in g_motions)
+    hx, hy, tx, ty = segs
+    target = [c[0] for c in segs]
+    mirrored = _reflect_columns(F, axis, hx, hy) + _reflect_columns(F, axis, tx, ty)
+    h = _transporters(F, mirrored, target)
+    points = _kappa_rows(F, h)
+    planes = _phi_planes(F, r_tau_plane(axis), g)
 
-    spec = work_A.spec
-    if len({p.key for p in points}) != len(segs):
+    if len(_distinct_rows(points)) != len(points):
         raise AssertionError("projective points must be pairwise distinct")
-    if len({pl.key for pl in planes}) != len(segs):
+    if len(_distinct_rows(planes)) != len(planes):
         raise AssertionError("planes must be pairwise distinct")
-    for p in points:
-        x0, x1 = p.coords[0], p.coords[1]
-        if not (x0 * x0 + x1 * x1):
-            raise AssertionError("points must avoid the exceptional locus")
+    if np.any(F.add(F.mul(points[:, 0], points[:, 0]), F.mul(points[:, 1], points[:, 1])) == 0):
+        raise AssertionError("points must avoid the exceptional locus")
     # Axis validity makes both sides of the plane-coincidence criterion false
     # for every distinct pair.  A non-identity quotient is an axial rotation
     # iff it fixes a point of the axis, so the left side fails because no
     # pairwise fixed point lies on the axis; the right side fails because the
     # plane keys were just checked pairwise distinct.
-    for z in fixed:
-        if axis.contains(z):
-            raise AssertionError("valid axis cannot yield an axial quotient")
+    n1, n2, c = (np.int64(e.index) for e in (axis.n1, axis.n2, axis.c))
+    if np.any(F.add(F.mul(n1, fixed[0]), F.mul(n2, fixed[1])) == c):
+        raise AssertionError("valid axis cannot yield an axial quotient")
 
-    incidences = count_incidences(points, planes)
-    i_ax = axial_pair_count(work_A, work_r)
-    i_on_axis = _on_axis_pair_count(work_A, work_r)
-    equal = incidences == i_ax
-    verdict = "explained" if incidences == i_ax + i_on_axis else "unexplained"
+    incidences = count_incidences(points, planes, spec)
+    # The axial and on-axis counts, the class sizes and the curve occupancy
+    # maximum are invariant under the base-rational embedding, so they are
+    # read off the base set either way.
+    i_ax = axial_pair_count(A, r)
+    i_on_axis = _on_axis_pair_count(A, r)
+    class_sizes = np.bincount(table.dist.ravel(), minlength=A.spec.q)[1:]
+    element = spec.from_index
 
-    # Class sizes and the curve occupancy maximum are invariant under the
-    # base-rational embedding, so they are read off the base set either way.
-    class_sizes = [len(v) for rr, v in segment_classes(A).classes.items() if rr]
-    n = len(A)
+    def objects(make, columns):
+        return tuple(make(*map(element, row)) for row in zip(*(c.tolist() for c in columns)))
+
     return ReductionWitness(
-        base_field=A.spec,
-        work_field=spec,
-        lifted=lifted,
-        r=work_r,
-        s_r=s_r,
+        base_field=A.spec, work_field=spec, lifted=lifted, r=work_r,
+        s_r=Segment(Point(element(target[0]), element(target[1])), Point(element(target[2]), element(target[3]))),
         axis=axis,
-        g_motions=g_motions,
-        h_motions=h_motions,
-        points=points,
-        planes=planes,
-        i_ax=i_ax,
-        i_on_axis=i_on_axis,
-        incidences=incidences,
-        equal=equal,
-        verdict=verdict,
+        g_motions=objects(RigidMotion, g),
+        h_motions=objects(RigidMotion, h),
+        points=objects(lambda *coords: ProjPoint(coords), points.T),
+        planes=objects(lambda *coeffs: ProjPlane(coeffs), planes.T),
+        i_ax=i_ax, i_on_axis=i_on_axis, incidences=incidences, equal=incidences == i_ax,
+        verdict="explained" if incidences == i_ax + i_on_axis else "unexplained",
         k=max_collinear(points, spec),
         m_curve=max_collinear_cocircular(A).m,
-        max_class_size=max(class_sizes, default=0),
-        erdos_ceiling=_ceil_sqrt(n ** 3),
+        max_class_size=int(class_sizes.max(initial=0)),
+        erdos_ceiling=_ceil_sqrt(len(A) ** 3),
     )

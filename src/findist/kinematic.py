@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 from .clifford import EvenCliffordElement, QuadraticFormSpec
 from .field import FieldElement, FieldMismatchError, FieldSpec
 from .geometry import IsotropicAxisError, Line, Point
-from .motions import RigidMotion, iter_r_tau, transporter_set
+from .motions import RigidMotion, Rotation, rotation_about, transporter_set
 
 
 class NotInImageError(ValueError):
@@ -111,49 +111,12 @@ def _identity_matrix(spec: FieldSpec):
     )
 
 
-def _mat_inverse(m, spec: FieldSpec):
-    """Gauss-Jordan inverse; returns None when the matrix is singular."""
-    n = 4
-    aug = [list(row) + list(idrow) for row, idrow in zip(m, _identity_matrix(spec))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [inv * x for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def matrix_rank(rows, spec: FieldSpec) -> int:
-    """Rank of a list of 4-coordinate rows by exact elimination."""
+def _row_reduce(rows):
+    """Reduced row echelon form by Gauss-Jordan: (rows, pivot columns), the zero rows last."""
     work = [list(r) for r in rows]
-    rank = 0
-    for col in range(4):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = work[rank][col].inverse()
-        work[rank] = [inv * x for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank
-
-
-def _null_vector(rows, spec: FieldSpec):
-    """A nonzero solution c of (row . c = 0 for all rows), if the rank is 3."""
-    work = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(4):
+    pivots: list[int] = []
+    for col in range(len(work[0]) if work else 0):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot is None:
             continue
@@ -165,15 +128,20 @@ def _null_vector(rows, spec: FieldSpec):
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
         pivots.append(col)
-        rank += 1
-    if rank != 3:
+    return work, pivots
+
+
+def _mat_inverse(m, spec: FieldSpec):
+    """The inverse of a 4x4 matrix, reduced from (m | I); None when m is singular."""
+    work, pivots = _row_reduce([list(row) + list(idrow) for row, idrow in zip(m, _identity_matrix(spec))])
+    if pivots[:4] != [0, 1, 2, 3]:
         return None
-    free = next(c for c in range(4) if c not in pivots)
-    sol = [spec.zero()] * 4
-    sol[free] = spec.one()
-    for row_idx, col in enumerate(pivots):
-        sol[col] = -work[row_idx][free]
-    return tuple(sol)
+    return tuple(tuple(row[4:]) for row in work)
+
+
+def matrix_rank(rows, spec: FieldSpec) -> int:
+    """Rank of a list of 4-coordinate rows by exact elimination."""
+    return len(_row_reduce(rows)[1])
 
 
 class ProjMap:
@@ -355,35 +323,24 @@ def transporter_line(x: Point, y: Point) -> tuple[ProjPoint, ProjPoint]:
 def r_tau_plane(axis: Line) -> ProjPlane:
     """The plane spanned by the image of the rotations about points of the axis.
 
-    The family has q*(|SO2|-1) + 1 members but rank 3 is reached within the
-    first few, so the span is accumulated lazily instead of materializing the
-    whole image; a bounded sample of further members double-checks containment.
+    A rotation (u, v) about z has kappa [u+1 : v : v*z_y : v*z_x], and
+    [0 : 1 : z_y : z_x] at u = -1, so for the axis n1*x + n2*y = c every
+    member lies on the plane (0 : -c : n2 : n1).  A bounded sample re-derives
+    it: the identity and the quarter and half turns about two distinct axis
+    points must span a plane and lie on it.
     """
     if axis.is_isotropic():
         raise IsotropicAxisError(f"{axis!r} is isotropic")
     spec = axis.n1.spec
-    members = iter_r_tau(axis)
-    basis: list[list] = []
-    pivots: list[int] = []
-    for m in members:
-        row = list(kappa(m).coords)
-        for b, piv in zip(basis, pivots):
-            if row[piv]:
-                f = row[piv]
-                row = [x - f * y for x, y in zip(row, b)]
-        piv = next((i for i, x in enumerate(row) if x), None)
-        if piv is None:
-            continue
-        inv = row[piv].inverse()
-        basis.append([inv * x for x in row])
-        pivots.append(piv)
-        if len(basis) == 3:
-            break
-    coeffs = _null_vector(basis, spec)
-    if coeffs is None:
+    one, zero = spec.one(), spec.zero()
+    plane = ProjPlane((zero, -axis.c, axis.n2, axis.n1))
+    # two axis points: x = c - n2*y at y = 0, 1 when n1 = 1, else y = c at x = 0, 1
+    centers = [Point(axis.c - axis.n2 * y, y) if axis.n1 else Point(y, axis.c) for y in (zero, one)]
+    rotations = (Rotation(zero, one), Rotation(zero, -one), Rotation(-one, zero))
+    members = [RigidMotion.identity(spec)] + [rotation_about(z, rot) for z in centers for rot in rotations]
+    images = [kappa(m) for m in members]
+    if matrix_rank([p.coords for p in images], spec) != 3:
         raise AssertionError("axial rotation image must span a plane")
-    plane = ProjPlane(coeffs)
-    for _, m in zip(range(24), members):
-        if not plane.contains(kappa(m)):
-            raise AssertionError("axial rotation image left the derived plane")
+    if not all(plane.contains(p) for p in images):
+        raise AssertionError("axial rotation image left the derived plane")
     return plane

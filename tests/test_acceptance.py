@@ -35,7 +35,7 @@ from findist.harness import (
     _isotropic_line_occupancy,
     standard_corpus_sets,
 )
-from findist.incidence import claim_reduction, rudnev_ratio
+from findist.incidence import claim_reduction
 from findist.kinematic import (
     ProjPlane,
     ProjPoint,
@@ -279,11 +279,12 @@ def test_10_monitored_ratios_on_the_standard_corpus():
         r_star, _ = max(nonzero, key=lambda item: (len(item[1]), -item[0].index))
         w = claim_reduction(A, r_star)
         assert w.verdict == "explained", f"{label}: unexplained reduction"
-        work_spec = w.points[0].coords[0].spec
-        ratio = rudnev_ratio(w.points, w.planes, work_spec).surrogate_ratio
+        ratio = w.ratio().surrogate_ratio
         assert ratio <= FROZEN_RUDNEV_CEILING, f"{label}: ratio {ratio} above the frozen ceiling"
         if worst is None or ratio > worst[1]:
             worst = (label, ratio)
+    # the ceiling was frozen at this corpus maximum
+    assert worst == ("grid-8x12", FROZEN_RUDNEV_CEILING)
     elapsed = time.monotonic() - t0
     _report(
         "10 monitored ratios",

@@ -26,7 +26,8 @@ from findist.counting import bisector_stats, bisector_table, distance_stats, seg
 from findist.field import FieldSpec
 from findist.generators import generate
 from findist.geometry import Line, PointSet, all_lines, all_points, equidistant_line, point
-from findist.incidence import _lift_point_set, axial_pair_count, epsilon_term
+from findist.incidence import axial_pair_count, epsilon_term
+from incidence_oracles import lift_point_set
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
@@ -168,7 +169,7 @@ class TestAxialPairCount:
         # claim_reduction counts on the F_{q^2} copy when no base axis is valid,
         # as for LIFT_SET_F3
         for A in random_sets(F3, 4, 6, 2103) + random_sets(F5, 4, 6, 2105) + [LIFT_SET_F3]:
-            lifted, embed = _lift_point_set(A)
+            lifted, embed = lift_point_set(A)
             for r, _ in segment_classes(A).nonzero_items():
                 count = axial_pair_count(lifted, embed(r))
                 assert count == loop_axial_pair_count(lifted, embed(r))

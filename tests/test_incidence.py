@@ -3,11 +3,13 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
+import incidence_oracles as oracle
 from bisector_oracles import brute_axial_pairs
 from findist.counting import bisector_stats, distance_stats, segment_classes
-from findist.field import FieldSpec
+from findist.field import FieldSpec, _index_field
 from findist.geometry import (
     Line,
     Point,
@@ -20,11 +22,11 @@ from findist.geometry import (
 )
 from findist.incidence import (
     EmptySegmentClassError,
-    IncidenceInstance,
     ReductionWitness,
-    _find_valid_axis,
     _on_axis_pair_count,
     _pairwise_fixed_points,
+    _rows,
+    _scan_axis,
     axial_pair_count,
     claim_reduction,
     count_incidences,
@@ -89,54 +91,52 @@ def brute_epsilon(A):
 
 class TestCountIncidences:
     def test_two_points_two_planes(self):
-        pts = [proj(F5, 1, 0, 0, 0), proj(F5, 0, 0, 1, 0)]
-        planes = [plane(F5, 0, 1, 0, 0), plane(F5, 0, 2, 0, 0)]
-        assert count_incidences(pts, planes) == 4
+        pts = _rows([proj(F5, 1, 0, 0, 0), proj(F5, 0, 0, 1, 0)])
+        planes = _rows([plane(F5, 0, 1, 0, 0), plane(F5, 0, 2, 0, 0)])
+        assert count_incidences(pts, planes, F5) == 4
 
     def test_empty_planes(self):
-        assert count_incidences([proj(F5, 1, 0, 0, 0)], []) == 0
+        assert count_incidences(_rows([proj(F5, 1, 0, 0, 0)]), _rows([]), F5) == 0
 
     def test_hash_agrees_with_sweep(self):
+        # the index kernel against both object oracles, repeated planes included
         rng = random.Random(99)
         pts = list(all_proj_points(F3))
         for _ in range(10):
             points = rng.sample(pts, 12)
             planes = [ProjPlane(p.coords) for p in rng.choices(pts, k=15)]
-            sweep = count_incidences(points, planes)
-            assert count_incidences(points, planes, method="hash") == sweep
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            count_incidences([], [], method="magic")
+            sweep = oracle.count_incidences(points, planes)
+            assert oracle.count_incidences(points, planes, method="hash") == sweep
+            assert count_incidences(_rows(points), _rows(planes), F3) == sweep
 
 
 class TestMaxCollinear:
     def test_transporter_image_is_collinear(self):
         pts = transporter_image(point(F7, 1, 2), point(F7, 3, 3))
-        assert max_collinear(pts, F7) == len(pts)
+        assert max_collinear(_rows(pts), F7) == len(pts)
 
     def test_general_position(self):
         pts = [proj(F5, 1, 0, 0, 0), proj(F5, 0, 1, 0, 0), proj(F5, 0, 0, 1, 0)]
-        assert max_collinear(pts, F5) == 2
+        assert max_collinear(_rows(pts), F5) == 2
 
     def test_small_families(self):
-        assert max_collinear([], F5) == 0
-        assert max_collinear([proj(F5, 1, 2, 3, 4)], F5) == 1
+        assert max_collinear(_rows([]), F5) == 0
+        assert max_collinear(_rows([proj(F5, 1, 2, 3, 4)]), F5) == 1
 
     def test_duplicates_collapse(self):
         a, b = proj(F5, 1, 0, 0, 0), proj(F5, 0, 1, 0, 0)
         doubled = [a, b, ProjPoint(tuple(c + c for c in a.coords))]
-        assert max_collinear(doubled, F5) == 2
+        assert max_collinear(_rows(doubled), F5) == 2
 
 
 class TestIncidenceInstance:
     def test_canonicalizes_and_counts(self):
         pts = [proj(F5, 1, 0, 0, 0), proj(F5, 2, 0, 0, 0), proj(F5, 0, 1, 0, 0)]
         planes = [plane(F5, 0, 0, 0, 1)]
-        instance = IncidenceInstance(F5, pts, planes)
+        instance = oracle.IncidenceInstance(F5, pts, planes)
         assert len(instance.points) == 2
-        assert instance.k == 2
-        assert instance.incidence_count() == 2
+        assert instance.k == 2 == max_collinear(_rows(pts), F5)
+        assert instance.incidence_count() == 2 == count_incidences(_rows(instance.points), _rows(planes), F5)
         blob = json.dumps(instance.to_json())
         assert "planes" in blob
 
@@ -263,7 +263,7 @@ class TestValidAxisScan:
     def brute_first_valid(motions, spec):
         # reference: mark every line through a pairwise fixed point, then
         # take the first canonical non-isotropic survivor
-        fixed = _pairwise_fixed_points(motions)
+        fixed = oracle.pairwise_fixed_points(motions)
         invalid = set()
         one, zero = spec.one(), spec.zero()
         for z in fixed:
@@ -281,7 +281,10 @@ class TestValidAxisScan:
         motions = list(all_motions(spec))
         for _ in range(25):
             group = rng.sample(motions, rng.randint(2, 8))
-            got = _find_valid_axis(group, spec)
+            columns = tuple(np.array(c, dtype=np.int64) for c in zip(*(m.key for m in group)))
+            fixed = _pairwise_fixed_points(_index_field(spec), spec.q, columns)
+            assert sorted(zip(*(c.tolist() for c in fixed))) == sorted(z.key for z in oracle.pairwise_fixed_points(group))
+            got = _scan_axis(fixed, spec)
             want = self.brute_first_valid(group, spec)
             if want is None:
                 assert got is None
@@ -343,9 +346,10 @@ class TestClaimReduction:
         spec = FieldSpec.from_json(blob["work_field"])
         pts = [ProjPoint(tuple(spec.element(c) for c in coords)) for coords in blob["points"]]
         planes = [ProjPlane(tuple(spec.element(c) for c in coeffs)) for coeffs in blob["planes"]]
-        assert count_incidences(pts, planes) == blob["incidences"]
+        assert oracle.count_incidences(pts, planes) == blob["incidences"]
+        assert count_incidences(_rows(pts), _rows(planes), spec) == blob["incidences"]
         assert blob["verdict"] == "explained"
-        assert blob["k"] == max_collinear(pts, spec)
+        assert blob["k"] == oracle.max_collinear(pts, spec) == max_collinear(_rows(pts), spec)
 
     @pytest.mark.parametrize("spec", [F5, F7], ids=["F5", "F7"])
     def test_random_witnesses_fully_explained(self, spec):
@@ -367,7 +371,7 @@ class TestClaimReduction:
 
     def test_witness_monitoring_fields(self):
         witness = claim_reduction(MIRROR_PAIR_F5, F5.element(4))
-        assert witness.k == max_collinear(list(witness.points), witness.work_field)
+        assert witness.k == max_collinear(_rows(witness.points), witness.work_field)
         assert witness.m_curve == 2
         assert witness.max_class_size == 2
         # ceil(|A|^(3/2)) for |A| = 2; recorded next to the class size, not asserted against it

@@ -1,0 +1,199 @@
+"""Differential tests of the index-array incidence stage against the object oracles.
+
+``claim_reduction`` must reproduce byte for byte the witness JSON that the
+object pipeline of ``incidence_oracles.reduction_json`` builds, lifted
+reductions included.  ``count_incidences``, ``max_collinear``, the pairwise
+fixed points and ``rudnev_ratio`` are each compared with their loops, at the
+default block size and at one row per block, and the closed-form R_tau plane
+with the lazily spanned one on every non-isotropic line.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import incidence_oracles as oracle
+from findist import incidence
+from findist.counting import segment_classes
+from findist.field import FieldSpec, _index_field
+from findist.generators import generate
+from findist.geometry import PointSet, all_lines, all_points, point
+from findist.harness import canonical_json, standard_corpus_sets
+from findist.incidence import (
+    _pairwise_fixed_points,
+    _rows,
+    _transporters,
+    claim_reduction,
+    count_incidences,
+    max_collinear,
+    rudnev_ratio,
+)
+from findist.kinematic import ProjPlane, all_proj_points, r_tau_plane, transporter_image
+
+F3 = FieldSpec(3)
+F5 = FieldSpec(5)
+F7 = FieldSpec(7)
+F9 = FieldSpec(3, 2)
+F11 = FieldSpec(11)
+F13 = FieldSpec(13)
+F25 = FieldSpec(5, 2)
+
+# no non-isotropic axis over F_3 survives the fixed points of its largest class
+LIFT_SET_F3 = PointSet(F3, [point(F3, 0, 0), point(F3, 0, 1), point(F3, 1, 0),
+                            point(F3, 2, 1), point(F3, 2, 2)])
+
+
+def nonzero_classes(A):
+    return [(r, segs) for r, segs in segment_classes(A).nonzero_items() if segs]
+
+
+def largest_class(A):
+    return max(nonzero_classes(A), key=lambda item: (len(item[1]), -item[0].index))[0]
+
+
+def assert_witness_matches(A, r):
+    got = claim_reduction(A, r)
+    assert canonical_json(got.to_json()) == canonical_json(oracle.reduction_json(A, r)), (r, A.to_json())
+    return got
+
+
+def random_families(spec, seed, count):
+    """Point and plane families drawn from projective 3-space, repeats and collinear runs included."""
+    rng = random.Random(seed)
+    space = list(all_proj_points(spec))
+    line = transporter_image(point(spec, 0, 1), point(spec, 1, 2))
+    for _ in range(count):
+        points = rng.sample(space, rng.randint(0, 12)) + rng.sample(line, rng.randint(0, len(line)))
+        points += rng.choices(points, k=2) if points else []
+        planes = [ProjPlane(p.coords) for p in rng.sample(space, rng.randint(1, 14))]
+        yield points, planes
+
+
+class TestWitnessAgainstObjectPipeline:
+    def test_every_subset_of_f3(self):
+        pts = list(all_points(F3))
+        for mask in range(1, 2 ** len(pts)):
+            A = PointSet(F3, [p for i, p in enumerate(pts) if mask >> i & 1])
+            if nonzero_classes(A):
+                assert_witness_matches(A, largest_class(A))
+
+    def test_every_subset_of_an_f5_set(self):
+        base = generate(F5, "random", {"size": 6}, 55)
+        for mask in range(1, 2 ** len(base)):
+            A = PointSet(F5, [p for i, p in enumerate(base) if mask >> i & 1])
+            for r, _ in nonzero_classes(A):
+                assert_witness_matches(A, r)
+
+    @pytest.mark.parametrize("spec", [F7, F9, F25], ids=["F7", "F9", "F25"])
+    def test_random_and_on_circle_sets(self, spec):
+        sets = [generate(spec, "random", {"size": n}, 70 + n) for n in (3, 6, 9)]
+        sets.append(generate(spec, "on-circle", {"size": 6, "center": [1, 2], "radius_sq": 1}, 7))
+        for A in sets:
+            for r, _ in nonzero_classes(A):
+                assert_witness_matches(A, r)
+
+    @pytest.mark.parametrize(
+        "A, r, ext",
+        [
+            (LIFT_SET_F3, 1, 9),
+            (generate(F9, "random", {"size": 12}, 0), 2, 81),
+            (generate(F25, "random", {"size": 24}, 0), 22, 625),
+        ],
+        ids=["F3-F9", "F9-F81", "F25-F625"],
+    )
+    def test_lifted_copies(self, A, r, ext):
+        w = assert_witness_matches(A, A.spec.from_index(r))
+        assert w.lifted and w.work_field.q == ext
+
+    @given(st.sampled_from([F7, F13]).flatmap(
+        lambda spec: st.lists(st.sampled_from(list(all_points(spec))), min_size=2, max_size=9)
+        .map(lambda pts: PointSet(spec, pts))))
+    @settings(max_examples=25, deadline=None)
+    def test_hypothesis_sets(self, A):
+        for r, _ in nonzero_classes(A)[:3]:
+            assert_witness_matches(A, r)
+
+
+class TestGrid8x12OnF961:
+    """The corpus's largest class: |S_r| = 728, lifted to F_961, at the frozen ceiling."""
+
+    @pytest.fixture(scope="class")
+    def witness(self):
+        A = dict(standard_corpus_sets())["grid-8x12"]
+        return claim_reduction(A, largest_class(A))
+
+    def test_counts_match_the_loops(self, witness):
+        assert witness.lifted and witness.work_field.q == 961 and len(witness.points) == 728
+        assert witness.incidences == oracle.count_incidences(witness.points, witness.planes) == 30672
+        assert witness.k == oracle.max_collinear(witness.points, witness.work_field)
+
+    def test_fixed_points_match_the_motion_objects(self, witness):
+        spec = witness.work_field
+        columns = tuple(np.array(c, dtype=np.int64) for c in zip(*(g.key for g in witness.g_motions)))
+        got = _pairwise_fixed_points(_index_field(spec), spec.q, columns)
+        want = oracle.pairwise_fixed_points(witness.g_motions)
+        assert sorted(zip(*(c.tolist() for c in got))) == sorted(z.key for z in want)
+        assert oracle.scan_axis(want, spec) == witness.axis
+
+
+class TestOneRowBlocks:
+    """A block of one row gives the same answers as the default block size."""
+
+    @pytest.fixture
+    def one_row(self, monkeypatch):
+        monkeypatch.setattr(incidence, "CHUNK_CELLS", 1)
+
+    def test_witnesses(self, monkeypatch):
+        sets = [LIFT_SET_F3, generate(F9, "random", {"size": 12}, 0), generate(F25, "random", {"size": 8}, 3)]
+        default = [[canonical_json(claim_reduction(A, r).to_json()) for r, _ in nonzero_classes(A)] for A in sets]
+        monkeypatch.setattr(incidence, "CHUNK_CELLS", 1)
+        for A, expected in zip(sets, default):
+            assert [canonical_json(claim_reduction(A, r).to_json()) for r, _ in nonzero_classes(A)] == expected
+
+    @pytest.mark.parametrize("spec", [F5, F9], ids=["F5", "F9"])
+    def test_families(self, spec, one_row):
+        for points, planes in random_families(spec, 808 + spec.q, 10):
+            assert count_incidences(_rows(points), _rows(planes), spec) == oracle.count_incidences(points, planes)
+            assert max_collinear(_rows(points), spec) == oracle.max_collinear(points, spec)
+
+
+class TestKernelsAgainstLoops:
+    @pytest.mark.parametrize("spec", [F3, F5, F7, F9], ids=["F3", "F5", "F7", "F9"])
+    def test_count_and_max_collinear(self, spec):
+        for points, planes in random_families(spec, 404 + spec.q, 20):
+            assert count_incidences(_rows(points), _rows(planes), spec) == oracle.count_incidences(points, planes)
+            assert max_collinear(_rows(points), spec) == oracle.max_collinear(points, spec)
+
+    @pytest.mark.parametrize("spec", [F5, F9], ids=["F5", "F9"])
+    def test_rudnev_ratio(self, spec):
+        for points, planes in random_families(spec, 909 + spec.q, 20):
+            ratio = rudnev_ratio(points, planes, spec)
+            assert (ratio.incidences, ratio.n_points, ratio.n_planes, ratio.k, ratio.surrogate_ratio) == (
+                oracle.rudnev_surrogate(points, planes, spec)
+            )
+            assert ratio.duality_swapped is (len(points) > len(planes))
+
+    def test_transporters_must_rotate(self):
+        F = _index_field(F7)
+        segs = tuple(np.array([c]) for c in (0, 0, 1, 0))
+        # (0, 0) -> (1, 0) onto (2, 2) -> (2, 3): a quarter turn, then a shift by (2, 2)
+        assert [c.tolist() for c in _transporters(F, segs, (2, 2, 2, 3))] == [[0], [1], [2], [2]]
+        with pytest.raises(AssertionError, match="differs in length"):
+            _transporters(F, segs, (2, 2, 2, 4))
+
+    def test_witness_ratio_needs_no_recount(self):
+        for A in [LIFT_SET_F3, generate(F9, "random", {"size": 12}, 0), generate(F7, "random", {"size": 9}, 1)]:
+            for r, _ in nonzero_classes(A):
+                w = claim_reduction(A, r)
+                assert w.ratio().to_json() == rudnev_ratio(w.points, w.planes, w.work_field).to_json()
+
+
+@pytest.mark.parametrize("spec", [F3, F5, F7, F9, F11, F13, F25], ids=["F3", "F5", "F7", "F9", "F11", "F13", "F25"])
+def test_closed_form_r_tau_plane_is_the_spanned_plane(spec):
+    lines = [line for line in all_lines(spec) if not line.is_isotropic()]
+    assert lines
+    for line in lines:
+        assert r_tau_plane(line) == oracle.lazy_span_plane(line), line

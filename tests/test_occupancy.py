@@ -15,7 +15,9 @@ from findist import harness
 from findist.counting import (
     _heavy_curves,
     max_collinear_cocircular,
+    prune_curve,
     prune_heavy,
+    prune_steps,
     segment_classes,
 )
 from findist.field import FieldSpec
@@ -206,6 +208,25 @@ class TestPruneOrder:
             _, removed = oracle_prune(A)
             assert removed, "the set must carry a heavy curve"
             assert metrics["removed"] == [curve.to_json() for curve in removed]
+
+
+    def test_two_heavy_lines_take_two_steps(self):
+        # 13 points on two crossing lines of F_7: 7^3 > 13^2, and the second
+        # line still holds 6 once the first is gone, 6^3 > 13^2
+        spec = F7
+        A = PointSet(spec, [point(spec, 1, t) for t in range(7)] + [point(spec, t, 1) for t in range(7)])
+        expected, removed = oracle_prune(A)
+        assert len(removed) == 2
+        current = A
+        for curve, pruned, check in prune_steps(A):
+            assert pruned == PointSet(spec, [p for p in current if not curve.contains(p)])
+            assert (pruned, check) == prune_curve(current, curve)
+            current = pruned
+        assert current == expected == prune_heavy(A)[0]
+        config = make_config(spec, "explicit", {"points": [p.to_json() for p in A]}, checks=("prune",))
+        findings, metrics, _ = harness._check_prune(A, config)
+        assert metrics["removed"] == [curve.to_json() for curve in removed]
+        assert [f["name"] for f in findings[:2]] == ["prune-triple-bound[step=0]", "prune-triple-bound[step=1]"]
 
 
 class TestPerSetCache:
