@@ -19,11 +19,11 @@ def main() -> int:
     print(f"{'label':<16} {'n':>3} {'r':>3} {'|S_r|':>5} {'I':>7} {'surrogate':>12} {'float':>8} {'lifted':>6}")
     for label, A in standard_corpus_sets():
         started = time.monotonic()
-        nonzero = [(r, segs) for r, segs in counting.segment_classes(A).nonzero_items() if segs]
+        nonzero = counting.segment_classes(A).nonzero_sizes()
         if not nonzero:
             print(f"{label:<16} {len(A):>3}   (no nonzero distance class)")
             continue
-        r_star, _ = max(nonzero, key=lambda item: (len(item[1]), -item[0].index))
+        r_star, _ = max(nonzero, key=lambda item: (item[1], -item[0].index))
         w = incidence.claim_reduction(A, r_star)
         ratio = w.ratio()
         if w.verdict != "explained":

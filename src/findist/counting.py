@@ -1,10 +1,11 @@
 """Exact counting statistics for planar point sets over odd-characteristic fields.
 
-Distance spectra, segment classes, isosceles triples, bisector energies, the
-identity checks relating them, and the greedy curve-pruning passes.  Every
-quantity is an exact integer obtained by finite enumeration; the fast paths
-are independent second computations of the same number and the test suite
-insists that they agree with the naive loops.
+Distance spectra, segment class sizes, isosceles triples, bisector
+energies, the identity checks relating them, and the greedy curve-pruning
+passes.  Every quantity is an exact integer obtained by finite enumeration
+on the field's index kernel; every pair-level count is read off one
+distance table per point set.  The naive object loops live in the test
+suite as oracles, which these counts must agree with.
 
 Tuple counts are ordered throughout: a quadruple and its swap are two
 quadruples.
@@ -14,19 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
 from .field import FieldElement, FieldSpec, _index_field
-from .geometry import (
-    Circle,
-    Line,
-    Point,
-    PointSet,
-    Segment,
-    distance,
-)
+from .geometry import Circle, Line, Point, PointSet
 
 
 def _per_set(A: PointSet, compute: Callable):
@@ -59,14 +53,6 @@ class DistanceStats:
         return frozenset(r for r in self.per_point[a] if r)
 
 
-def _apex_histogram(points: Iterable[Point], a: Point) -> dict:
-    hist: dict[FieldElement, int] = {}
-    for b in points:
-        r = distance(a, b)
-        hist[r] = hist.get(r, 0) + 1
-    return hist
-
-
 def distance_stats(A: PointSet) -> DistanceStats:
     """The distance spectra, one row of the bisector table's distance matrix per point."""
     dist = bisector_table(A).dist
@@ -84,35 +70,31 @@ def distance_stats(A: PointSet) -> DistanceStats:
 
 @dataclass(eq=False)
 class SegmentClasses:
-    """Ordered pairs of A-points grouped by quadratic length.
+    """Ordered pairs of A-points grouped by quadratic length, as class sizes.
 
-    The zero class keeps the diagonal pairs (a, a); the quadruple count
-    q_value sums squared class sizes over nonzero lengths only.
+    ``sizes[r]`` counts the pairs at length index r, one bin per element of
+    the field; the zero class keeps the diagonal pairs (a, a).  The quadruple
+    count q_value sums squared class sizes over nonzero lengths only.
     """
 
-    classes: dict
+    spec: FieldSpec
+    sizes: np.ndarray
     q_value: int
 
-    def class_for(self, r: FieldElement) -> tuple:
-        return self.classes.get(r, ())
-
-    def nonzero_items(self):
-        return [(r, segs) for r, segs in sorted(self.classes.items(), key=lambda kv: kv[0].index) if r]
+    def nonzero_sizes(self) -> list[tuple[FieldElement, int]]:
+        """(r, |S_r|) for every nonzero length some pair has, in index order."""
+        lengths = np.flatnonzero(self.sizes[1:]) + 1
+        return [(self.spec.from_index(r), int(self.sizes[r])) for r in lengths.tolist()]
 
 
 def segment_classes(A: PointSet) -> SegmentClasses:
-    """The segment classes of A, computed once per point set."""
+    """The segment class sizes of A, counted off the bisector table's distance matrix once per point set."""
     return _per_set(A, _segment_classes)
 
 
 def _segment_classes(A: PointSet) -> SegmentClasses:
-    grouped: dict[FieldElement, list[Segment]] = {}
-    for a in A:
-        for b in A:
-            grouped.setdefault(distance(a, b), []).append(Segment(a, b))
-    classes = {r: tuple(sorted(segs, key=lambda s: s.key)) for r, segs in grouped.items()}
-    q_value = sum(len(segs) ** 2 for r, segs in classes.items() if r)
-    return SegmentClasses(classes, q_value)
+    sizes = np.bincount(bisector_table(A).dist.ravel(), minlength=A.spec.q)
+    return SegmentClasses(A.spec, sizes, int(sizes[1:] @ sizes[1:]))
 
 
 @dataclass(frozen=True)
@@ -126,52 +108,34 @@ class IsoscelesCounts:
     t_all: int
 
 
-def _isosceles_slow(A: PointSet) -> IsoscelesCounts:
-    t = t_all = 0
-    for a in A:
-        for b in A:
-            leg = distance(a, b)
-            for b2 in A:
-                if distance(a, b2) != leg or not distance(b, b2):
-                    continue
-                t_all += 1
-                if leg:
-                    t += 1
-    return IsoscelesCounts(t, t_all)
+def isosceles_count(A: PointSet) -> IsoscelesCounts:
+    """Count isosceles triples off the bisector table's distance matrix.
 
-
-def _isosceles_fast(A: PointSet) -> IsoscelesCounts:
-    # Equal nonzero legs force a non-isotropic base, so the nonzero part of the
-    # histogram counts straight off; zero legs contribute only cross pairs on
-    # the two isotropic rays through the apex.
+    Equal nonzero legs force a non-isotropic base, so an apex adds
+    n_r(n_r - 1) for each run of n_r equal nonzero entries in its sorted
+    row.  Zero legs add only the cross pairs on the two isotropic rays
+    through the apex, 2 n_1 n_2, and those rays exist only when -1 is a
+    square.
+    """
+    dist = bisector_table(A).dist
+    rows = np.sort(dist, axis=1)
+    starts = np.ones(rows.shape, dtype=bool)
+    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    first = np.flatnonzero(starts)
+    runs = np.diff(first, append=rows.size)[rows.ravel()[first] != 0]
+    t = int(runs @ (runs - 1))
     roots = (-A.spec.one()).sqrt()
-    t = extra = 0
-    for a in A:
-        hist = _apex_histogram(A, a)
-        t += sum(n * (n - 1) for r, n in hist.items() if r)
-        if roots:
-            n1 = n2 = 0
-            for b in A:
-                if b == a:
-                    continue
-                w = b - a
-                if w.norm_sq():
-                    continue
-                if w.y == roots[0] * w.x:
-                    n1 += 1
-                else:
-                    n2 += 1
-            extra += 2 * n1 * n2
-    return IsoscelesCounts(t, t + extra)
-
-
-def isosceles_count(A: PointSet, method: str = "fast") -> IsoscelesCounts:
-    """Count isosceles triples; both strategies are exact and must agree."""
-    if method == "slow":
-        return _isosceles_slow(A)
-    if method != "fast":
-        raise ValueError(f"unknown method {method!r}")
-    return _isosceles_fast(A)
+    if not roots:
+        return IsoscelesCounts(t, t)
+    # w = b - a with |w|^2 = 0 and w != 0 has w_y = +-i w_x
+    F = _index_field(A.spec)
+    x, y = _index_coords(A)
+    dx, dy = F.sub(x[None, :], x[:, None]), F.sub(y[None, :], y[:, None])
+    isotropic = dist == 0
+    np.fill_diagonal(isotropic, False)
+    n1 = np.count_nonzero(isotropic & (dy == F.mul(roots[0].index, dx)), axis=1)
+    n2 = np.count_nonzero(isotropic, axis=1) - n1
+    return IsoscelesCounts(t, t + 2 * int(n1 @ n2))
 
 
 @dataclass(frozen=True)
@@ -467,7 +431,7 @@ def verify_identities(A: PointSet) -> list[dict]:
         "lhs": lhs, "rhs": rhs, "relation": "<=", "pass": lhs <= rhs,
     })
 
-    axial_total = sum(axial_pair_count(A, r) for r, _ in classes.nonzero_items())
+    axial_total = sum(axial_pair_count(A, r) for r, _ in classes.nonzero_sizes())
     eps = epsilon_term(A)
     rhs = axial_total + eps.value
     report.append({

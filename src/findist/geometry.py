@@ -338,10 +338,6 @@ def curve_through(points: Sequence[Point]):
     return Circle(z, distance(z, p1))
 
 
-def incidence_count_line(points: Iterable[Point], line: Line) -> int:
-    return sum(1 for p in points if line.contains(p))
-
-
 def all_points(spec: FieldSpec) -> Iterator[Point]:
     for x in spec.elements():
         for y in spec.elements():

@@ -316,9 +316,7 @@ def _check_verify(A: PointSet, config: ExperimentConfig):
 def _check_reduce(A: PointSet, config: ExperimentConfig):
     inputs = _digest(A.to_json())
     findings, witnesses, summaries = [], [], []
-    for r, segments in counting.segment_classes(A).nonzero_items():
-        if not segments:
-            continue
+    for r, _ in counting.segment_classes(A).nonzero_sizes():
         try:
             w = incidence.claim_reduction(A, r)
         except (incidence.ReductionUnavailableError, AssertionError) as exc:
@@ -537,17 +535,13 @@ def _check_clifford(config: ExperimentConfig):
 
 
 def _isotropic_line_occupancy(A: PointSet) -> int:
-    spec = A.spec
-    if spec.chi_minus_one() != 1 or not len(A):
+    """The most points of A on one line x + i*y = c with i^2 = -1; 0 when -1 is not a square."""
+    if not len(A):
         return 0
-    best = 0
-    for slope in (-spec.one()).sqrt():
-        buckets: dict[int, int] = {}
-        for a in A:
-            c = (a.x + slope * a.y).index
-            buckets[c] = buckets.get(c, 0) + 1
-        best = max(best, max(buckets.values()))
-    return best
+    F = _index_field(A.spec)
+    x, y = counting._index_coords(A)
+    lines = (F.add(x, F.mul(i.index, y)) for i in (-A.spec.one()).sqrt())
+    return max((int(np.bincount(c).max()) for c in lines), default=0)
 
 
 def _child_seed(seed: int, index: int) -> int:
@@ -576,9 +570,9 @@ def _sweep_row(spec: FieldSpec, kind: str, params: Mapping, size: int, seed: int
     reduction = dict.fromkeys(
         ("reduction_r", "reduction_lifted", "rudnev_surrogate", "rudnev_float", "rudnev_ok")
     )
-    nonzero = [(r, segs) for r, segs in classes.nonzero_items() if segs]
+    nonzero = classes.nonzero_sizes()
     if nonzero:
-        r_star, _ = max(nonzero, key=lambda item: (len(item[1]), -item[0].index))
+        r_star, _ = max(nonzero, key=lambda item: (item[1], -item[0].index))
         reduction["reduction_r"] = r_star.index
         try:
             w = incidence.claim_reduction(A, r_star)

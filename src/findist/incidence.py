@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import _index_coords, bisector_table, max_collinear_cocircular
+from .counting import _index_coords, bisector_table, max_collinear_cocircular, segment_classes
 from .field import FieldElement, FieldSpec, _index_field
 from .geometry import Line, Point, PointSet, Segment
 from .kinematic import ProjPlane, ProjPoint, r_tau_plane
@@ -479,7 +479,6 @@ def claim_reduction(A: PointSet, r: FieldElement) -> ReductionWitness:
     # read off the base set either way.
     i_ax = axial_pair_count(A, r)
     i_on_axis = _on_axis_pair_count(A, r)
-    class_sizes = np.bincount(table.dist.ravel(), minlength=A.spec.q)[1:]
     element = spec.from_index
 
     def objects(make, columns):
@@ -497,6 +496,6 @@ def claim_reduction(A: PointSet, r: FieldElement) -> ReductionWitness:
         verdict="explained" if incidences == i_ax + i_on_axis else "unexplained",
         k=max_collinear(points, spec),
         m_curve=max_collinear_cocircular(A).m,
-        max_class_size=int(class_sizes.max(initial=0)),
+        max_class_size=int(segment_classes(A).sizes[1:].max(initial=0)),
         erdos_ceiling=_ceil_sqrt(len(A) ** 3),
     )

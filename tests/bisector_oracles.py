@@ -3,15 +3,16 @@
 These are the loops the package ran before the bisector table: a reflection
 sweep over all q^2 + q lines, the bisector-locus enumeration, the per-pair
 ``equidistant_line`` keys behind the axial pair count, the grouped loop of
-the epsilon term, and the apex-histogram passes of ``distance_stats`` and
-``verify_identities``.  Each builds its lines with the geometry module's own
+the epsilon term, the apex-histogram passes of ``distance_stats`` and
+``verify_identities``, and the grouping of every ordered pair into its
+segment class.  Each builds its lines with the geometry module's own
 constructors.
 """
 
 from dataclasses import dataclass
 
-from findist.counting import LineBisectorRecord, segment_classes
-from findist.geometry import Line, all_lines, distance, equidistant_line, reflect
+from findist.counting import LineBisectorRecord, _per_set
+from findist.geometry import Line, Segment, all_lines, distance, equidistant_line, reflect
 
 
 @dataclass(eq=False)
@@ -22,6 +23,27 @@ class OracleBisectorStats:
     cone_count: int
     n_isotropic: int
     relation_universal: object
+
+
+def _object_segment_classes(A):
+    grouped = {}
+    for a in A:
+        for b in A:
+            grouped.setdefault(distance(a, b), []).append(Segment(a, b))
+    return {r: tuple(sorted(segs, key=lambda s: s.key)) for r, segs in grouped.items()}
+
+
+def object_segment_classes(A):
+    """r -> the ordered pairs at quadratic distance r, by ``Segment.key``; the zero class keeps (a, a).
+
+    Kept in A's cache like the package's own per-set tables, since the
+    oracles below ask for one class at a time.
+    """
+    return _per_set(A, _object_segment_classes)
+
+
+def class_for(A, r):
+    return object_segment_classes(A).get(r, ())
 
 
 def cone_count(A):
@@ -136,7 +158,7 @@ def apex_moments(A):
 
 
 def loop_axial_pair_count(A, r):
-    segs = segment_classes(A).class_for(r)
+    segs = class_for(A, r)
     keys = bisector_keys(A)
     count = 0
     for s1 in segs:
@@ -167,7 +189,7 @@ def loop_epsilon_value(A):
 
 def brute_axial_pairs(A, r):
     """Line sweep oracle: mirror each segment across every candidate axis."""
-    segs = [s for s in segment_classes(A).class_for(r)]
+    segs = class_for(A, r)
     members = {(s.head, s.tail) for s in segs}
     count = 0
     for axis in all_lines(A.spec):

@@ -13,8 +13,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from bisector_oracles import loop_axial_pair_count
-from findist.counting import max_collinear_cocircular, segment_classes
+from bisector_oracles import class_for, loop_axial_pair_count, object_segment_classes
+from findist.counting import max_collinear_cocircular
 from findist.geometry import Line, Point, PointSet, Segment, reflect
 from findist.incidence import _field_embedding
 from findist.kinematic import ProjPlane, ProjPoint, kappa, phi_left
@@ -171,7 +171,7 @@ def on_axis_pair_count(segs):
 
 def reduction_json(A, r):
     """The witness JSON of the reduction of S_r, built from motion and projective objects."""
-    base_segs = segment_classes(A).class_for(r)
+    base_segs = class_for(A, r)
     work_A, work_r, lifted = A, r, False
     segs = base_segs
     g_motions = [motion_between_segments(x, segs[0]) for x in segs]
@@ -180,7 +180,7 @@ def reduction_json(A, r):
     if axis is None:
         work_A, embed = lift_point_set(A)
         work_r, lifted = embed(r), True
-        segs = segment_classes(work_A).class_for(work_r)
+        segs = class_for(work_A, work_r)
         assert len(segs) == len(base_segs)
         g_motions = [motion_between_segments(x, segs[0]) for x in segs]
         axis = scan_axis(pairwise_fixed_points(g_motions), work_A.spec)
@@ -194,7 +194,7 @@ def reduction_json(A, r):
     incidences = count_incidences(points, planes)
     i_ax = loop_axial_pair_count(work_A, work_r)
     i_on_axis = on_axis_pair_count(segs)
-    class_sizes = [len(v) for rr, v in segment_classes(A).classes.items() if rr]
+    class_sizes = [len(v) for rr, v in object_segment_classes(A).items() if rr]
     return {
         "base_field": A.spec.to_json(),
         "work_field": work_A.spec.to_json(),

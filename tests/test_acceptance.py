@@ -207,16 +207,14 @@ def test_08_reduction_instances(tmp_path):
         for seed in range(6):
             A = generate(spec, "random", {"size": 8 + (seed % 5)}, 1000 * spec.q + seed)
             classes = segment_classes(A)
-            for r, segs in classes.nonzero_items():
-                if not segs:
-                    continue
+            for r, size in classes.nonzero_sizes():
                 w = claim_reduction(A, r)
                 instances += 1
                 lifted += w.lifted
-                assert len(w.points) == len(segs)
-                assert len(w.planes) == len(segs)
-                assert len({p.key for p in w.points}) == len(segs)
-                assert len({pl.key for pl in w.planes}) == len(segs)
+                assert len(w.points) == size
+                assert len(w.planes) == size
+                assert len({p.key for p in w.points}) == size
+                assert len({pl.key for pl in w.planes}) == size
                 for p in w.points:
                     x0, x1 = p.coords[0], p.coords[1]
                     assert x0 * x0 + x1 * x1, "image point on the exceptional locus"
@@ -275,8 +273,8 @@ def test_10_monitored_ratios_on_the_standard_corpus():
         pind = distance_stats(A).pind
         assert 64 * pind**3 >= size**2, f"{label}: pinned count {pind} below the floor"
 
-        nonzero = [(r, segs) for r, segs in segment_classes(A).nonzero_items() if segs]
-        r_star, _ = max(nonzero, key=lambda item: (len(item[1]), -item[0].index))
+        nonzero = segment_classes(A).nonzero_sizes()
+        r_star, _ = max(nonzero, key=lambda item: (item[1], -item[0].index))
         w = claim_reduction(A, r_star)
         assert w.verdict == "explained", f"{label}: unexplained reduction"
         ratio = w.ratio().surrogate_ratio

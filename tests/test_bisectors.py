@@ -154,7 +154,7 @@ class TestAxialPairCount:
     @pytest.mark.parametrize("spec", [F5, F7, F9, F25], ids=["F5", "F7", "F9", "F25"])
     def test_against_key_loop_and_line_sweep(self, spec):
         for A in sets_over(spec, 5, 8, 1500 + spec.q):
-            for r, _ in segment_classes(A).nonzero_items():
+            for r, _ in segment_classes(A).nonzero_sizes():
                 expected = loop_axial_pair_count(A, r)
                 assert axial_pair_count(A, r) == expected
                 if spec.q <= 9:
@@ -162,7 +162,7 @@ class TestAxialPairCount:
 
     def test_every_subset_of_f3(self):
         for A in all_subsets(F3):
-            for r, _ in segment_classes(A).nonzero_items():
+            for r, _ in segment_classes(A).nonzero_sizes():
                 assert axial_pair_count(A, r) == loop_axial_pair_count(A, r)
 
     def test_on_the_lifted_copy(self):
@@ -170,7 +170,7 @@ class TestAxialPairCount:
         # as for LIFT_SET_F3
         for A in random_sets(F3, 4, 6, 2103) + random_sets(F5, 4, 6, 2105) + [LIFT_SET_F3]:
             lifted, embed = lift_point_set(A)
-            for r, _ in segment_classes(A).nonzero_items():
+            for r, _ in segment_classes(A).nonzero_sizes():
                 count = axial_pair_count(lifted, embed(r))
                 assert count == loop_axial_pair_count(lifted, embed(r))
                 assert count == axial_pair_count(A, r)
@@ -224,7 +224,7 @@ class TestPerSetCache:
         stats = bisector_stats(A)
         verify_identities(A)
         epsilon_term(A)
-        for r, _ in segment_classes(A).nonzero_items():
+        for r, _ in segment_classes(A).nonzero_sizes():
             axial_pair_count(A, r)
         assert calls == [A]
         assert bisector_stats(A) is stats

@@ -1,13 +1,16 @@
 """Tests for the counting oracles: spectra, energies, identities, pruning."""
 
+import itertools
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
-from bisector_oracles import locus_bisector_stats, sweep_bisector_stats
+from bisector_oracles import locus_bisector_stats, object_segment_classes, sweep_bisector_stats
 from findist.counting import (
+    IsoscelesCounts,
     bisector_stats,
     distance_stats,
     isosceles_count,
@@ -35,6 +38,7 @@ F5 = FieldSpec(5)
 F7 = FieldSpec(7)
 F9 = FieldSpec(3, 2)
 F11 = FieldSpec(11)
+F13 = FieldSpec(13)
 F25 = FieldSpec(5, 2)
 
 COLLINEAR_F7 = PointSet(F7, [point(F7, i, 0) for i in range(3)])
@@ -136,42 +140,69 @@ class TestDistanceStats:
         assert stats.pind_nonzero == max(len(stats.per_point_nonzero(a)) for a in A)
 
 
+def all_subsets(spec):
+    pts = list(all_points(spec))
+    for mask in itertools.product((False, True), repeat=len(pts)):
+        yield PointSet(spec, [p for p, keep in zip(pts, mask) if keep])
+
+
+def assert_sizes_match_objects(A):
+    classes, objects = segment_classes(A), object_segment_classes(A)
+    expected = np.zeros(A.spec.q, dtype=np.int64)
+    for r, segs in objects.items():
+        expected[r.index] = len(segs)
+    assert np.array_equal(classes.sizes, expected)
+    listed = sorted((r.index, len(segs)) for r, segs in objects.items() if r)
+    assert [(r.index, size) for r, size in classes.nonzero_sizes()] == listed
+
+
 class TestSegmentClasses:
     def test_collinear_f7(self):
         classes = segment_classes(COLLINEAR_F7)
-        sizes = {r.index: len(v) for r, v in classes.classes.items()}
-        assert sizes == {0: 3, 1: 4, 4: 2}
+        assert {r.index: size for r, size in classes.nonzero_sizes()} == {1: 4, 4: 2}
+        assert classes.sizes[0] == 3
         assert classes.q_value == 20
 
     def test_empty(self):
-        classes = segment_classes(PointSet(F7, []))
-        assert classes.q_value == 0
-        assert classes.classes == {}
+        for size in (0, 1):
+            classes = segment_classes(PointSet(F7, [point(F7, 3, 4)][:size]))
+            assert classes.q_value == 0
+            assert classes.nonzero_sizes() == []
+            assert classes.sizes.tolist() == [size] + [0] * 6
 
     def test_distinct_distances_structure(self):
         # all pairwise distances distinct and nonzero: every class is one
         # unordered pair, so Q = 4 * C(|A|, 2)
         A = PointSet(F11, [point(F11, 0, 0), point(F11, 1, 0), point(F11, 3, 1)])
-        nonzero = [r for r, _ in segment_classes(A).nonzero_items()]
-        assert len(nonzero) == 3
+        nonzero = segment_classes(A).nonzero_sizes()
+        assert [size for _, size in nonzero] == [2, 2, 2]
         assert segment_classes(A).q_value == 4 * 3
 
     def test_zero_class_holds_diagonal(self):
-        classes = segment_classes(MIRROR_PAIR_F5)
-        zero = classes.class_for(F5.zero())
-        assert all(s.head == s.tail for s in zero)
-        assert len(zero) == 2
+        # the zero class is the diagonal plus the pairs on isotropic lines:
+        # none for the mirror pair; over F_5, (0, 0) and (1, 2) add one each way
+        assert segment_classes(MIRROR_PAIR_F5).sizes[0] == 2
+        isotropic = PointSet(F5, [point(F5, 0, 0), point(F5, 1, 2), point(F5, 1, 0)])
+        assert segment_classes(isotropic).sizes[0] == 3 + 2
+        for A in (MIRROR_PAIR_F5, isotropic):
+            assert_sizes_match_objects(A)
+
+    def test_every_subset_of_f3(self):
+        for A in all_subsets(F3):
+            assert_sizes_match_objects(A)
 
     @given(subsets(F5, max_size=5))
     @settings(max_examples=30, deadline=None)
     def test_q_against_quadruple_loop(self, A):
         assert segment_classes(A).q_value == brute_q(A)
+        assert_sizes_match_objects(A)
 
-    @given(subsets(F9, max_size=12))
-    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(*(subsets(spec, max_size=12) for spec in (F9, F13, F25))))
+    @settings(max_examples=60, deadline=None)
     def test_q_is_sum_of_squares(self, A):
         classes = segment_classes(A)
-        assert classes.q_value == sum(len(v) ** 2 for _, v in classes.nonzero_items())
+        assert classes.q_value == sum(size ** 2 for _, size in classes.nonzero_sizes())
+        assert_sizes_match_objects(A)
 
 
 class TestIsoscelesCount:
@@ -187,6 +218,17 @@ class TestIsoscelesCount:
         A = PointSet(F7, [point(F7, 0, 0), point(F7, 2, 3)])
         assert isosceles_count(A).t == 0
 
+    def test_empty_and_singleton(self):
+        for size in (0, 1):
+            assert isosceles_count(PointSet(F5, [point(F5, 1, 2)][:size])) == IsoscelesCounts(0, 0)
+
+    def test_isotropic_rays(self):
+        # over F_5, (1, 2) and (1, 3) lie on the two isotropic rays through
+        # the origin: zero legs with a nonzero base, one ordered pair each way
+        A = PointSet(F5, [point(F5, 0, 0), point(F5, 1, 2), point(F5, 1, 3)])
+        assert isosceles_count(A) == IsoscelesCounts(0, 2)
+        assert brute_isosceles(A) == (0, 2)
+
     @pytest.mark.parametrize("spec", [F5, F7, F9], ids=["F5", "F7", "F9"])
     def test_fast_path_matches_enumeration(self, spec):
         rng = random.Random(1123 + spec.q)
@@ -194,13 +236,19 @@ class TestIsoscelesCount:
         for _ in range(25):
             A = PointSet(spec, rng.sample(pts, rng.randint(1, 12)))
             counts = isosceles_count(A)
-            assert counts == isosceles_count(A, method="slow")
             assert (counts.t, counts.t_all) == brute_isosceles(A)
             assert counts.t <= counts.t_all
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            isosceles_count(COLLINEAR_F7, method="guess")
+    def test_every_subset_of_f3(self):
+        for A in all_subsets(F3):
+            counts = isosceles_count(A)
+            assert (counts.t, counts.t_all) == brute_isosceles(A)
+
+    @given(st.one_of(*(subsets(spec, max_size=10) for spec in (F5, F9, F13, F25))))
+    @settings(max_examples=100, deadline=None)
+    def test_against_enumeration_on_drawn_sets(self, A):
+        counts = isosceles_count(A)
+        assert (counts.t, counts.t_all) == brute_isosceles(A)
 
 
 class TestBisectorStats:

@@ -18,7 +18,6 @@ from findist.geometry import (
     bisector,
     curve_through,
     distance,
-    incidence_count_line,
     is_isotropic_vector,
     isotropic_vectors,
     line_through,
@@ -207,11 +206,6 @@ class TestPointSet:
     def test_json_roundtrip(self):
         ps = PointSet(F9, [Point(F9.from_index(i), F9.from_index((i * 2) % 9)) for i in range(5)])
         assert PointSet.from_json(ps.to_json()) == ps
-
-    def test_incidence_count(self):
-        l = Line(F5.one(), F5.zero(), F5.zero())  # x = 0
-        ps = PointSet(F5, [point(F5, 0, y) for y in range(3)] + [point(F5, 1, 1)])
-        assert incidence_count_line(ps, l) == 3
 
     def test_segment_basics(self):
         s = Segment(point(F5, 0, 0), point(F5, 2, 0))

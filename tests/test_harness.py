@@ -21,7 +21,7 @@ from findist.cli import main
 from findist.counting import segment_classes
 from findist.field import FieldSpec
 from findist.generators import GENERATOR_KINDS, UnsupportedGeneratorError, generate
-from findist.geometry import Line, distance, origin
+from findist.geometry import Line, Point, PointSet, all_points, distance, origin
 from findist.harness import (
     CHECK_NAMES,
     SWEEP_COLUMNS,
@@ -29,6 +29,7 @@ from findist.harness import (
     Thresholds,
     _child_seed,
     _digest,
+    _isotropic_line_occupancy,
     canonical_json,
     config_point_set,
     make_config,
@@ -39,6 +40,7 @@ F3 = FieldSpec(3)
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)
 F11 = FieldSpec(11)
+F13 = FieldSpec(13)
 F25 = FieldSpec(5, 2)
 
 
@@ -284,6 +286,40 @@ class TestSweep:
         assert ",," in line
 
 
+def object_isotropic_line_occupancy(A):
+    """The most points of A on one line x + i*y = c, one bucket per point and slope i."""
+    best = 0
+    for slope in (-A.spec.one()).sqrt():
+        buckets = {}
+        for a in A:
+            c = (a.x + slope * a.y).index
+            buckets[c] = buckets.get(c, 0) + 1
+        best = max(best, max(buckets.values(), default=0))
+    return best
+
+
+class TestIsotropicLineOccupancy:
+    @pytest.mark.parametrize("spec", [F5, F7, F13, F25], ids=["F5", "F7", "F13", "F25"])
+    def test_against_object_loop(self, spec):
+        pts = list(all_points(spec))
+        sets = [PointSet(spec, []), PointSet(spec, pts)]
+        sets += [generate(spec, "random", {"size": size}, seed) for seed in range(6) for size in (1, 5, 12)]
+        if spec.chi_minus_one() == 1:
+            sets.append(generate(spec, "isotropic-line", {}, 0))
+            sets += [generate(spec, "isotropic-line", {"size": 3}, seed) for seed in range(4)]
+            # a whole isotropic line off the origin, for each slope, plus one outlier
+            shift = Point(spec.one(), spec.element(2))
+            for i in (-spec.one()).sqrt():
+                line = [Point(t, i * t) + shift for t in spec.elements()]
+                sets += [PointSet(spec, line), PointSet(spec, line + [Point(spec.one(), spec.one())])]
+        for A in sets:
+            assert _isotropic_line_occupancy(A) == object_isotropic_line_occupancy(A), A.to_json()
+        if spec.chi_minus_one() == 1:
+            assert _isotropic_line_occupancy(sets[-1]) == spec.q
+        else:
+            assert _isotropic_line_occupancy(PointSet(spec, pts)) == 0
+
+
 class TestCli:
     def test_kinematic_check_exits_zero(self, tmp_path):
         out = tmp_path / "report.json"
@@ -367,7 +403,7 @@ class TestReductionFailures:
         assert main(["reduce", "--config", str(path), "--out", str(out)]) == 1
         findings = json.loads(out.read_text())["findings"]
         A = config_point_set(config)
-        classes = [r.index for r, segs in segment_classes(A).nonzero_items() if segs]
+        classes = [r.index for r, _ in segment_classes(A).nonzero_sizes()]
         assert [f["name"] for f in findings] == [f"reduction-available[r={r}]" for r in classes]
         for f in findings:
             assert f["pass"] is False

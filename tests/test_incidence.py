@@ -202,7 +202,7 @@ class TestAxialPairCount:
         pts = list(all_points(spec))
         for _ in range(8):
             A = PointSet(spec, rng.sample(pts, rng.randint(2, 8)))
-            for r, _segs in segment_classes(A).nonzero_items():
+            for r, _ in segment_classes(A).nonzero_sizes():
                 assert axial_pair_count(A, r) == brute_axial_pairs(A, r)
 
 
@@ -253,7 +253,7 @@ class TestEnergyDecomposition:
         pts = list(all_points(spec))
         for _ in range(8):
             A = PointSet(spec, rng.sample(pts, rng.randint(1, 10)))
-            axial = sum(axial_pair_count(A, r) for r, _ in segment_classes(A).nonzero_items())
+            axial = sum(axial_pair_count(A, r) for r, _ in segment_classes(A).nonzero_sizes())
             total = axial + epsilon_term(A).value
             assert bisector_stats(A).b_star_energy == total
 
@@ -330,7 +330,7 @@ class TestClaimReduction:
         assert witness.work_field.q == 9
         assert witness.base_field is F3
         assert witness.verdict == "explained"
-        assert len(witness.points) == len(segment_classes(LIFT_SET_F3).class_for(F3.one()))
+        assert len(witness.points) == segment_classes(LIFT_SET_F3).sizes[F3.one().index]
         # lifting changes no count: the axial pairs agree with the base field
         assert witness.i_ax == axial_pair_count(LIFT_SET_F3, F3.one())
 
@@ -357,13 +357,13 @@ class TestClaimReduction:
         pts = list(all_points(spec))
         for _ in range(6):
             A = PointSet(spec, rng.sample(pts, rng.randint(2, 7)))
-            classes = segment_classes(A).nonzero_items()
+            classes = segment_classes(A).nonzero_sizes()
             if not classes:
                 continue
-            r, segs = classes[rng.randrange(len(classes))]
+            r, size = classes[rng.randrange(len(classes))]
             witness = claim_reduction(A, r)
-            assert len(witness.points) == len(segs)
-            assert len(witness.planes) == len(segs)
+            assert len(witness.points) == size
+            assert len(witness.planes) == size
             assert witness.incidences == witness.i_ax + witness.i_on_axis
             assert witness.verdict == "explained"
             assert 1 <= witness.k <= len(witness.points)

@@ -47,11 +47,11 @@ LIFT_SET_F3 = PointSet(F3, [point(F3, 0, 0), point(F3, 0, 1), point(F3, 1, 0),
 
 
 def nonzero_classes(A):
-    return [(r, segs) for r, segs in segment_classes(A).nonzero_items() if segs]
+    return segment_classes(A).nonzero_sizes()
 
 
 def largest_class(A):
-    return max(nonzero_classes(A), key=lambda item: (len(item[1]), -item[0].index))[0]
+    return max(nonzero_classes(A), key=lambda item: (item[1], -item[0].index))[0]
 
 
 def assert_witness_matches(A, r):
