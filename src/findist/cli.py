@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .field import FieldSpec
 from .generators import UnsupportedGeneratorError
 from .geometry import PointSet
-from .harness import ExperimentConfig, Thresholds, make_config, run
+from .harness import ExperimentConfig, make_config, run
 
 SUBCOMMANDS = ("stats", "verify", "reduce", "prune", "kinematic-check", "clifford-check", "sweep")
 
@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="output path (JSON, or CSV for sweep)")
         cmd.add_argument("--seed", type=int, help="override the config seed")
         cmd.add_argument("--field", help="override the field as p or p,r")
-        cmd.add_argument("--workers", type=int, default=1, help="worker pool size")
         if name in ("stats", "verify", "reduce", "prune"):
             cmd.add_argument("--points", help="explicit point-set JSON instead of a generator")
     return parser
@@ -74,13 +73,10 @@ def _load_json(path: str) -> dict:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    points = None  # an explicit point list as read, before the config freezes it
     if args.config:
         obj = _load_json(args.config)
         try:
             config = ExperimentConfig.from_json(obj)
-            if config.generator == "explicit":
-                points = obj["params"]["points"]
         except _MALFORMED as exc:
             raise CliError(f"bad config {args.config}: {_describe(exc)}") from exc
     else:
@@ -105,11 +101,10 @@ def _resolve_config(args) -> ExperimentConfig:
         blob = _load_json(points_path)
         try:
             updates["field"] = FieldSpec.from_json(blob["field"])
-            points = blob["points"]
+            updates["params"] = {"points": blob["points"]}
         except _MALFORMED as exc:
             raise CliError(f"bad point-set file {points_path}: {_describe(exc)}") from exc
         updates["generator"] = "explicit"
-        updates["params"] = {"points": points}
 
     checks = (args.subcommand,)
     config = make_config(
@@ -124,7 +119,7 @@ def _resolve_config(args) -> ExperimentConfig:
     if config.generator == "explicit":
         # read the points now, so a malformed set is a usage error, not a crash mid-run
         try:
-            PointSet.from_json({"field": config.field.to_json(), "points": points})
+            PointSet.from_json({"field": config.field.to_json(), "points": config.params_dict()["points"]})
         except _MALFORMED as exc:
             raise CliError(f"bad point set in {points_path or args.config}: {_describe(exc)}") from exc
     return config
@@ -147,9 +142,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args)
-        if args.workers < 1:
-            raise CliError("--workers must be >= 1")
-        report = run(config, workers=args.workers)
+        report = run(config)
         _emit(report, args.subcommand)
     except CliError as exc:
         print(f"findist: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ taken projectively, is isomorphic to the rigid motion group when lam = -1, and
 The element classes are the public API.  The index kernel at the end
 (``product_rows``, ``sandwich_batch``, ``rho_star_keys``) computes the same
 products on int64 arrays of canonical coefficient indices, many elements per
-call, from the same structure constants; the harness's Clifford check runs on
+call, from the same structure constants; the harness's algebra checks run on
 it, and the tests hold it equal to the classes.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -162,13 +162,6 @@ class CliffordElement:
                 if coeff:
                     out[slot] = out[slot] + a * b * coeff
         return CliffordElement(self.form, tuple(out))
-
-    def grade_part(self, k: int) -> "CliffordElement":
-        zero = self.form.field.zero()
-        return CliffordElement(
-            self.form,
-            tuple(c if g == k else zero for c, g in zip(self.coeffs, _GRADES)),
-        )
 
     def grades(self) -> set[int]:
         return {g for c, g in zip(self.coeffs, _GRADES) if c}

@@ -6,7 +6,7 @@ nonzero isotropic vectors, and all the degenerate cases downstream flow from tha
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .field import FieldElement, FieldSpec
 

@@ -22,10 +22,9 @@ import numpy as np
 from . import counting, incidence
 from .clifford import (
     QuadraticFormSpec,
-    even_element,
+    _product,
     even_norms,
     even_unit_columns,
-    even_units,
     product_rows,
     rho_star_keys,
     sandwich_batch,
@@ -33,13 +32,17 @@ from .clifford import (
 from .field import FieldSpec, _index_field
 from .generators import generate
 from .geometry import PointSet
-from .kinematic import all_proj_points, is_exceptional, kappa, kappa_inv
-from .motions import all_motions, so2_order
+from .kinematic import _kappa_rows
+from .motions import so2_order
 
 # Largest Rudnev surrogate ratio observed on the standard F_31 corpus,
 # reproducible with scripts/calibrate_rudnev.py: 1917/1729 on the 8x12 grid.
 # Frozen at that maximum; any larger ratio on the corpus is a regression.
 FROZEN_RUDNEV_CEILING = Fraction(1917, 1729)
+
+# kinematic-check holds every motion and projective point as index arrays,
+# so its memory grows as q^3; q = 101, the scaling sweep's largest prime, takes about 1 s.
+KINEMATIC_Q_MAX = 101
 
 CHECK_NAMES = ("stats", "verify", "reduce", "prune", "kinematic-check", "clifford-check", "sweep")
 
@@ -381,22 +384,36 @@ def _check_prune(A: PointSet, config: ExperimentConfig):
 
 def _check_kinematic(config: ExperimentConfig):
     spec = config.field
+    q = spec.q
+    if q > KINEMATIC_Q_MAX:
+        raise ValueError(f"kinematic-check supports q <= {KINEMATIC_Q_MAX}, got q = {q}")
     inputs = _digest({"field": spec.to_json()})
-    image_keys, n_motions, roundtrip_misses = set(), 0, 0
-    for g in all_motions(spec):
-        p = kappa(g)
-        image_keys.add(p.key)
-        n_motions += 1
-        roundtrip_misses += kappa_inv(p) != g
-    # one pass over projective 3-space, split on X0^2 + X1^2 = 0
-    complement, n_exceptional = set(), 0
-    for p in all_proj_points(spec):
-        if is_exceptional(p):
-            n_exceptional += 1
-        else:
-            complement.add(p.key)
+    F = _index_field(spec)
+    # every motion keyed ((u q + v) q + s) q + t: each rotation u^2 + v^2 = 1,
+    # in index order, against all q^2 translations
+    u, v = np.divmod(np.arange(q * q, dtype=np.int64), q)
+    rotations = np.flatnonzero(F.add(F.mul(u, u), F.mul(v, v)) == 1)
+    motions = (rotations[:, None] * q**2 + np.arange(q * q, dtype=np.int64)).ravel()
+    points = _kappa_rows(F, tuple(motions // q**k % q for k in (3, 2, 1, 0)))
+    x0, x1, x2, x3 = points.T
+    image = np.sort(((x0 * q + x1) * q + x2) * q + x3)
+    image = image[np.append(True, image[1:] != image[:-1])]
+    # projective 3-space keyed the same way: the canonical points with their
+    # leading 1 at X_j are the keys [q^(3-j), 2 q^(3-j))
+    space = np.concatenate([np.arange(q**k, 2 * q**k, dtype=np.int64) for k in range(4)])
+    s0, s1 = space // q**3, space // q**2 % q
+    exceptional = F.add(F.mul(s0, s0), F.mul(s1, s1)) == 0
+    complement = space[~exceptional]
+    both = np.sort(np.concatenate([image, complement]))
+    unmatched = len(both) - 2 * int(np.count_nonzero(both[1:] == both[:-1]))
+    # kappa^-1 is rho_star of X0 + X1 e12 - X2 e13 + X3 e23, which has no
+    # value on the exceptional locus: an image point there is a miss
+    off = F.add(F.mul(x0, x0), F.mul(x1, x1)) != 0
+    back = rho_star_keys(QuadraticFormSpec.standard(spec), (x0[off], x1[off], F.sub(0, x2[off]), x3[off]))
+    n_motions = len(motions)
+    roundtrip_misses = n_motions - int(np.count_nonzero(back == motions[off]))
     findings = [
-        _finding("kinematic-injective", inputs, len(image_keys), "=", n_motions, len(image_keys) == n_motions),
+        _finding("kinematic-injective", inputs, len(image), "=", n_motions, len(image) == n_motions),
         _finding(
             "kinematic-count",
             inputs,
@@ -405,20 +422,13 @@ def _check_kinematic(config: ExperimentConfig):
             len(complement),
             n_motions == len(complement),
         ),
-        _finding(
-            "kinematic-image-complement",
-            inputs,
-            len(image_keys ^ complement),
-            "=",
-            0,
-            image_keys == complement,
-        ),
+        _finding("kinematic-image-complement", inputs, unmatched, "=", 0, unmatched == 0),
         _finding("kinematic-roundtrip", inputs, roundtrip_misses, "=", 0, roundtrip_misses == 0),
     ]
     metrics = {
         "motions": n_motions,
-        "proj_points": len(complement) + n_exceptional,
-        "exceptional": n_exceptional,
+        "proj_points": len(space),
+        "exceptional": int(np.count_nonzero(exceptional)),
     }
     return findings, metrics, []
 
@@ -472,16 +482,15 @@ def _check_clifford(config: ExperimentConfig):
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, 0xC11F))))
     exhaustive_norm = spec.q == 3
     if exhaustive_norm:
-        pool = list(even_units(form))
-        pairs = [(g, h) for g in pool for h in pool]
+        # every unit against every unit, as (N, 1) columns against (1, N)
+        units = [c.ravel() for c in np.broadcast_arrays(*even_unit_columns(form))]
+        g, h = [c[:, None] for c in units], [c[None, :] for c in units]
     else:
         draws = rng.integers(0, spec.q, size=(400, 8))
-        pairs = []
-        for row in draws:
-            g = even_element(form, *(int(i) for i in row[:4]))
-            h = even_element(form, *(int(i) for i in row[4:]))
-            pairs.append((g, h))
-    norm_misses = sum(1 for g, h in pairs if (g * h).norm() != g.norm() * h.norm())
+        g, h = draws[:, :4].T, draws[:, 4:].T
+    gh = _product(form, [g[0], None, None, None, *g[1:], None], [h[0], None, None, None, *h[1:], None])
+    norms = _index_field(spec).mul(even_norms(form, g[0], g[1]), even_norms(form, h[0], h[1]))
+    norm_misses = int(np.count_nonzero(even_norms(form, gh[0], gh[4]) != norms))
 
     findings = [
         _finding("clifford-associativity", inputs, assoc_misses, "=", 0, assoc_misses == 0),
@@ -489,7 +498,7 @@ def _check_clifford(config: ExperimentConfig):
     ]
     metrics = {
         "norm_mode": "exhaustive" if exhaustive_norm else "sampled",
-        "norm_pairs": len(pairs),
+        "norm_pairs": norms.size,
     }
 
     if spec.q <= 11:
@@ -688,7 +697,6 @@ def run(config: ExperimentConfig, workers: int = 1) -> Report:
         findings, metrics, witnesses, rows = _check_sweep(config)
         return findings, metrics, witnesses, rows
 
-    results = []
     if workers == 1 or len(config.checks) <= 1:
         results = [dispatch(name) for name in config.checks]
     else:

@@ -28,7 +28,7 @@ import numpy as np
 from .counting import _index_coords, bisector_table, max_collinear_cocircular, segment_classes
 from .field import FieldElement, FieldSpec, _index_field
 from .geometry import Line, Point, PointSet, Segment
-from .kinematic import ProjPlane, ProjPoint, r_tau_plane
+from .kinematic import ProjPlane, ProjPoint, _canonical_rows, _kappa_rows, r_tau_plane
 from .motions import RigidMotion
 
 # Cells (rows x columns) in one block of a pairwise kernel: it bounds their
@@ -66,12 +66,6 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     keep = np.ones(len(rows), dtype=bool)
     keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     return rows[keep]
-
-
-def _canonical_rows(F, rows: np.ndarray) -> np.ndarray:
-    """Nonzero rows scaled so that their leading nonzero coordinate is 1."""
-    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
-    return F.div(rows, lead[:, None])
 
 
 def count_incidences(points: np.ndarray, planes: np.ndarray, spec: FieldSpec) -> int:
@@ -260,19 +254,6 @@ def _transporters(F, segs: tuple, target: tuple) -> tuple:
     if not np.all(F.add(F.mul(u, u), F.mul(v, v)) == 1):
         raise AssertionError("transporters must rotate: a segment differs in length from the target")
     return u, v, s, t
-
-
-def _kappa_rows(F, motions: tuple) -> np.ndarray:
-    """kappa of each motion as a canonical (N, 4) row.
-
-    Both charts are [2a : 2b : s*a + t*b : s*b - t*a]: chart a with (a, b) =
-    (u + 1, v), and chart b with (v, 1 - u) = (0, 2) ~ (0, 1) at u = -1.
-    """
-    u, v, s, t = motions
-    a = F.add(u, np.int64(1))
-    b = np.where(a == 0, 1, v)
-    rows = [F.add(a, a), F.add(b, b), F.add(F.mul(s, a), F.mul(t, b)), F.sub(F.mul(s, b), F.mul(t, a))]
-    return _canonical_rows(F, np.stack(rows, axis=1))
 
 
 def _pairwise_fixed_points(F, q: int, motions: tuple) -> tuple[np.ndarray, np.ndarray]:

@@ -6,14 +6,18 @@ bijection.  The formulas here are square-root free and split into two charts
 because the single chart [2(u+1) : 2v : ...] degenerates to the zero vector at
 u = -1.  Left and right translation of the group become projective maps, which
 is what turns transporter sets into lines and axial rotation sets into planes.
+``_kappa_rows`` is kappa on index columns, many motions per call; the
+incidence reduction and the harness's kinematic check run on it.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .clifford import EvenCliffordElement, QuadraticFormSpec
-from .field import FieldElement, FieldMismatchError, FieldSpec
+from .field import FieldElement, FieldSpec
 from .geometry import IsotropicAxisError, Line, Point
 from .motions import RigidMotion, Rotation, rotation_about, transporter_set
 
@@ -220,6 +224,25 @@ def kappa(g: RigidMotion) -> ProjPoint:
     if g.u != -spec.one():
         return ProjPoint(_chart_a(g))
     return ProjPoint(_chart_b(g))
+
+
+def _canonical_rows(F, rows: np.ndarray) -> np.ndarray:
+    """Nonzero rows scaled so that their leading nonzero coordinate is 1."""
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    return F.div(rows, lead[:, None])
+
+
+def _kappa_rows(F, motions: tuple) -> np.ndarray:
+    """kappa of each motion as a canonical (N, 4) row.
+
+    Both charts are [2a : 2b : s*a + t*b : s*b - t*a]: chart a with (a, b) =
+    (u + 1, v), and chart b with (v, 1 - u) = (0, 2) ~ (0, 1) at u = -1.
+    """
+    u, v, s, t = motions
+    a = F.add(u, np.int64(1))
+    b = np.where(a == 0, 1, v)
+    rows = [F.add(a, a), F.add(b, b), F.add(F.mul(s, a), F.mul(t, b)), F.sub(F.mul(s, b), F.mul(t, a))]
+    return _canonical_rows(F, np.stack(rows, axis=1))
 
 
 def kappa_even(g: RigidMotion) -> EvenCliffordElement:

@@ -1,9 +1,12 @@
-"""Object-level oracles for the Clifford check's index kernel.
+"""Object-level oracles for the algebra checks' index kernel.
 
-These are the loops ``harness._check_clifford`` ran before the index kernel:
-every product, sandwich and ``rho_star`` through ``CliffordElement``,
+These are the loops ``harness._check_clifford`` and
+``harness._check_kinematic`` ran before the index kernel: every product,
+sandwich and ``rho_star`` through ``CliffordElement``,
 ``EvenCliffordElement`` and ``RigidMotion`` objects, with fibres keyed by the
-motion's canonical JSON.  ``check_clifford`` reproduces that whole check,
+motion's canonical JSON, and every motion through ``kappa`` and ``kappa_inv``
+against one pass over the ``ProjPoint``s of projective 3-space.
+``check_clifford`` and ``check_kinematic`` reproduce those whole checks,
 findings and metrics, with the same draws from the same generator.
 """
 
@@ -20,6 +23,7 @@ from findist.clifford import (
     sandwich,
 )
 from findist.harness import _digest, _finding, canonical_json
+from findist.kinematic import all_proj_points, is_exceptional, kappa, kappa_inv
 from findist.motions import all_motions
 
 
@@ -149,4 +153,42 @@ def check_clifford(config):
         _finding("clifford-sandwich-displays", inputs, display_misses, "=", 0, display_misses == 0)
     )
     metrics["display_forms"] = [v.lam.index for v in lam_values]
+    return findings, metrics, []
+
+
+def check_kinematic(config):
+    """(findings, metrics, witnesses) of the kinematic check, computed on objects."""
+    spec = config.field
+    inputs = _digest({"field": spec.to_json()})
+    image_keys, n_motions, roundtrip_misses = set(), 0, 0
+    for g in all_motions(spec):
+        p = kappa(g)
+        image_keys.add(p.key)
+        n_motions += 1
+        roundtrip_misses += kappa_inv(p) != g
+    # one pass over projective 3-space, split on X0^2 + X1^2 = 0
+    complement, n_exceptional = set(), 0
+    for p in all_proj_points(spec):
+        if is_exceptional(p):
+            n_exceptional += 1
+        else:
+            complement.add(p.key)
+    findings = [
+        _finding("kinematic-injective", inputs, len(image_keys), "=", n_motions, len(image_keys) == n_motions),
+        _finding("kinematic-count", inputs, n_motions, "=", len(complement), n_motions == len(complement)),
+        _finding(
+            "kinematic-image-complement",
+            inputs,
+            len(image_keys ^ complement),
+            "=",
+            0,
+            image_keys == complement,
+        ),
+        _finding("kinematic-roundtrip", inputs, roundtrip_misses, "=", 0, roundtrip_misses == 0),
+    ]
+    metrics = {
+        "motions": n_motions,
+        "proj_points": len(complement) + n_exceptional,
+        "exceptional": n_exceptional,
+    }
     return findings, metrics, []

@@ -3,7 +3,8 @@
 ``product_rows``, ``sandwich_batch``, ``rho_star_keys`` and the unit and norm
 helpers are compared with ``CliffordElement.__mul__``, ``sandwich``,
 ``rho_star`` and ``even_units`` entry by entry, and the harness's Clifford
-check with the object loops it replaced (``clifford_oracles``).
+and kinematic checks with the object loops they replaced
+(``clifford_oracles``).
 """
 
 import itertools
@@ -13,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clifford_oracles import check_clifford
-from findist import clifford, field
+from clifford_oracles import check_clifford, check_kinematic
+from findist import clifford, field, harness
 from findist.clifford import (
     BLADE_NAMES,
     CliffordElement,
+    EvenCliffordElement,
     QuadraticFormSpec,
     blade,
     even_element,
@@ -32,7 +34,7 @@ from findist.clifford import (
 )
 from findist.field import FieldSpec, NonUnitError
 from findist.harness import _check_clifford, _check_kinematic, make_config
-from findist.kinematic import all_proj_points, exceptional_set, is_exceptional
+from findist.kinematic import all_proj_points, exceptional_set, is_exceptional, kappa_inv
 from findist.motions import SpecMismatchError
 
 FIELDS = [FieldSpec(3), FieldSpec(5), FieldSpec(7), FieldSpec(3, 2), FieldSpec(5, 2)]
@@ -209,3 +211,36 @@ def test_kinematic_check_splits_projective_space_like_exceptional_set(spec):
     assert all(f["pass"] for f in findings)
     assert metrics["proj_points"] == len(points)
     assert metrics["exceptional"] == len(exceptional_set(spec))
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2)])
+def test_kinematic_check_matches_the_object_loops(p, r):
+    config = make_config(FieldSpec(p, r), "random", {}, checks=("kinematic-check",))
+    assert _check_kinematic(config) == check_kinematic(config)
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(3), FieldSpec(5), FieldSpec(7), FieldSpec(3, 2), FieldSpec(13)],
+                         ids=["q=3", "q=5", "q=7", "q=9", "q=13"])
+def test_kappa_inv_is_rho_star_with_x2_negated(spec):
+    # the kinematic check's round trip reads kappa^-1 off rho_star_keys this way
+    form = QuadraticFormSpec.standard(spec)
+    for p in all_proj_points(spec):
+        if not is_exceptional(p):
+            x0, x1, x2, x3 = p.coords
+            assert kappa_inv(p) == rho_star(EvenCliffordElement(form, x0, x1, -x2, x3)), p
+
+
+def test_a_kappa_row_on_the_exceptional_locus_fails_the_kinematic_check(monkeypatch):
+    kappa_rows = harness._kappa_rows
+
+    def broken(F, motions):
+        rows = kappa_rows(F, motions)
+        rows[0] = (0, 0, 0, 1)  # X0^2 + X1^2 = 0, where rho_star has no value
+        return rows
+
+    monkeypatch.setattr(harness, "_kappa_rows", broken)
+    findings, _, _ = _check_kinematic(make_config(FieldSpec(5), "random", {}, checks=("kinematic-check",)))
+    by_name = {f["name"]: f for f in findings}
+    # the image gains the exceptional key 1 and loses the first motion's point
+    assert (by_name["kinematic-image-complement"]["lhs"], by_name["kinematic-image-complement"]["pass"]) == (2, False)
+    assert (by_name["kinematic-roundtrip"]["lhs"], by_name["kinematic-roundtrip"]["pass"]) == (1, False)

@@ -24,6 +24,7 @@ from findist.generators import GENERATOR_KINDS, UnsupportedGeneratorError, gener
 from findist.geometry import Line, Point, PointSet, all_points, distance, origin
 from findist.harness import (
     CHECK_NAMES,
+    KINEMATIC_Q_MAX,
     SWEEP_COLUMNS,
     ExperimentConfig,
     Thresholds,
@@ -362,6 +363,12 @@ class TestCli:
         assert proc.stdout == ""
         assert proc.stderr == "findist: field order q = 131101 exceeds the limit 131072\n"
 
+    @pytest.mark.parametrize("field", ["103", "5,3"])
+    def test_kinematic_check_above_its_q_limit_exits_two(self, field):
+        code, out, err = _cli(["kinematic-check", "--field", field])
+        assert (code, out) == (2, "")
+        assert err.startswith("findist: ") and err.count("\n") == 1 and f"q <= {KINEMATIC_Q_MAX}" in err
+
     def test_unsupported_generator_exits_two(self, tmp_path):
         config = make_config(F7, "isotropic-line", {"size": 3}, checks=("stats",))
         path = tmp_path / "config.json"
@@ -605,3 +612,20 @@ def test_no_bare_assert_in_the_package():
                 tree = ast.parse(fh.read())
             lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
             assert not lines, f"{name}: assert at lines {lines}"
+
+
+def test_no_unused_imports_in_the_package():
+    # a name imported into a module and never read there is dead code
+    package = os.path.dirname(os.path.abspath(findist.__file__))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            imported = {
+                (alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                for alias in node.names
+            }
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            assert imported <= read, f"{name}: unused imports {sorted(imported - read)}"
