@@ -245,23 +245,28 @@ class _Tables:
     def __init__(self, spec: FieldSpec):
         p, r, q = spec.p, spec.r, spec.q
         rows = _reduction_rows(spec)
-        vectors = [tuple((k // p**i) % p for i in range(r)) for k in range(q)]
+        place = p ** np.arange(r)
+        vectors = list(zip(*(np.arange(q) // place[:, None] % p).tolist()))
         one, n = vectors[1], q - 1
         primes = [d for d in range(2, q) if n % d == 0 and _is_prime(d)]
         g = next(v for v in vectors[2:] if all(_poly_pow(v, n // d, p, rows) != one for d in primes))
-        log, x = [-1] * q, one
-        for k in range(n):
-            log[_index(x, p)] = k
-            x = _poly_mul(x, g, p, rows)
+        # g^0 .. g^(n-1) as coefficient rows, doubling the known prefix each step:
+        # row i of by_gm is x^i * g^m, so powers[:m] @ by_gm holds g^m .. g^(2m-1)
+        powers = np.zeros((n, r), dtype=np.int64)
+        powers[0, 0], m, gm = 1, 1, g
+        while m < n:
+            by_gm = np.array([_poly_mul(x, gm, p, rows) for x in np.eye(r, dtype=np.int64).tolist()])
+            powers[m : 2 * m] = powers[: min(m, n - m)] @ by_gm % p
+            m, gm = 2 * m, _poly_mul(gm, gm, p, rows)
+        by_index = powers @ place
+        log = np.full(q, -1, dtype=np.int64)
+        log[by_index] = np.arange(n)
         self.order, self.half = n, n // 2
         self.elements = [object.__new__(FieldElement) for _ in range(q)]
-        for i, e in enumerate(self.elements):
-            e.spec, e.coeffs, e.index, e.log, e._t = spec, vectors[i], i, log[i], self
-        by_log = [None] * n
-        for e in self.elements[1:]:
-            by_log[e.log] = e
-        self.by_log = by_log * 2
-        self.zech = [log[e.index - e.index % p + (e.index + 1) % p] for e in by_log] * 2
+        for i, (e, coeffs, k) in enumerate(zip(self.elements, vectors, log.tolist())):
+            e.spec, e.coeffs, e.index, e.log, e._t = spec, coeffs, i, k, self
+        self.by_log = [self.elements[i] for i in by_index] * 2
+        self.zech = [self.elements[k].log for k in by_index - by_index % p + (by_index + 1) % p] * 2
 
 
 class FieldElement:
@@ -390,36 +395,55 @@ class FieldElement:
 class _IndexField:
     """Vectorised arithmetic on canonical element indices held in int64 arrays.
 
-    ``+`` and ``-`` work digit by digit mod p on the index, which needs no
-    table; ``*`` and ``/`` go through numpy copies of the spec's log table and
-    doubled exp table, so a sum of two logs needs no reduction.
+    Each operation is a few gathers from tables built once per spec.  ``*``
+    and ``/`` add or subtract entries of ``log``, which holds the sentinel 2n
+    for zero (n = q - 1), and read ``exp``: g^k over two periods [0, 2n), then
+    2n + 1 zeros, so a product or quotient with a zero operand lands in the
+    zero tail.  Over F_p, ``+`` and ``-`` reduce mod p.  Over F_{p^r} they go
+    two digits at a time: a chunk's ``spread`` rewrites its digits in base
+    2p - 1, so the sum of two spreads carries nothing, ``negspread`` spreads
+    the negated digits for ``-``, and ``fold`` takes each digit sum mod p back
+    to its place in the index.  The tables hold O(r·q) entries.
     """
 
     def __init__(self, spec: FieldSpec):
         t = spec.tables
-        self.p, self.order = spec.p, t.order
-        self.digits = [spec.p**i for i in range(spec.r)]
-        self.log = np.array([e.log for e in t.elements], dtype=np.int64)
-        self.exp = np.array([e.index for e in t.by_log], dtype=np.int64)
+        p, r, n = spec.p, spec.r, t.order
+        self.p, self.order = p, n
+        self.log = np.array([2 * n] + [e.log for e in t.elements[1:]], dtype=np.int64)
+        self.exp = np.array([e.index for e in t.by_log] + [0] * (2 * n + 1), dtype=np.int64)
+        digits = np.arange(spec.q) // p ** np.arange(r)[:, None] % p
+        self.chunks = []
+        for lo in range(0, r, 2) if r > 1 else ():
+            d = digits[lo : lo + 2]
+            radix = (2 * p - 1) ** np.arange(len(d))
+            sums = np.arange((2 * p - 1) ** len(d)) // radix[:, None] % (2 * p - 1) % p
+            self.chunks.append((radix @ d, radix @ (-d % p), p ** np.arange(lo, lo + len(d)) @ sums))
 
     def add(self, a, b):
-        if len(self.digits) == 1:
+        if not self.chunks:
             return (a + b) % self.p
-        return sum(((a // d + b // d) % self.p) * d for d in self.digits)
+        spread, _, fold = self.chunks[0]
+        out = fold[spread[a] + spread[b]]
+        for spread, _, fold in self.chunks[1:]:
+            out += fold[spread[a] + spread[b]]
+        return out
 
     def sub(self, a, b):
-        if len(self.digits) == 1:
+        if not self.chunks:
             return (a - b) % self.p
-        return sum(((a // d - b // d) % self.p) * d for d in self.digits)
+        spread, negspread, fold = self.chunks[0]
+        out = fold[spread[a] + negspread[b]]
+        for spread, negspread, fold in self.chunks[1:]:
+            out += fold[spread[a] + negspread[b]]
+        return out
 
     def mul(self, a, b):
-        la, lb = self.log[a], self.log[b]
-        return np.where((la < 0) | (lb < 0), 0, self.exp[la + lb])
+        return self.exp[self.log[a] + self.log[b]]
 
     def div(self, a, b):
         """a / b for nonzero b."""
-        la = self.log[a]
-        return np.where(la < 0, 0, self.exp[la - self.log[b] + self.order])
+        return self.exp[self.log[a] - self.log[b] + self.order]
 
 
 _index_field = lru_cache(maxsize=None)(_IndexField)

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -392,6 +393,101 @@ class TestCli:
         assert main(["verify", "--points", str(path), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["config"]["generator"] == "explicit"
+
+
+_STATS_CHECKS = ["stats", "verify", "reduce", "prune"]
+_ALGEBRA_CHECKS = ["kinematic-check", "clifford-check"]
+
+# sha256 of Report.render(): the configs of CI's "python -O" loop, plus F_27
+# (three digits, two chunks of the index kernel) and F_49; recorded before the
+# index kernel became table gathers, so a kernel change that moves a byte fails here
+PINNED_REPORTS = [
+    pytest.param(
+        {"field": {"p": 5, "r": 2}, "generator": "random", "params": {"size": 12}, "seed": 25, "checks": _STATS_CHECKS},
+        "30b25cb436ae91986feb92c3fd5550b7393c223cd0455adb1e52b9e9f65e43fe",
+        id="f25",
+    ),
+    pytest.param(
+        {"field": {"p": 13}, "generator": "random", "params": {"size": 14}, "seed": 13, "checks": _STATS_CHECKS},
+        "61a8f6d720df53ac54d6595544f75defcae98c106121eaf079bcd8b2293896f1",
+        id="f13",
+    ),
+    pytest.param(
+        {"field": {"p": 31}, "generator": "random", "params": {"sizes": [20, 30]}, "seed": 31, "checks": ["sweep"]},
+        "e917f85ad5e013d1cfbda7f8663fe945f148c7f14f5d5368fcae6be0c3226b8f",
+        id="sweep",
+    ),
+    pytest.param(
+        {"field": {"p": 3}, "seed": 3, "checks": _ALGEBRA_CHECKS},
+        "9acbd46b8af32ac9500d2fac55a68b0ccc2700820cce5ecd2a7d4a81c973a68f",
+        id="f3",
+    ),
+    pytest.param(
+        {"field": {"p": 7}, "seed": 7, "checks": _ALGEBRA_CHECKS},
+        "906795fd8f28f2d86310ccc06012499070a4b5dfb507bae9445c7ca1d1a05627",
+        id="f7",
+    ),
+    pytest.param(
+        {"field": {"p": 3, "r": 2}, "seed": 9, "checks": _ALGEBRA_CHECKS},
+        "8dfcc345fdd23bc3294cfbdb1fadb3d8b51bab505d5dc4135c68eac2934e3b1d",
+        id="f9",
+    ),
+    pytest.param(
+        {"field": {"p": 3, "r": 3}, "generator": "random", "params": {"size": 12}, "seed": 27, "checks": _STATS_CHECKS},
+        "be1026de40497ab905d8eac371400bb828f4293a5bfc622ed2938952aa7c6f5f",
+        id="f27",
+    ),
+    pytest.param(
+        {"field": {"p": 7, "r": 2}, "generator": "random", "params": {"size": 12}, "seed": 49, "checks": _STATS_CHECKS},
+        "6088212a9e2e7e23b8c672b8d7070a6953a020e3e3fb55ac3a5a6cab19f27ad5",
+        id="f49",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, digest", PINNED_REPORTS)
+def test_report_bytes_are_pinned(config, digest):
+    report = run(ExperimentConfig.from_json(config))
+    assert report.passed()
+    assert hashlib.sha256(report.render().encode()).hexdigest() == digest
+
+
+class TestRenderReportScript:
+    """scripts/render_report.py refuses what findist refuses: exit 2, one stderr line, no stdout."""
+
+    @staticmethod
+    def _render(tmp_path, blob):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(blob))
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        return subprocess.run(
+            [sys.executable, os.path.join(root, "scripts", "render_report.py"), str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            ({"field": {"p": 103}, "checks": ["kinematic-check"]}, f"q <= {KINEMATIC_Q_MAX}"),
+            ({"field": {"p": 4}, "checks": ["stats"]}, "p must be an odd prime"),
+            ({"seed": 3}, "missing key 'field'"),
+        ],
+    )
+    def test_refused_config_exits_two(self, tmp_path, blob, message):
+        proc = self._render(tmp_path, blob)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("render_report: ") and proc.stderr.count("\n") == 1
+        assert message in proc.stderr
+
+    def test_accepted_config_prints_the_report(self, tmp_path):
+        blob = {"field": {"p": 3}, "seed": 3, "checks": _ALGEBRA_CHECKS}
+        proc = self._render(tmp_path, blob)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run(ExperimentConfig.from_json(blob)).render() + "\n"
 
 
 class TestReductionFailures:
