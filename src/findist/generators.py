@@ -84,8 +84,10 @@ def _full_plane(spec: FieldSpec, params: Mapping, rng) -> list:
 
 def _random(spec: FieldSpec, params: Mapping, rng) -> list:
     _check_params("random", params, {"size"}, set())
-    pool = list(all_points(spec))
-    return _sample(rng, pool, _size(params, "random", len(pool)))
+    q = spec.q
+    # all_points lists the plane in index order, point i at (i // q, i % q)
+    picks = _sample(rng, range(q * q), _size(params, "random", q * q))
+    return [Point(spec.from_index(i // q), spec.from_index(i % q)) for i in picks]
 
 
 def _grid(spec: FieldSpec, params: Mapping, rng) -> list:
@@ -101,10 +103,6 @@ def _grid(spec: FieldSpec, params: Mapping, rng) -> list:
     ]
 
 
-def _line_points(spec: FieldSpec, line: Line) -> list:
-    return [p for p in all_points(spec) if line.contains(p)]
-
-
 def _on_line(spec: FieldSpec, params: Mapping, rng) -> list:
     _check_params("on-line", params, {"size"}, {"line"})
     if "line" in params:
@@ -112,7 +110,7 @@ def _on_line(spec: FieldSpec, params: Mapping, rng) -> list:
     else:
         # default carrier is the x-axis
         line = Line(spec.zero(), spec.one(), spec.zero())
-    pool = _line_points(spec, line)
+    pool = [p for p in all_points(spec) if line.contains(p)]
     return _sample(rng, pool, _size(params, "on-line", len(pool)))
 
 

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import _index_coords, bisector_table, max_collinear_cocircular, segment_classes
+from .counting import _index_coords, _per_set, bisector_table, max_collinear_cocircular, segment_classes
 from .field import FieldElement, FieldSpec, _index_field
 from .geometry import Line, Point, PointSet, Segment
 from .kinematic import ProjPlane, ProjPoint, _canonical_rows, _kappa_rows, r_tau_plane
@@ -162,22 +162,40 @@ def rudnev_ratio(points: Sequence[ProjPoint], planes: Sequence[ProjPlane], spec:
     return _ratio_from_counts(incidences, len(pts), len(pls), max_collinear(pts, spec), spec)
 
 
+def _axial_counts(A: PointSet) -> np.ndarray:
+    """Every class's axial pair count by length index, with epsilon_term's value in bin 0.
+
+    The heads M_L of the pairs with bisector key L are the points L mirrors
+    onto A.  Reflection is an isometry, so each (a, b) in M_L x M_L is the
+    mirrored segment pair (a, b), (sigma_L a, sigma_L b) of length d(a, b).
+    Lines with equal |M_L| gather dist[M_L x M_L] together, in blocks.
+    """
+    table = bisector_table(A)
+    n, q = len(A), A.spec.q
+    mirrored = table.keys >= 0
+    # a point heads at most one pair per line, so each group's heads are distinct
+    lines, heads = np.divmod(np.sort(table.keys[mirrored] * n + np.nonzero(mirrored)[0]), n)
+    starts = np.flatnonzero(np.diff(lines, prepend=-1))
+    sizes = np.diff(starts, append=len(lines))
+    bins = np.zeros(q, dtype=np.int64)
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        members = heads[starts[sizes == size][:, None] + np.arange(size)]
+        for lo, hi in _row_blocks(len(members), size * size):
+            block = members[lo:hi]
+            bins += np.bincount(table.dist[block[:, :, None], block[:, None, :]].ravel(), minlength=q)
+    return bins
+
+
 def axial_pair_count(A: PointSet, r: FieldElement) -> int:
     """Ordered pairs of equal-length segments that mirror across a common axis.
 
     The axis is the shared perpendicular bisector of the head pair and the
     tail pair; coincident heads or tails are excluded, which is exactly the
-    endpoints-off-axis convention.  Both exclusions come from the bisector
-    table: its key is -1 on coincident points, and on head pairs at distance
-    0, whose locus mirrors nothing.
+    endpoints-off-axis convention.  Read off ``_axial_counts``.
     """
     if not r:
         raise ValueError("a nonzero quadratic length is required")
-    table = bisector_table(A)
-    heads, tails = np.nonzero(table.dist == r.index)
-    head_keys = table.keys[np.ix_(heads, heads)]
-    tail_keys = table.keys[np.ix_(tails, tails)]
-    return int(np.count_nonzero((head_keys >= 0) & (head_keys == tail_keys)))
+    return int(_per_set(A, _axial_counts)[r.index])
 
 
 @dataclass(frozen=True)
@@ -197,16 +215,10 @@ def epsilon_term(A: PointSet) -> EpsilonTerm:
 
     Group the ordered reflection pairs of A by their bisector; within one
     group, count the ordered pairs whose heads are at quadratic distance 0,
-    the diagonal included.  Over a field without isotropic vectors this is
-    just the nonzero-distance pair count.
-
-    A point heads at most one pair of a group, the one to its mirror image,
-    so the count is, over the head pairs (a, c) at distance 0, the number of
-    axes that both a and c mirror onto points of A.
+    the diagonal included: the zero bin of ``_axial_counts``.  Over a field
+    without isotropic vectors it is just the nonzero-distance pair count.
     """
-    table = bisector_table(A)
-    axes = [set(row[row >= 0].tolist()) for row in table.keys]
-    value = sum(len(axes[a] & axes[c]) for a, c in zip(*np.nonzero(table.dist == 0)))
+    value = int(_per_set(A, _axial_counts)[0])
     m = max_collinear_cocircular(A).m
     bound = 2 * m * len(A) ** 2
     return EpsilonTerm(value, bound, value <= bound)
@@ -336,19 +348,6 @@ def _phi_planes(F, plane: ProjPlane, motions: tuple) -> np.ndarray:
     return _canonical_rows(F, rows)
 
 
-def _on_axis_pair_count(A: PointSet, r: FieldElement) -> int:
-    """The incidences no off-axis pair produces, read off the apex histograms.
-
-    Each equal-leg triple with legs of length r yields two mirrored segment
-    pairs sharing an endpoint, and every segment mirrors to itself across its
-    own spanning line; together: 2*T_r + |S_r|.  Equal nonzero legs force a
-    non-isotropic base, so an apex a heading h_a segments of length r carries
-    h_a(h_a - 1) of those triples.
-    """
-    heads = np.count_nonzero(bisector_table(A).dist == r.index, axis=1)
-    return int(2 * heads @ (heads - 1) + heads.sum())
-
-
 @dataclass(eq=False)
 class ReductionWitness:
     """Everything needed to replay one segment-class reduction."""
@@ -459,7 +458,10 @@ def claim_reduction(A: PointSet, r: FieldElement) -> ReductionWitness:
     # maximum are invariant under the base-rational embedding, so they are
     # read off the base set either way.
     i_ax = axial_pair_count(A, r)
-    i_on_axis = _on_axis_pair_count(A, r)
+    # 2 per equal-leg triple with legs r (h(h - 1) at an apex heading h of
+    # S_r), plus each segment mirrored across its own spanning line
+    apex = np.bincount(heads, minlength=len(A))
+    i_on_axis = int(2 * apex @ (apex - 1) + len(heads))
     element = spec.from_index
 
     def objects(make, columns):

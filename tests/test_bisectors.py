@@ -3,6 +3,10 @@
 ``bisector_stats``, ``axial_pair_count``, ``epsilon_term`` and the apex
 moments of ``verify_identities`` all read one cached table per point set;
 each is compared here with the loop it replaced (see ``bisector_oracles``).
+Every class's axial count and epsilon come from one grouped pass over that
+table, ``incidence._axial_counts``: bin r of it is compared with the key
+loop for every nonzero r of the field, absent classes included, and bin 0
+with the grouped epsilon loop.
 """
 
 import itertools
@@ -21,12 +25,12 @@ from bisector_oracles import (
     loop_epsilon_value,
     sweep_bisector_stats,
 )
-from findist import counting
+from findist import counting, incidence
 from findist.counting import bisector_stats, bisector_table, distance_stats, segment_classes, verify_identities
 from findist.field import FieldSpec
 from findist.generators import generate
 from findist.geometry import Line, PointSet, all_lines, all_points, equidistant_line, point
-from findist.incidence import axial_pair_count, epsilon_term
+from findist.incidence import axial_pair_count, claim_reduction, epsilon_term
 from incidence_oracles import lift_point_set
 
 F3 = FieldSpec(3)
@@ -75,6 +79,17 @@ def all_subsets(spec):
     pts = list(all_points(spec))
     for mask in range(2 ** len(pts)):
         yield PointSet(spec, [p for i, p in enumerate(pts) if mask >> i & 1])
+
+
+def assert_every_class_matches_the_key_loop(A):
+    """Every nonzero r of the field, present or not, and epsilon from the same pass."""
+    present = {r for r, _ in segment_classes(A).nonzero_sizes()}
+    for r in A.spec.elements():
+        if r:
+            count = axial_pair_count(A, r)
+            assert count == loop_axial_pair_count(A, r), r
+            assert r in present or count == 0
+    assert epsilon_term(A).value == loop_epsilon_value(A)
 
 
 def assert_stats_match_sweep(A):
@@ -154,16 +169,34 @@ class TestAxialPairCount:
     @pytest.mark.parametrize("spec", [F5, F7, F9, F25], ids=["F5", "F7", "F9", "F25"])
     def test_against_key_loop_and_line_sweep(self, spec):
         for A in sets_over(spec, 5, 8, 1500 + spec.q):
-            for r, _ in segment_classes(A).nonzero_sizes():
-                expected = loop_axial_pair_count(A, r)
-                assert axial_pair_count(A, r) == expected
-                if spec.q <= 9:
-                    assert expected == brute_axial_pairs(A, r)
+            assert_every_class_matches_the_key_loop(A)
+            if spec.q <= 9:
+                for r, _ in segment_classes(A).nonzero_sizes():
+                    assert axial_pair_count(A, r) == brute_axial_pairs(A, r)
 
     def test_every_subset_of_f3(self):
         for A in all_subsets(F3):
-            for r, _ in segment_classes(A).nonzero_sizes():
-                assert axial_pair_count(A, r) == loop_axial_pair_count(A, r)
+            assert_every_class_matches_the_key_loop(A)
+
+    @given(subsets(F13, max_size=10))
+    @settings(max_examples=15, deadline=None)
+    def test_hypothesis_f13(self, A):
+        assert_every_class_matches_the_key_loop(A)
+
+    @given(subsets(F25, max_size=10))
+    @settings(max_examples=10, deadline=None)
+    def test_hypothesis_f25(self, A):
+        assert_every_class_matches_the_key_loop(A)
+
+    @pytest.mark.parametrize("spec", [F9, F13, F25], ids=["F9", "F13", "F25"])
+    def test_one_line_per_block(self, spec, monkeypatch):
+        # each block gathers a single line's dist[M_L x M_L]
+        sets = sets_over(spec, 3, 12, 1700 + spec.q) + [generate(spec, "random", {"size": 40}, spec.q)]
+        default = [incidence._axial_counts(A) for A in sets]
+        monkeypatch.setattr(incidence, "CHUNK_CELLS", 1)
+        for A, bins in zip(sets, default):
+            assert incidence._axial_counts(A).tolist() == bins.tolist()
+            assert_every_class_matches_the_key_loop(PointSet(spec, A.points))
 
     def test_on_the_lifted_copy(self):
         # claim_reduction counts on the F_{q^2} copy when no base axis is valid,
@@ -237,6 +270,25 @@ class TestPerSetCache:
             stats.b_energy, stats.b_star_energy, stats.cone_count, stats.relation_universal)
         assert again.entries == stats.entries
         assert epsilon_term(B) == epsilon_term(A)
+
+    def test_one_grouped_pass_per_set(self, monkeypatch):
+        calls = []
+        grouped = incidence._axial_counts
+
+        def counted(A):
+            calls.append(A)
+            return grouped(A)
+
+        monkeypatch.setattr(incidence, "_axial_counts", counted)
+        # the CI's F_13 set, where epsilon (172) exceeds the nonzero pair count (156)
+        A = generate(F13, "random", {"size": 14}, 13)
+        assert epsilon_term(A).value > distance_stats(A).nonzero_pairs
+        verify_identities(A)
+        lengths = [r for r, _ in segment_classes(A).nonzero_sizes()]
+        witnesses = [claim_reduction(A, r) for r in lengths]
+        assert len(witnesses) > 1
+        assert calls == [A]
+        assert [w.i_ax for w in witnesses] == [loop_axial_pair_count(A, r) for r in lengths]
 
     def test_entries_are_built_only_on_demand(self, monkeypatch):
         built = []

@@ -23,7 +23,6 @@ from findist.geometry import (
 from findist.incidence import (
     EmptySegmentClassError,
     ReductionWitness,
-    _on_axis_pair_count,
     _pairwise_fixed_points,
     _rows,
     _scan_axis,
@@ -213,9 +212,8 @@ class TestOnAxisPairCount:
         pts = list(all_points(spec))
         for _ in range(10):
             A = PointSet(spec, rng.sample(pts, rng.randint(1, min(12, len(pts)))))
-            for r in spec.elements():
-                if r:
-                    assert _on_axis_pair_count(A, r) == brute_on_axis_pairs(A, r), (r, [p.key for p in A])
+            for r, _ in segment_classes(A).nonzero_sizes():
+                assert claim_reduction(A, r).i_on_axis == brute_on_axis_pairs(A, r), (r, [p.key for p in A])
 
 
 class TestEpsilonTerm:
