@@ -43,6 +43,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division up to sqrt(n)."""
+    factors, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return factors + [n] if n > 1 else factors
+
+
 def _poly_trim(c: Sequence[int]) -> tuple[int, ...]:
     c = list(c)
     while c and c[-1] == 0:
@@ -248,8 +260,11 @@ class _Tables:
         place = p ** np.arange(r)
         vectors = list(zip(*(np.arange(q) // place[:, None] % p).tolist()))
         one, n = vectors[1], q - 1
-        primes = [d for d in range(2, q) if n % d == 0 and _is_prime(d)]
-        g = next(v for v in vectors[2:] if all(_poly_pow(v, n // d, p, rows) != one for d in primes))
+        primes = _prime_factors(n)
+        # for r > 1 the search starts past the constants (indices below p),
+        # whose orders divide p - 1 < n
+        first = 2 if r == 1 else p
+        g = next(v for v in vectors[first:] if all(_poly_pow(v, n // d, p, rows) != one for d in primes))
         # g^0 .. g^(n-1) as coefficient rows, doubling the known prefix each step:
         # row i of by_gm is x^i * g^m, so powers[:m] @ by_gm holds g^m .. g^(2m-1)
         powers = np.zeros((n, r), dtype=np.int64)

@@ -10,8 +10,9 @@ enumerates that contribution independently and reports whether it explains
 the difference exactly.
 
 It runs on the field's index kernel, with motions as (u, v, s, t) index
-columns and point and plane families as (N, 4) arrays of canonical rows;
-objects are built only for the witness.
+columns and point and plane families as (N, 4) arrays of canonical rows.
+The witness holds those columns; its objects and its line occupancy k are
+built on first read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Sequence
 
@@ -348,9 +349,23 @@ def _phi_planes(F, plane: ProjPlane, motions: tuple) -> np.ndarray:
     return _canonical_rows(F, rows)
 
 
+# The witness JSON's keys, in order.
+_WITNESS_KEYS = (
+    "base_field", "work_field", "lifted", "r", "s_r", "axis", "g_motions", "h_motions", "points", "planes",
+    "i_ax", "i_on_axis", "incidences", "equal", "verdict", "k", "m_curve", "max_class_size", "erdos_ceiling",
+)
+
+
 @dataclass(eq=False)
 class ReductionWitness:
-    """Everything needed to replay one segment-class reduction."""
+    """Everything needed to replay one segment-class reduction.
+
+    The families are kept as the index columns they were counted on: the
+    motions ``g`` and ``h`` as (u, v, s, t) columns, the point and plane
+    families as canonical (N, 4) rows over ``work_field``.  The object tuples
+    ``g_motions``, ``h_motions``, ``points`` and ``planes`` and the line
+    occupancy ``k`` are built on first read.
+    """
 
     base_field: FieldSpec
     work_field: FieldSpec
@@ -358,26 +373,50 @@ class ReductionWitness:
     r: FieldElement
     s_r: Segment
     axis: Line
-    g_motions: tuple
-    h_motions: tuple
-    points: tuple
-    planes: tuple
+    g: tuple
+    h: tuple
+    point_rows: np.ndarray
+    plane_rows: np.ndarray
     i_ax: int
     i_on_axis: int
     incidences: int
     equal: bool
     verdict: str
-    k: int
     m_curve: int
     max_class_size: int
     erdos_ceiling: int
+
+    def _objects(self, make, columns) -> tuple:
+        element = self.work_field.from_index
+        return tuple(make(*map(element, row)) for row in zip(*(c.tolist() for c in columns)))
+
+    @cached_property
+    def g_motions(self) -> tuple:
+        return self._objects(RigidMotion, self.g)
+
+    @cached_property
+    def h_motions(self) -> tuple:
+        return self._objects(RigidMotion, self.h)
+
+    @cached_property
+    def points(self) -> tuple:
+        return self._objects(lambda *coords: ProjPoint(coords), self.point_rows.T)
+
+    @cached_property
+    def planes(self) -> tuple:
+        return self._objects(lambda *coeffs: ProjPlane(coeffs), self.plane_rows.T)
+
+    @cached_property
+    def k(self) -> int:
+        """The most points of the family on one projective line."""
+        return max_collinear(self.point_rows, self.work_field)
 
     def ratio(self) -> RudnevRatio:
         """The Rudnev ratio of the witness's families, from its own counts.
 
         Both families have |S_r| members, so they are never swapped.
         """
-        return _ratio_from_counts(self.incidences, len(self.points), len(self.planes), self.k, self.work_field)
+        return _ratio_from_counts(self.incidences, len(self.point_rows), len(self.plane_rows), self.k, self.work_field)
 
     def to_json(self) -> dict:
         def encode(value):
@@ -385,7 +424,7 @@ class ReductionWitness:
                 return [x.to_json() for x in value]
             return value.to_json() if hasattr(value, "to_json") else value
 
-        return {f.name: encode(getattr(self, f.name)) for f in fields(self)}
+        return {name: encode(getattr(self, name)) for name in _WITNESS_KEYS}
 
 
 def _segment_columns(heads, tails, x: np.ndarray, y: np.ndarray) -> tuple:
@@ -464,20 +503,12 @@ def claim_reduction(A: PointSet, r: FieldElement) -> ReductionWitness:
     i_on_axis = int(2 * apex @ (apex - 1) + len(heads))
     element = spec.from_index
 
-    def objects(make, columns):
-        return tuple(make(*map(element, row)) for row in zip(*(c.tolist() for c in columns)))
-
     return ReductionWitness(
         base_field=A.spec, work_field=spec, lifted=lifted, r=work_r,
         s_r=Segment(Point(element(target[0]), element(target[1])), Point(element(target[2]), element(target[3]))),
-        axis=axis,
-        g_motions=objects(RigidMotion, g),
-        h_motions=objects(RigidMotion, h),
-        points=objects(lambda *coords: ProjPoint(coords), points.T),
-        planes=objects(lambda *coeffs: ProjPlane(coeffs), planes.T),
+        axis=axis, g=g, h=h, point_rows=points, plane_rows=planes,
         i_ax=i_ax, i_on_axis=i_on_axis, incidences=incidences, equal=incidences == i_ax,
         verdict="explained" if incidences == i_ax + i_on_axis else "unexplained",
-        k=max_collinear(points, spec),
         m_curve=max_collinear_cocircular(A).m,
         max_class_size=int(segment_classes(A).sizes[1:].max(initial=0)),
         erdos_ceiling=_ceil_sqrt(len(A) ** 3),

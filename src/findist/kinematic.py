@@ -12,6 +12,7 @@ incidence reduction and the harness's kinematic check run on it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -343,6 +344,9 @@ def transporter_line(x: Point, y: Point) -> tuple[ProjPoint, ProjPoint]:
     return first, second
 
 
+# cached per axis, so the sample runs once for each distinct axis; an
+# isotropic axis raises on every call
+@lru_cache(maxsize=None)
 def r_tau_plane(axis: Line) -> ProjPlane:
     """The plane spanned by the image of the rotations about points of the axis.
 

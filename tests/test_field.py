@@ -12,8 +12,10 @@ from findist.field import (
     FieldSpec,
     NonUnitError,
     Q_MAX,
+    _is_prime,
     _poly_mul,
     _poly_pow,
+    _prime_factors,
     _reduction_rows,
     find_irreducible,
 )
@@ -300,6 +302,29 @@ class TestTableKernel:
         if a:
             base = a.coeffs if n >= 0 else oracle.inverse(a.coeffs)
             assert (a**n).coeffs == oracle.pow(base, abs(n))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [FieldSpec(3, r) for r in range(1, 5)] + [F25, FieldSpec(5, 4), FieldSpec(31, 2), FieldSpec(101, 2)],
+        ids=lambda spec: f"F{spec.q}",
+    )
+    def test_generator_is_the_first_primitive_element(self, spec):
+        # the log tables run over the first element of order q - 1 in index
+        # order, each candidate's order read off its powers
+        oracle = PolyOracle(spec)
+
+        def order(a):
+            power, n = a, 1
+            while power != oracle.one:
+                power, n = oracle.mul(power, a), n + 1
+            return n
+
+        first = next(v for v in oracle.vectors[1:] if order(v) == spec.q - 1)
+        assert spec.tables.by_log[1].coeffs == first
+
+    def test_prime_factors_match_trial_division(self):
+        for n in range(1, 2000):
+            assert _prime_factors(n) == [d for d in range(2, n + 1) if n % d == 0 and _is_prime(d)], n
 
     def test_equal_distinct_specs_mix(self):
         A, B = FieldSpec(5, 2), FieldSpec(5, 2)

@@ -9,6 +9,7 @@ import pytest
 import incidence_oracles as oracle
 from bisector_oracles import brute_axial_pairs
 from findist.counting import bisector_stats, distance_stats, segment_classes
+from findist import incidence
 from findist.field import FieldSpec, _index_field
 from findist.geometry import (
     Line,
@@ -33,6 +34,7 @@ from findist.incidence import (
     max_collinear,
     rudnev_ratio,
 )
+from findist.harness import ExperimentConfig, run
 from findist.kinematic import ProjPlane, ProjPoint, all_proj_points, kappa, transporter_image
 from findist.motions import all_motions
 
@@ -374,3 +376,48 @@ class TestClaimReduction:
         assert witness.max_class_size == 2
         # ceil(|A|^(3/2)) for |A| = 2; recorded next to the class size, not asserted against it
         assert witness.erdos_ceiling == 3
+
+
+class TestLazyWitness:
+    """A witness builds its objects and k on first read, and an explained reduction reads neither."""
+
+    KEYS = [
+        "base_field", "work_field", "lifted", "r", "s_r", "axis", "g_motions", "h_motions", "points", "planes",
+        "i_ax", "i_on_axis", "incidences", "equal", "verdict", "k", "m_curve", "max_class_size", "erdos_ceiling",
+    ]
+
+    class Unread(Exception):
+        pass
+
+    # the F_25 and F_13 report configs of CI's python -O loop, reduce only
+    @pytest.mark.parametrize("config", [
+        {"field": {"p": 5, "r": 2}, "generator": "random", "params": {"size": 12}, "seed": 25, "checks": ["reduce"]},
+        {"field": {"p": 13}, "generator": "random", "params": {"size": 14}, "seed": 13, "checks": ["reduce"]},
+    ], ids=["f25", "f13"])
+    def test_explained_reductions_build_no_objects_and_no_k(self, config, monkeypatch):
+        want = run(ExperimentConfig.from_json(config)).render()
+
+        def unread(*args, **kwargs):
+            raise self.Unread
+
+        # the incidence names only: r_tau_plane's sample check builds kinematic objects
+        for name in ("max_collinear", "RigidMotion", "ProjPoint", "ProjPlane"):
+            monkeypatch.setattr(incidence, name, unread)
+        report = run(ExperimentConfig.from_json(config))
+        assert report.passed()
+        assert report.render() == want
+
+    @pytest.mark.parametrize("A, r", [(RIGHT_ANGLE_F7, F7.one()), (LIFT_SET_F3, F3.one())],
+                             ids=["unlifted", "lifted"])
+    def test_reading_k_first_changes_no_byte(self, A, r):
+        plain, k_first = claim_reduction(A, r), claim_reduction(A, r)
+        assert k_first.lifted is (A is LIFT_SET_F3)
+        assert k_first.k == max_collinear(k_first.point_rows, k_first.work_field)
+        assert list(plain.to_json()) == self.KEYS
+        assert json.dumps(k_first.to_json()) == json.dumps(plain.to_json())
+        assert json.dumps(k_first.ratio().to_json()) == json.dumps(plain.ratio().to_json())
+        # the object families are the columns they were counted on, built once
+        assert len(plain.points) == len(plain.planes) == len(plain.g_motions) == len(plain.h_motions)
+        assert _rows(plain.points).tolist() == plain.point_rows.tolist()
+        assert _rows(plain.planes).tolist() == plain.plane_rows.tolist()
+        assert plain.points is plain.points

@@ -275,3 +275,16 @@ class TestRTauPlane:
         iso = Line(F5.one(), F5.from_index(2), F5.zero())
         with pytest.raises(IsotropicAxisError):
             r_tau_plane(iso)
+        # a raised call caches nothing
+        with pytest.raises(IsotropicAxisError):
+            r_tau_plane(Line(F5.one(), F5.from_index(2), F5.zero()))
+
+    def test_plane_is_cached_per_axis(self):
+        # 2x + 2y = 6 is x + y = 3 over F_7: equal lines share one plane
+        plane = r_tau_plane(Line(F7.one(), F7.one(), F7.from_index(3)))
+        assert r_tau_plane(Line(F7.from_index(2), F7.from_index(2), F7.from_index(6))) is plane
+        # the same coefficient indices over other fields are other axes
+        for spec in (F5, FieldSpec(5, 2)):
+            other = r_tau_plane(Line(spec.one(), spec.one(), spec.from_index(3)))
+            assert other is not plane
+            assert all(c.spec == spec for c in other.coeffs)
