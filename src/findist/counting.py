@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
@@ -297,12 +298,9 @@ def _curve_scan(A: PointSet, heavy_cube: Optional[int] = None) -> tuple[CurveOcc
     """Curve occupancy of A by the index kernel, and the curves holding m points with m^3 > heavy_cube.
 
     Every pair of points keys its line by the canonical (n1, n2, c), so a line
-    through m points carries C(m, 2) pairs.  Every non-collinear triple keys
-    its circle by (centre, r^2), skipping r^2 = 0; a circle with r^2 != 0 is a
-    nondegenerate conic and holds no three collinear points.  Triples are
-    taken per anchor a with both partners after a, which keeps memory O(n^2):
-    a circle through m points is seen with C(m - 1, 2) pairs at its first
-    point and with fewer at each later one.  The heavy list holds
+    through m points carries C(m, 2) pairs.  Circles are keyed by (centre,
+    r^2) and counted exactly by ``_circle_sweep`` or ``_circle_scan``,
+    whichever ``_sweep_is_cheaper`` picks for (q, n).  The heavy list holds
     (-m, kind, key) with kind 0 for lines and 1 for circles, sorted.
     """
     n = len(A)
@@ -314,12 +312,6 @@ def _curve_scan(A: PointSet, heavy_cube: Optional[int] = None) -> tuple[CurveOcc
     first, second = np.triu_indices(n, 1)
     heavy: dict = {}
 
-    def collect(kind, keys, m):
-        if heavy_cube is not None:
-            over = m**3 > heavy_cube
-            for key, count in zip(keys[over].tolist(), m[over].tolist()):
-                heavy[kind, key] = max(heavy.get((kind, key), 0), count)
-
     # lines: x + n2*y = c when the pair differs in y, else y = c
     dy = F.sub(y[second], y[first])
     flat = dy == 0
@@ -328,10 +320,68 @@ def _curve_scan(A: PointSet, heavy_cube: Optional[int] = None) -> tuple[CurveOcc
     keys, pairs = np.unique((np.where(flat, 0, q) + n2) * q + c, return_counts=True)
     m = _points_from_pairs(pairs)
     m_line = int(m.max())
-    collect(0, keys, m)
+    _collect(heavy, 0, keys, m, heavy_cube)
 
-    # circles: with u, v the partners relative to the anchor, the centre
-    # offset w solves 2u.w = |u|^2 and 2v.w = |v|^2
+    if _sweep_is_cheaper(q, n):
+        m_circle = _circle_sweep(F, q, x, y, heavy_cube, heavy)
+    else:
+        m_circle = _circle_scan(F, q, x, y, first, second, heavy_cube, heavy)
+    listed = sorted((-count, kind, key) for (kind, key), count in heavy.items())
+    return CurveOccupancy(max(m_line, m_circle), m_line, m_circle), listed
+
+
+def _collect(heavy: dict, kind: int, keys: np.ndarray, m: np.ndarray, heavy_cube: Optional[int]) -> None:
+    if heavy_cube is not None:
+        over = m**3 > heavy_cube
+        for key, count in zip(keys[over].tolist(), m[over].tolist()):
+            heavy[kind, key] = max(heavy.get((kind, key), 0), count)
+
+
+def _sweep_is_cheaper(q: int, n: int) -> bool:
+    """Whether the centre sweep's q^2 (n + q) cells cost less than the scan's C(n, 3) triples and n - 2 anchors."""
+    # ns per cell, per triple and per anchor on a 2-core x86_64 host (BENCH_14.json)
+    return 5 * q * q * (n + q) <= 140 * comb(n, 3) + 90_000 * (n - 2)
+
+
+# Cells of one centre-sweep block: its d table and its q^2 bins per centre row.
+SWEEP_CELLS = 1 << 17
+
+
+def _circle_sweep(F, q: int, x: np.ndarray, y: np.ndarray, heavy_cube: Optional[int], heavy: dict) -> int:
+    """m_circle by the centre sweep; the circles with m^3 > heavy_cube go into heavy."""
+    # for a block of centre rows z_x, bin (z_x q + z_y) q + d, the circle's
+    # key, counts the points at d = (z_x - a_x)^2 + (z_y - a_y)^2 from z; the
+    # r^2 = 0 bins are dropped, and a count below 3 is no circle
+    n = len(x)
+    centres = np.arange(q)[:, None]
+    dx, dy = F.sub(centres, x), F.sub(centres, y)
+    sx, sy = F.mul(dx, dx), F.mul(dy, dy)
+    step = max(1, SWEEP_CELLS // (q * (n + q)))
+    offsets = np.arange(step * q)[:, None] * q
+    m_circle = 0
+    for lo in range(0, q, step):
+        rows = min(step, q - lo) * q
+        d = F.add(sx[lo : lo + rows // q, None, :], sy).reshape(rows, n)
+        counts = np.bincount((d + offsets[:rows]).ravel(), minlength=rows * q)
+        counts[::q] = 0
+        top = int(counts.max())
+        m_circle = max(m_circle, top)
+        if heavy_cube is not None and top**3 > heavy_cube:
+            bins = np.flatnonzero(counts >= 3)
+            _collect(heavy, 1, bins + lo * q * q, counts[bins], heavy_cube)
+    return m_circle if m_circle >= 3 else 0
+
+
+def _circle_scan(F, q: int, x, y, first, second, heavy_cube: Optional[int], heavy: dict) -> int:
+    """m_circle by the per-anchor triple scan; the circles with m^3 > heavy_cube go into heavy."""
+    # (first, second) = np.triu_indices(n, 1).  Every non-collinear triple
+    # keys its circle by (centre, r^2), skipping r^2 = 0; such a circle is a
+    # nondegenerate conic, with no three points collinear.  Per anchor a,
+    # both partners come after a, so memory stays O(n^2) and a circle through
+    # m points shows C(m - 1, 2) pairs at its first point.  With u, v the
+    # partners relative to a, the centre offset w solves 2u.w = |u|^2 and
+    # 2v.w = |v|^2.
+    n = len(x)
     m_circle = 0
     row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
     for a in range(n - 2):
@@ -351,17 +401,15 @@ def _curve_scan(A: PointSet, heavy_cube: Optional[int] = None) -> tuple[CurveOcc
         keys, pairs = np.unique((cx * q + cy) * q + r2[live], return_counts=True)
         m = 1 + _points_from_pairs(pairs)
         m_circle = max(m_circle, int(m.max()))
-        collect(1, keys, m)
-
-    listed = sorted((-count, kind, key) for (kind, key), count in heavy.items())
-    return CurveOccupancy(max(m_line, m_circle), m_line, m_circle), listed
+        _collect(heavy, 1, keys, m, heavy_cube)
+    return m_circle
 
 
 def max_collinear_cocircular(A: PointSet) -> CurveOccupancy:
     """Exact curve occupancy maxima, computed once per point set.
 
-    A circle holding fewer than three points never appears in the triple
-    scan, but such a circle cannot beat the best line either.
+    A circle holding fewer than three points counts as none, but such a
+    circle cannot beat the best line either.
     """
     return _per_set(A, _occupancy)
 

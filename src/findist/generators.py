@@ -9,8 +9,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .field import FieldSpec
-from .geometry import Circle, Line, Point, PointSet, all_points, origin
+from .field import FieldSpec, _index_field
+from .geometry import Line, Point, PointSet, all_points
 
 GENERATOR_KINDS = (
     "full-plane",
@@ -77,6 +77,12 @@ def _sample(rng: np.random.Generator, pool: list, size: int) -> list:
     return [pool[int(i)] for i in picks]
 
 
+def _points_at(spec: FieldSpec, indices) -> list:
+    """The points at the given plane indices; all_points lists point i at (i // q, i % q)."""
+    q = spec.q
+    return [Point(spec.from_index(i // q), spec.from_index(i % q)) for i in map(int, indices)]
+
+
 def _full_plane(spec: FieldSpec, params: Mapping, rng) -> list:
     _check_params("full-plane", params, set(), set())
     return list(all_points(spec))
@@ -85,9 +91,7 @@ def _full_plane(spec: FieldSpec, params: Mapping, rng) -> list:
 def _random(spec: FieldSpec, params: Mapping, rng) -> list:
     _check_params("random", params, {"size"}, set())
     q = spec.q
-    # all_points lists the plane in index order, point i at (i // q, i % q)
-    picks = _sample(rng, range(q * q), _size(params, "random", q * q))
-    return [Point(spec.from_index(i // q), spec.from_index(i % q)) for i in picks]
+    return _points_at(spec, _sample(rng, range(q * q), _size(params, "random", q * q)))
 
 
 def _grid(spec: FieldSpec, params: Mapping, rng) -> list:
@@ -110,22 +114,32 @@ def _on_line(spec: FieldSpec, params: Mapping, rng) -> list:
     else:
         # default carrier is the x-axis
         line = Line(spec.zero(), spec.one(), spec.zero())
-    pool = [p for p in all_points(spec) if line.contains(p)]
-    return _sample(rng, pool, _size(params, "on-line", len(pool)))
+    # the carrier's points in plane index order: one per x, or every y on x = c
+    F, q, e = _index_field(spec), spec.q, np.arange(spec.q)
+    if line.n2:
+        pool = e * q + F.div(F.sub(line.c.index, F.mul(line.n1.index, e)), line.n2.index)
+    else:
+        pool = line.c.index * q + e
+    return _points_at(spec, _sample(rng, pool, _size(params, "on-line", len(pool))))
 
 
 def _on_circle(spec: FieldSpec, params: Mapping, rng) -> list:
     _check_params("on-circle", params, {"size"}, {"center", "radius_sq"})
+    cx, cy = 0, 0
     if "center" in params:
-        center = Point(*_elements_param(spec, "on-circle", "center", params["center"], 2))
-    else:
-        center = origin(spec)
-    radius_sq = _element_param(spec, "on-circle", "radius_sq", params.get("radius_sq", 1))
+        cx, cy = (c.index for c in _elements_param(spec, "on-circle", "center", params["center"], 2))
+    radius_sq = _element_param(spec, "on-circle", "radius_sq", params.get("radius_sq", 1)).index
     if not radius_sq:
         raise UnsupportedGeneratorError("on-circle: radius_sq 0 is the degenerate cone")
-    circle = Circle(center, radius_sq)
-    pool = [p for p in all_points(spec) if circle.contains(p)]
-    return _sample(rng, pool, _size(params, "on-circle", len(pool)))
+    # (x, cy +- s) with s^2 = r^2 - (x - cx)^2, in plane index order
+    F, q, e = _index_field(spec), spec.q, np.arange(spec.q)
+    root = np.full(q, -1)
+    root[F.mul(e, e)] = e  # some square root of each square
+    dx = F.sub(e, cx)
+    s = root[F.sub(radius_sq, F.mul(dx, dx))]
+    x, s = e[s >= 0], s[s >= 0]
+    pool = np.sort(np.concatenate([x * q + F.add(cy, s), (x * q + F.sub(cy, s))[s > 0]]))
+    return _points_at(spec, _sample(rng, pool, _size(params, "on-circle", len(pool))))
 
 
 def _subfield(spec: FieldSpec, params: Mapping, rng) -> list:

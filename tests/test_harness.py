@@ -48,6 +48,13 @@ F13 = FieldSpec(13)
 F25 = FieldSpec(5, 2)
 
 
+def _pool_sampling(spec, pool, size, seed):
+    """The points drawn from a listed pool, as the generators drew them before they built only their picks."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    picks = range(size) if size == len(pool) else rng.choice(len(pool), size=size, replace=False)
+    return PointSet(spec, [pool[int(i)] for i in picks]).points
+
+
 class TestGenerators:
     def test_grid_3x3_over_f7(self):
         A = generate(F7, "grid", {"rows": 3, "cols": 3}, 0)
@@ -155,19 +162,45 @@ class TestGenerators:
 
     @pytest.mark.parametrize("spec", [F3, F13, F25, FieldSpec(3, 3)], ids=["F3", "F13", "F25", "F27"])
     def test_random_picks_equal_the_pool_sampling(self, spec):
-        # the sampling that drew from a list of the whole plane
         pool = list(all_points(spec))
         for seed in (0, 1, 7, 4242):
             for size in (1, 5, len(pool) // 2, len(pool) - 1, len(pool)):
-                rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-                picks = range(size) if size == len(pool) else rng.choice(len(pool), size=size, replace=False)
-                want = PointSet(spec, [pool[int(i)] for i in picks])
-                assert generate(spec, "random", {"size": size}, seed).points == want.points
+                assert generate(spec, "random", {"size": size}, seed).points == _pool_sampling(spec, pool, size, seed)
+
+    @pytest.mark.parametrize("spec", [F3, F5, F7, FieldSpec(3, 2), F13, F25], ids=["F3", "F5", "F7", "F9", "F13", "F25"])
+    def test_carrier_picks_equal_the_filtered_plane(self, spec):
+        rng = np.random.default_rng(spec.q)
+        q, pts = spec.q, list(all_points(spec))
+        lines = [None, [1, 0, 2 % q], [0, 1, q - 1]] + [rng.integers(1, q, 3).tolist() for _ in range(3)]
+        circles = [None, [[1, 2 % q], 1]] + [[rng.integers(0, q, 2).tolist(), int(rng.integers(1, q))] for _ in range(3)]
+        for seed in (0, 1, 7, 4242):
+            for line in lines:
+                params = {} if line is None else {"line": line}
+                carrier = Line(*(spec.from_index(i) for i in line or [0, 1, 0]))
+                pool = [p for p in pts if carrier.contains(p)]
+                for size in (1, len(pool) // 2, len(pool)):
+                    got = generate(spec, "on-line", dict(params, size=size), seed).points
+                    assert got == _pool_sampling(spec, pool, size, seed), (line, size, seed)
+            for circle in circles:
+                params = {} if circle is None else {"center": circle[0], "radius_sq": circle[1]}
+                centre, radius_sq = circle or ([0, 0], 1)
+                pool = [p for p in pts if distance(Point(*map(spec.from_index, centre)), p).index == radius_sq]
+                for size in (1, len(pool) // 2, len(pool)):
+                    got = generate(spec, "on-circle", dict(params, size=size), seed).points
+                    assert got == _pool_sampling(spec, pool, size, seed), (circle, size, seed)
 
     def test_random_on_a_large_plane_builds_only_its_picks(self):
         # q^2 = 16,008,001 points: listing them all took about 14 s
         start = time.perf_counter()
         A = generate(FieldSpec(4001), "random", {"size": 12}, 1)
+        assert time.perf_counter() - start < 1.0
+        assert len(A) == 12
+
+    @pytest.mark.parametrize("kind", ["on-line", "on-circle"])
+    def test_carrier_on_a_large_plane_lists_only_its_points(self, kind):
+        # filtering all q^2 = 16,008,001 points of the plane took tens of seconds
+        start = time.perf_counter()
+        A = generate(FieldSpec(4001), kind, {"size": 12}, 1)
         assert time.perf_counter() - start < 1.0
         assert len(A) == 12
 

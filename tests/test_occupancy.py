@@ -2,7 +2,9 @@
 
 The object-level pair/triple loops below are the oracles: they key every line
 through two points and every circle through three with the geometry module's
-own constructors, and collect the points on each curve.
+own constructors, and collect the points on each curve.  The two circle
+passes, the centre sweep and the per-anchor triple scan, are also held equal
+to each other, each called directly rather than through the cost rule.
 """
 
 import random
@@ -12,22 +14,27 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from findist import harness
+from findist import counting, harness
 from findist.counting import (
+    _circle_scan,
+    _circle_sweep,
     _heavy_curves,
+    _index_coords,
     max_collinear_cocircular,
     prune_curve,
     prune_heavy,
     prune_steps,
     segment_classes,
 )
-from findist.field import FieldSpec
+from findist.field import FieldSpec, _index_field
+from findist.generators import generate
 from findist.geometry import (
     Circle,
     Point,
     PointSet,
     all_points,
     curve_through,
+    distance,
     isotropic_vectors,
     line_through,
     point,
@@ -106,11 +113,22 @@ def fresh_copy(A):
     return PointSet(A.spec, [Point(p.x, p.y) for p in A])
 
 
+def assert_paths_agree(A):
+    """The centre sweep and the triple scan give the same m_circle and heavy circles."""
+    F, (x, y) = _index_field(A.spec), _index_coords(A)
+    for cube in (0, 8, len(A) ** 2):
+        sweep_heavy, scan_heavy = {}, {}
+        sweep = _circle_sweep(F, A.spec.q, x, y, cube, sweep_heavy)
+        scan = _circle_scan(F, A.spec.q, x, y, *np.triu_indices(len(A), 1), cube, scan_heavy)
+        assert (sweep, sweep_heavy) == (scan, scan_heavy), (cube, [p.key for p in A])
+
+
 def assert_matches_oracle(A):
     occ = max_collinear_cocircular(fresh_copy(A))
     assert (occ.m, occ.m_line, occ.m_circle) == oracle_occupancy(A), [p.key for p in A]
     for cube in (0, len(A) ** 2, 8):
         assert _heavy_curves(fresh_copy(A), cube) == oracle_heavy(A, cube), (cube, [p.key for p in A])
+    assert_paths_agree(A)
 
 
 def on_isotropic_circle(spec, size, rng):
@@ -168,6 +186,14 @@ class TestKernelAgainstOracle:
         for mask in range(1 << len(pts)):
             assert_matches_oracle(PointSet(F3, [p for i, p in enumerate(pts) if mask >> i & 1]))
 
+    @pytest.mark.parametrize("spec", [F5, F9, F25], ids=["F5", "F9", "F25"])
+    def test_no_three_concyclic_points(self, spec):
+        # a non-collinear triple on the cone |z - c|^2 = 0 has its circle at r^2 = 0
+        centre = point(spec, 1, 2)
+        A = PointSet(spec, [p for p in all_points(spec) if not distance(centre, p)])
+        assert max_collinear_cocircular(A).m_circle == 0
+        assert_matches_oracle(A)
+
     @given(point_sets(F31, 16))
     @settings(max_examples=30, deadline=None)
     def test_hypothesis_f31(self, A):
@@ -177,6 +203,44 @@ class TestKernelAgainstOracle:
     @settings(max_examples=30, deadline=None)
     def test_hypothesis_f49(self, A):
         assert_matches_oracle(A)
+
+
+class TestCirclePaths:
+    @pytest.mark.parametrize("spec", SMALL, ids=SMALL_IDS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_hypothesis_sets(self, spec, data):
+        assert_paths_agree(data.draw(point_sets(spec, 40)))
+
+    def test_f61_random_240(self):
+        assert_paths_agree(generate(FieldSpec(61), "random", {"size": 240}, 61))
+
+    @staticmethod
+    def refuse(monkeypatch, name):
+        def refused(*args):
+            raise AssertionError(f"the cost rule took {name}")
+
+        monkeypatch.setattr(counting, name, refused)
+
+    def test_few_points_on_a_large_plane_take_the_scan(self, monkeypatch):
+        # the sweep would make q^2 (n + q), about 10^9, cells here
+        self.refuse(monkeypatch, "_circle_sweep")
+        A = generate(FieldSpec(1009), "random", {"size": 12}, 1009)
+        occ = max_collinear_cocircular(fresh_copy(A))
+        assert (occ.m, occ.m_line, occ.m_circle) == oracle_occupancy(A)
+        for cube in (0, 8, len(A) ** 2):
+            assert _heavy_curves(fresh_copy(A), cube) == oracle_heavy(A, cube)
+
+    # the rows of the F_31 benchmark sweep, and every size of the F_25 check
+    # set (10 points) and of what its prune step leaves
+    @pytest.mark.parametrize("spec, sizes", [(F31, [20, 30]), (F25, range(3, 11))], ids=["F31", "F25"])
+    def test_benchmark_sizes_take_the_sweep(self, monkeypatch, spec, sizes):
+        self.refuse(monkeypatch, "_circle_scan")
+        for n in sizes:
+            A = generate(spec, "random", {"size": n}, n)
+            occ = max_collinear_cocircular(A)
+            assert _heavy_curves(fresh_copy(A), 0) == oracle_heavy(A, 0)
+            assert occ.m_circle == oracle_occupancy(A)[2]
 
 
 class TestPruneOrder:
