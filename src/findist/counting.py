@@ -42,30 +42,35 @@ def _index_coords(A: PointSet) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class DistanceStats:
-    """Pinned distance spectra: per-point sets, their union, and pair counts."""
+    """Pinned distance spectra: the pair counts, and the per-point sets and their union built on first read."""
 
-    per_point: dict
-    distances: frozenset
+    A: PointSet
     pind: int
     pind_nonzero: int
     nonzero_pairs: int
+    distinct_distances: int
+
+    @cached_property
+    def per_point(self) -> dict:
+        element, rows = self.A.spec.from_index, bisector_table(self.A).dist.tolist()
+        return {a: frozenset(map(element, set(row))) for a, row in zip(self.A.points, rows)}
+
+    @cached_property
+    def distances(self) -> frozenset:
+        return frozenset(map(self.A.spec.from_index, np.flatnonzero(segment_classes(self.A).sizes).tolist()))
 
     def per_point_nonzero(self, a: Point) -> frozenset:
         return frozenset(r for r in self.per_point[a] if r)
 
 
 def distance_stats(A: PointSet) -> DistanceStats:
-    """The distance spectra, one row of the bisector table's distance matrix per point."""
+    """The distance spectra, off one sort of each row of the bisector table's distance matrix."""
     dist = bisector_table(A).dist
-    spectra = [frozenset(map(A.spec.from_index, set(row))) for row in dist.tolist()]
-    pind = max(map(len, spectra), default=0)
+    rows = np.sort(dist, axis=1)
+    pind = int((1 + np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)).max(initial=0))
     # every spectrum holds d(a, a) = 0
     return DistanceStats(
-        dict(zip(A.points, spectra)),
-        frozenset().union(*spectra),
-        pind,
-        max(pind - 1, 0),
-        int(np.count_nonzero(dist)),
+        A, pind, max(pind - 1, 0), int(np.count_nonzero(dist)), int(np.count_nonzero(segment_classes(A).sizes))
     )
 
 

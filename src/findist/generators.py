@@ -83,8 +83,15 @@ def _points_at(spec: FieldSpec, indices) -> list:
     return [Point(spec.from_index(i // q), spec.from_index(i % q)) for i in map(int, indices)]
 
 
+FULL_PLANE_Q_MAX = 41
+
+
 def _full_plane(spec: FieldSpec, params: Mapping, rng) -> list:
     _check_params("full-plane", params, set(), set())
+    if spec.q > FULL_PLANE_Q_MAX:
+        raise ValueError(f"full-plane supports q <= {FULL_PLANE_Q_MAX}, got q = {spec.q}: its two n x n int64 pair"
+                         f" tables take {8 * spec.q ** 4 / 1e6:.0f} MB each (22.6 MB at q = 41, where stats peaked"
+                         " at 253 MB)")
     return list(all_points(spec))
 
 

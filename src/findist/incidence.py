@@ -1,9 +1,10 @@
 """Point-plane incidences in projective 3-space and the reduction to them.
 
-The centerpiece is claim_reduction: fix a nonzero quadratic length r, turn
+The centerpiece is claim_reductions: for each nonzero quadratic length r, turn
 every segment of that length into a rigid motion, push the motions through
 the projective embedding, and compare the resulting point-plane incidence
-count against the planar axial-symmetry count it is supposed to encode.
+count against the planar axial-symmetry count it is supposed to encode,
+for all classes of a set in one batched pass.
 The incidence count always exceeds the off-axis pair count by an on-axis
 contribution (segments fixed or swapped by the mirror itself); the witness
 enumerates that contribution independently and reports whether it explains
@@ -21,7 +22,6 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -69,14 +69,27 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
+def _hits(F, points: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """#{(X, P): X . P = 0} of each leading block, points (..., h, 4) against planes (..., s, 4)."""
+    t0, t1, t2, t3 = (F.mul(points[..., :, None, i], planes[..., None, :, i]) for i in range(4))
+    return np.count_nonzero(F.add(F.add(t0, t1), F.add(t2, t3)) == 0, axis=(-2, -1))
+
+
 def count_incidences(points: np.ndarray, planes: np.ndarray, spec: FieldSpec) -> int:
     """Exact #{(X, P): X . P = 0} over (N, 4) point and (M, 4) plane index arrays, a block of points at a time."""
     F = _index_field(spec)
-    total = 0
-    for lo, hi in _row_blocks(len(points), len(planes)):
-        t0, t1, t2, t3 = (F.mul(points[lo:hi, i, None], planes[:, i]) for i in range(4))
-        total += int(np.count_nonzero(F.add(F.add(t0, t1), F.add(t2, t3)) == 0))
-    return total
+    return sum(int(_hits(F, points[lo:hi], planes)) for lo, hi in _row_blocks(len(points), len(planes)))
+
+
+def _class_blocks(first: np.ndarray, size: np.ndarray):
+    """Blocks (classes, rows (k, h), cols (k, s)): row indices of k classes of size s, at most CHUNK_CELLS cells."""
+    for s in np.flatnonzero(np.bincount(size)).tolist():
+        group, step = np.flatnonzero(size == s), max(1, CHUNK_CELLS // s)
+        per = max(1, step // s)
+        for k in range(0, len(group), per):
+            start = first[group[k : k + per], None]
+            for lo in range(0, s, step):
+                yield group[k : k + per], start + np.arange(lo, min(lo + step, s)), start + np.arange(s)
 
 
 def max_collinear(points: np.ndarray, spec: FieldSpec) -> int:
@@ -169,7 +182,7 @@ def _axial_counts(A: PointSet) -> np.ndarray:
     The heads M_L of the pairs with bisector key L are the points L mirrors
     onto A.  Reflection is an isometry, so each (a, b) in M_L x M_L is the
     mirrored segment pair (a, b), (sigma_L a, sigma_L b) of length d(a, b).
-    Lines with equal |M_L| gather dist[M_L x M_L] together, in blocks.
+    Lines with equal |M_L| gather dist[M_L x M_L] together (``_class_blocks``).
     """
     table = bisector_table(A)
     n, q = len(A), A.spec.q
@@ -179,11 +192,8 @@ def _axial_counts(A: PointSet) -> np.ndarray:
     starts = np.flatnonzero(np.diff(lines, prepend=-1))
     sizes = np.diff(starts, append=len(lines))
     bins = np.zeros(q, dtype=np.int64)
-    for size in np.flatnonzero(np.bincount(sizes)).tolist():
-        members = heads[starts[sizes == size][:, None] + np.arange(size)]
-        for lo, hi in _row_blocks(len(members), size * size):
-            block = members[lo:hi]
-            bins += np.bincount(table.dist[block[:, :, None], block[:, None, :]].ravel(), minlength=q)
+    for _, rows, cols in _class_blocks(starts, sizes):
+        bins += np.bincount(table.dist[heads[rows][:, :, None], heads[cols][:, None, :]].ravel(), minlength=q)
     return bins
 
 
@@ -248,15 +258,14 @@ def _field_embedding(spec: FieldSpec) -> tuple[FieldSpec, np.ndarray]:
 
 
 def _transporters(F, segs: tuple, target: tuple) -> tuple:
-    """Columns (u, v, s, t) of the motions taking each segment onto the target segment.
+    """Columns (u, v, s, t) of the motions taking each segment onto its target, both (hx, hy, tx, ty) columns.
 
-    ``segs`` holds head x, head y, tail x, tail y index columns and ``target``
-    the same four indices.  As in ``motion_between_segments``, the rotation is
-    w2 / w1 for the displacements w1 of a segment and w2 of the target, a
-    rotation only if their lengths agree, and the shift takes head to head.
+    As in ``motion_between_segments``, the rotation is w2 / w1 for the
+    displacements w1 of a segment and w2 of its target, a rotation only if
+    their lengths agree (``_rotates``), and the shift takes head to head.
     """
     hx, hy, tx, ty = segs
-    ax, ay, bx, by = (np.int64(c) for c in target)
+    ax, ay, bx, by = target
     w1x, w1y = F.sub(tx, hx), F.sub(ty, hy)
     w2x, w2y = F.sub(bx, ax), F.sub(by, ay)
     r = F.add(F.mul(w1x, w1x), F.mul(w1y, w1y))
@@ -264,71 +273,76 @@ def _transporters(F, segs: tuple, target: tuple) -> tuple:
     v = F.div(F.sub(F.mul(w2y, w1x), F.mul(w2x, w1y)), r)
     s = F.sub(ax, F.sub(F.mul(u, hx), F.mul(v, hy)))
     t = F.sub(ay, F.add(F.mul(v, hx), F.mul(u, hy)))
-    if not np.all(F.add(F.mul(u, u), F.mul(v, v)) == 1):
-        raise AssertionError("transporters must rotate: a segment differs in length from the target")
     return u, v, s, t
 
 
-def _pairwise_fixed_points(F, q: int, motions: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct fixed points of g_i^-1 g_j over the pairs i < j, as (x, y) index columns.
+def _rotates(F, motions: tuple) -> np.ndarray:
+    """Which (u, v, s, t) rows have u^2 + v^2 = 1."""
+    u, v = motions[:2]
+    return F.add(F.mul(u, u), F.mul(v, v)) == 1
 
-    g_i^-1 g_j has rotation (u, v) = conj(R_i) R_j and translation
-    t = conj(R_i)(w_j - w_i).  For u != 1 its fixed point solves (I - R) z = t:
-    with a = 1 - u and det = a^2 + v^2, z = (a t_x - v t_y, v t_x + a t_y) / det.
-    With u = 1 it is a translation (never the identity: the motions are
-    distinct) and fixes nothing.  Points are keyed x*q + y, a block at a time.
+
+def _pairwise_fixed_points(F, q: int, motions: tuple, first: np.ndarray, size: np.ndarray) -> tuple:
+    """The distinct fixed points of g_i^-1 g_j over the pairs i < j of each class, as (class, x, y) columns.
+
+    With g: z -> R z + w, R = u + iv, g_i^-1 g_j fixes z iff (R_i - R_j) z =
+    w_j - w_i, so z = (w_j - w_i) conj(R_i - R_j) / N, N = |R_i - R_j|^2 =
+    2 - 2 Re(conj(R_i) R_j).  N = 0 makes it a translation, which fixes nothing.
     """
     u, v, s, t = motions
-    n = len(u)
-    found = [np.zeros(0, dtype=np.int64)]
-    for lo, hi in _row_blocks(n, n):
-        i, j = np.nonzero(np.arange(lo, hi)[:, None] < np.arange(n))
-        ru = F.add(F.mul(u[i + lo], u[j]), F.mul(v[i + lo], v[j]))
-        i, j, ru = i[ru != 1] + lo, j[ru != 1], ru[ru != 1]
-        ui, vi = u[i], v[i]
-        rv = F.sub(F.mul(ui, v[j]), F.mul(vi, u[j]))
-        dx, dy = F.sub(s[j], s[i]), F.sub(t[j], t[i])
-        tx, ty = F.add(F.mul(ui, dx), F.mul(vi, dy)), F.sub(F.mul(ui, dy), F.mul(vi, dx))
-        a = F.sub(np.int64(1), ru)
-        det = F.add(F.mul(a, a), F.mul(rv, rv))
-        zx = F.div(F.sub(F.mul(a, tx), F.mul(rv, ty)), det)
-        zy = F.div(F.add(F.mul(rv, tx), F.mul(a, ty)), det)
-        found.append(np.unique(zx * q + zy, return_counts=True)[0])
-    keys = np.unique(np.concatenate(found), return_counts=True)[0]
-    return keys // q, keys % q
+    found, run = [np.zeros(0, dtype=np.int64)], []
+    for classes, rows, cols in _class_blocks(first, size):
+        if rows[0, 0] == first[classes[0]]:  # the classes before are complete
+            found += [np.unique(np.concatenate(run), return_counts=True)[0]] if len(run) > 1 else run
+            run = []
+        pair = rows[:, :, None] < cols[:, None, :]
+        ends = (classes[:, None, None], rows[:, :, None], cols[:, None, :])
+        cls, i, j = (np.broadcast_to(c, pair.shape)[pair] for c in ends)
+        du, dv = F.sub(u[i], u[j]), F.sub(v[i], v[j])
+        norm = F.add(F.mul(du, du), F.mul(dv, dv))
+        cls, i, j, du, dv, norm = (c[norm != 0] for c in (cls, i, j, du, dv, norm))
+        ds, dt = F.sub(s[j], s[i]), F.sub(t[j], t[i])
+        zx = F.div(F.add(F.mul(ds, du), F.mul(dt, dv)), norm)
+        zy = F.div(F.sub(F.mul(dt, du), F.mul(ds, dv)), norm)
+        run.append(np.unique((cls * q + zx) * q + zy, return_counts=True)[0])
+    keys = np.unique(np.concatenate(found + run), return_counts=True)[0]
+    return keys // (q * q), keys // q % q, keys % q
 
 
-def _scan_axis(fixed, spec: FieldSpec):
-    """First canonical non-isotropic line through none of the points ``fixed`` = (x, y) index columns.
+def _scan_axes(fixed: tuple, n_classes: int, spec: FieldSpec) -> list:
+    """Per class, the first canonical non-isotropic line through none of its (class, x, y) points, or None.
 
-    The scan walks the canonical order one family of parallel lines at a
-    time, with a length-q mask of the intercepts the points block: {x + m*y}
-    for the normal (1, m), and {y} for the trailing normal (0, 1).
+    One family of parallel lines at a time, for every class still open: the
+    points block the intercepts {x + m*y} of the normal (1, m), {y} of (0, 1).
     """
-    F, q = _index_field(spec), spec.q
-    fx, fy = fixed
-    one, zero = spec.one(), spec.zero()
-    # an isotropic normal is never a reflection axis; None stands for (0, 1)
-    for m in chain((e for e in spec.elements() if one + e * e), [None]):
-        blocked = np.zeros(q, dtype=bool)
-        blocked[fy if m is None else F.add(fx, F.mul(np.int64(m.index), fy))] = True
-        if not blocked.all():
-            c = spec.from_index(int(np.argmin(blocked)))
-            return Line(zero, one, c) if m is None else Line(one, m, c)
-    return None
+    F, q, e, element = _index_field(spec), spec.q, np.arange(spec.q), spec.from_index
+    cls, fx, fy = fixed
+    axes, open_, row = [None] * n_classes, np.ones(n_classes, dtype=bool), cls * q
+    # an isotropic normal is never a reflection axis; -1 stands for (0, 1)
+    for m in e[F.add(np.int64(1), F.mul(e, e)) != 0].tolist() + [-1]:
+        if not open_.any():
+            break
+        blocked = np.zeros(n_classes * q, dtype=bool)
+        blocked[row + (fy if m < 0 else F.add(fx, F.mul(np.int64(m), fy)))] = True
+        blocked = blocked.reshape(n_classes, q)
+        found = np.flatnonzero(open_ & ~blocked.all(axis=1))
+        for k, c in zip(found.tolist(), np.argmin(blocked[found], axis=1).tolist()):
+            axes[k] = Line(spec.zero(), spec.one(), element(c)) if m < 0 else Line(spec.one(), element(m), element(c))
+        open_[found] = False
+    return axes
 
 
-def _reflect_columns(F, axis: Line, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reflection across a non-isotropic axis: z - 2((n.z - c)/(n.n)) n."""
-    n1, n2, c = (np.int64(e.index) for e in (axis.n1, axis.n2, axis.c))
+def _reflect_columns(F, axis: tuple, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reflection across non-isotropic axes (n1, n2, c), one per row: z - 2((n.z - c)/(n.n)) n."""
+    n1, n2, c = axis
     nn = F.add(F.mul(n1, n1), F.mul(n2, n2))
     k = F.div(F.sub(F.add(F.mul(n1, x), F.mul(n2, y)), c), nn)
     k = F.add(k, k)
     return F.sub(x, F.mul(k, n1)), F.sub(y, F.mul(k, n2))
 
 
-def _phi_planes(F, plane: ProjPlane, motions: tuple) -> np.ndarray:
-    """The image plane of ``plane`` under phi_left(g) for each motion g, as canonical rows.
+def _phi_planes(F, plane: tuple, motions: tuple) -> np.ndarray:
+    """The image of the plane (P0, P1, P2, P3) of each row under phi_left(g) for its motion g, as canonical rows.
 
     Plane coefficients move by the inverse transpose, and phi_left(g)^-1 is
     phi_left(g^-1) up to scale, so the image is the row P * phi_left(g^-1).
@@ -339,7 +353,7 @@ def _phi_planes(F, plane: ProjPlane, motions: tuple) -> np.ndarray:
     inverse = (u, F.sub(np.int64(0), v),
                F.sub(np.int64(0), F.add(F.mul(u, s), F.mul(v, t))), F.sub(F.mul(v, s), F.mul(u, t)))
     h0, h1, h2, h3 = _kappa_rows(F, inverse).T
-    p0, p1, p2, p3 = (np.int64(c.index) for c in plane.coeffs)
+    p0, p1, p2, p3 = plane
     rows = np.stack([
         F.add(F.add(F.mul(p0, h0), F.mul(p1, h1)), F.add(F.mul(p2, h2), F.mul(p3, h3))),
         F.add(F.sub(F.mul(p1, h0), F.mul(p0, h1)), F.sub(F.mul(p3, h2), F.mul(p2, h3))),
@@ -427,89 +441,123 @@ class ReductionWitness:
         return {name: encode(getattr(self, name)) for name in _WITNESS_KEYS}
 
 
-def _segment_columns(heads, tails, x: np.ndarray, y: np.ndarray) -> tuple:
-    """(head x, head y, tail x, tail y) columns of the given pairs, ordered by ``Segment.key``."""
-    segs = (x[heads], y[heads], x[tails], y[tails])
-    order = np.lexsort(segs[::-1])
-    return tuple(c[order] for c in segs)
+def _only(keep: np.ndarray, cls: np.ndarray, *columns) -> tuple:
+    """The kept classes' rows: class ids renumbered in order, then each column."""
+    if keep.all():
+        return (cls,) + columns
+    rows = keep[cls]
+    return ((np.cumsum(keep) - 1)[cls[rows]],) + tuple(c[rows] for c in columns)
+
+
+def _repeating(cls: np.ndarray, rows: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The classes in which some (N, 4) row repeats."""
+    return np.flatnonzero(np.bincount(_distinct_rows(np.column_stack([cls, rows]))[:, 0], minlength=len(size)) < size)
+
+
+def claim_reductions(A: PointSet, lengths: Sequence[FieldElement]) -> list:
+    """Reduce the segment class of each distinct nonzero length to a projective point-plane incidence count.
+
+    Per class: take the motions g with g(x) = s_r, the first segment; pick the
+    first mirror axis no pairwise quotient fixes a point of (over the quadratic
+    extension if the base field has none); reflect for the points, move the
+    axial-rotation plane by the g for the planes; count.  Each stage runs once
+    per work field over all classes.  Returns each class's witness or the
+    ReductionUnavailableError or AssertionError it raised.
+    """
+    if not all(lengths):
+        raise ValueError("a nonzero quadratic length is required")
+    dist, n = bisector_table(A).dist, len(A)
+    ids = np.full(A.spec.q, -1)
+    ids[[r.index for r in lengths]] = np.arange(len(lengths))
+    heads, tails = np.nonzero(ids[dist] >= 0)
+    cls = ids[dist[heads, tails]]
+    sizes = np.bincount(cls, minlength=len(lengths))
+    if not sizes.all():
+        raise EmptySegmentClassError(f"no segments of length {lengths[int(np.argmin(sizes))]!r}")
+    # the embedding changes no count below, so the base set gives them; the
+    # on-axis count is 2 h(h - 1) per apex heading h segments, plus |S_r|
+    apex = np.bincount(cls * n + heads, minlength=len(lengths) * n).reshape(len(lengths), n)
+    i_on_axis = (2 * (apex * (apex - 1)).sum(axis=1) + sizes).tolist()
+    axial, out = _per_set(A, _axial_counts), [None] * len(lengths)
+    shared = dict(base_field=A.spec, m_curve=max_collinear_cocircular(A).m, erdos_ceiling=_ceil_sqrt(n ** 3),
+                  max_class_size=int(segment_classes(A).sizes[1:].max(initial=0)))
+    x, y = _index_coords(A)
+    members, spec, into, fixed = np.arange(len(lengths)), A.spec, None, None
+    while len(members):  # the base field, then the extension for classes with no axis
+        F, element = _index_field(spec), spec.from_index
+        cx, cy = (x, y) if into is None else (into[x], into[y])
+        segs = (cx[heads], cy[heads], cx[tails], cy[tails])
+        order = np.lexsort(segs[::-1] + (cls,))  # by class, then Segment.key
+        row_class, segs = cls[order], tuple(c[order] for c in segs)
+        size = sizes[members]
+        first = np.cumsum(size) - size
+        g = _transporters(F, segs, tuple(c[first][row_class] for c in segs))
+        if fixed is None:
+            fixed = _pairwise_fixed_points(F, spec.q, g, first, size)
+        axes = _scan_axes(fixed, len(members), spec)
+        has = np.array([axis is not None for axis in axes])
+        if has.any():
+            done, axes = members[has], [axis for axis in axes if axis is not None]
+            row_class, hx, hy, tx, ty, *g = _only(has, row_class, *segs, *g)
+            size = size[has]
+            first = np.cumsum(size) - size
+            axis_cols = np.array([axis.key for axis in axes]).T
+            line = tuple(c[row_class] for c in axis_cols)
+            h = _transporters(F, _reflect_columns(F, line, hx, hy) + _reflect_columns(F, line, tx, ty),
+                              tuple(c[first][row_class] for c in (hx, hy, tx, ty)))
+            points = _kappa_rows(F, h)
+            plane = np.array([[e.index for e in r_tau_plane(axis).coeffs] for axis in axes])
+            planes = _phi_planes(F, tuple(plane[row_class].T), g)
+            # Axis validity makes both sides of the plane-coincidence criterion false
+            # for every distinct pair.  A non-identity quotient is an axial rotation
+            # iff it fixes a point of the axis, so the left side fails because no
+            # pairwise fixed point lies on the axis; the right side fails because the
+            # plane keys were just checked pairwise distinct.
+            fc, fx, fy = _only(has, *fixed)
+            n1, n2, c0 = (col[fc] for col in axis_cols)
+            for bad, message in (
+                (row_class[~(_rotates(F, g) & _rotates(F, h))],
+                 "transporters must rotate: a segment differs in length from the target"),
+                (_repeating(row_class, points, size), "projective points must be pairwise distinct"),
+                (_repeating(row_class, planes, size), "planes must be pairwise distinct"),
+                (row_class[F.add(F.mul(points[:, 0], points[:, 0]), F.mul(points[:, 1], points[:, 1])) == 0],
+                 "points must avoid the exceptional locus"),
+                (fc[F.add(F.mul(n1, fx), F.mul(n2, fy)) == c0], "valid axis cannot yield an axial quotient"),
+            ):
+                for c in set(done[bad].tolist()):
+                    out[c] = out[c] or AssertionError(message)
+            blocks = [(k, _hits(F, points[rows], planes[cols])) for k, rows, cols in _class_blocks(first, size)]
+            incidences = np.bincount(*map(np.concatenate, zip(*blocks)), minlength=len(done)).astype(np.int64)
+            for c, axis, lo, hi, count in zip(done.tolist(), axes, first.tolist(), (first + size).tolist(),
+                                              incidences.tolist()):
+                r, (ax, ay, bx, by) = lengths[c], (element(int(col[lo])) for col in (hx, hy, tx, ty))
+                i_ax = int(axial[r.index])
+                out[c] = out[c] or ReductionWitness(
+                    **shared, work_field=spec, lifted=into is not None, s_r=Segment(Point(ax, ay), Point(bx, by)),
+                    r=r if into is None else element(int(into[r.index])), axis=axis, g=tuple(col[lo:hi] for col in g),
+                    h=tuple(col[lo:hi] for col in h), point_rows=points[lo:hi], plane_rows=planes[lo:hi],
+                    i_ax=i_ax, i_on_axis=i_on_axis[c], incidences=count, equal=count == i_ax,
+                    verdict="explained" if count == i_ax + i_on_axis[c] else "unexplained",
+                )
+        if has.all():
+            break
+        if into is not None:
+            for c in members[~has].tolist():
+                r = lengths[c]
+                out[c] = ReductionUnavailableError(f"no valid axis over {spec!r} for r={r!r}, |S_r|={sizes[c]}")
+            break
+        spec, into = _field_embedding(spec)
+        # g_i^-1 g_j takes segment j onto segment i whatever s_r is, so the
+        # lifted fixed points are the embedded base ones
+        fixed = _only(~has, fixed[0], into[fixed[1]], into[fixed[2]])
+        cls, heads, tails = _only(~has, cls, heads, tails)
+        members = members[~has]
+    return out
 
 
 def claim_reduction(A: PointSet, r: FieldElement) -> ReductionWitness:
-    """Reduce one segment class to a projective point-plane incidence count.
-
-    Fixes the canonically first segment s_r, forms the motion g per segment x
-    with g(x) = s_r, picks the first valid mirror axis (no pairwise motion
-    quotient may fix a point of it), reflects the segments across the axis to
-    get the point family, pushes the axial-rotation plane around by the
-    motions to get the plane family, then counts.  When no axis over the base
-    field is valid the whole construction moves to the quadratic extension,
-    which leaves every count in the witness unchanged.
-    """
-    if not r:
-        raise ValueError("a nonzero quadratic length is required")
-    table = bisector_table(A)
-    heads, tails = np.nonzero(table.dist == r.index)
-    if not len(heads):
-        raise EmptySegmentClassError(f"no segments of length {r!r}")
-    x, y = _index_coords(A)
-    spec, work_r, lifted = A.spec, r, False
-    F = _index_field(spec)
-    segs = _segment_columns(heads, tails, x, y)
-    g = _transporters(F, segs, [c[0] for c in segs])
-    fixed = _pairwise_fixed_points(F, spec.q, g)
-    axis = _scan_axis(fixed, spec)
-    if axis is None:
-        spec, into = _field_embedding(A.spec)
-        work_r, lifted, F = spec.from_index(int(into[r.index])), True, _index_field(spec)
-        # g_i^-1 g_j takes segment j onto segment i whatever s_r is, so the
-        # lifted fixed points are the embedded base ones
-        fixed = (into[fixed[0]], into[fixed[1]])
-        axis = _scan_axis(fixed, spec)
-        if axis is None:
-            raise ReductionUnavailableError(f"no valid axis over {spec!r} for r={r!r}, |S_r|={len(heads)}")
-        segs = _segment_columns(heads, tails, into[x], into[y])
-        g = _transporters(F, segs, [c[0] for c in segs])
-
-    hx, hy, tx, ty = segs
-    target = [c[0] for c in segs]
-    mirrored = _reflect_columns(F, axis, hx, hy) + _reflect_columns(F, axis, tx, ty)
-    h = _transporters(F, mirrored, target)
-    points = _kappa_rows(F, h)
-    planes = _phi_planes(F, r_tau_plane(axis), g)
-
-    if len(_distinct_rows(points)) != len(points):
-        raise AssertionError("projective points must be pairwise distinct")
-    if len(_distinct_rows(planes)) != len(planes):
-        raise AssertionError("planes must be pairwise distinct")
-    if np.any(F.add(F.mul(points[:, 0], points[:, 0]), F.mul(points[:, 1], points[:, 1])) == 0):
-        raise AssertionError("points must avoid the exceptional locus")
-    # Axis validity makes both sides of the plane-coincidence criterion false
-    # for every distinct pair.  A non-identity quotient is an axial rotation
-    # iff it fixes a point of the axis, so the left side fails because no
-    # pairwise fixed point lies on the axis; the right side fails because the
-    # plane keys were just checked pairwise distinct.
-    n1, n2, c = (np.int64(e.index) for e in (axis.n1, axis.n2, axis.c))
-    if np.any(F.add(F.mul(n1, fixed[0]), F.mul(n2, fixed[1])) == c):
-        raise AssertionError("valid axis cannot yield an axial quotient")
-
-    incidences = count_incidences(points, planes, spec)
-    # The axial and on-axis counts, the class sizes and the curve occupancy
-    # maximum are invariant under the base-rational embedding, so they are
-    # read off the base set either way.
-    i_ax = axial_pair_count(A, r)
-    # 2 per equal-leg triple with legs r (h(h - 1) at an apex heading h of
-    # S_r), plus each segment mirrored across its own spanning line
-    apex = np.bincount(heads, minlength=len(A))
-    i_on_axis = int(2 * apex @ (apex - 1) + len(heads))
-    element = spec.from_index
-
-    return ReductionWitness(
-        base_field=A.spec, work_field=spec, lifted=lifted, r=work_r,
-        s_r=Segment(Point(element(target[0]), element(target[1])), Point(element(target[2]), element(target[3]))),
-        axis=axis, g=g, h=h, point_rows=points, plane_rows=planes,
-        i_ax=i_ax, i_on_axis=i_on_axis, incidences=incidences, equal=incidences == i_ax,
-        verdict="explained" if incidences == i_ax + i_on_axis else "unexplained",
-        m_curve=max_collinear_cocircular(A).m,
-        max_class_size=int(segment_classes(A).sizes[1:].max(initial=0)),
-        erdos_ceiling=_ceil_sqrt(len(A) ** 3),
-    )
+    """``claim_reductions`` of one class."""
+    (witness,) = claim_reductions(A, [r])
+    if isinstance(witness, Exception):
+        raise witness
+    return witness

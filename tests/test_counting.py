@@ -138,6 +138,13 @@ class TestDistanceStats:
         assert union == set(stats.distances)
         assert stats.pind == max(len(stats.per_point[a]) for a in A)
         assert stats.pind_nonzero == max(len(stats.per_point_nonzero(a)) for a in A)
+        assert stats.distinct_distances == len(stats.distances)
+
+    def test_spectra_are_built_on_first_read(self):
+        stats = distance_stats(COLLINEAR_F7)
+        assert "per_point" not in vars(stats) and "distances" not in vars(stats)
+        assert (stats.pind, stats.distinct_distances) == (3, 3)
+        assert stats.per_point is stats.per_point and len(stats.distances) == 3
 
 
 def all_subsets(spec):

@@ -23,7 +23,7 @@ from findist import incidence
 from findist.cli import main
 from findist.counting import segment_classes
 from findist.field import FieldSpec
-from findist.generators import GENERATOR_KINDS, UnsupportedGeneratorError, generate
+from findist.generators import FULL_PLANE_Q_MAX, GENERATOR_KINDS, UnsupportedGeneratorError, generate
 from findist.geometry import Line, Point, PointSet, all_points, distance, origin
 from findist.harness import (
     CHECK_NAMES,
@@ -423,6 +423,16 @@ class TestCli:
         assert (code, out) == (2, "")
         assert err.startswith("findist: ") and err.count("\n") == 1 and f"q <= {KINEMATIC_Q_MAX}" in err
 
+    @pytest.mark.parametrize("p, r", [(43, 1), (7, 2), (101, 1)])
+    def test_full_plane_above_its_q_limit_exits_two(self, p, r):
+        blob = {"field": {"p": p, "r": r}, "generator": "full-plane", "checks": ["stats"]}
+        code, out, err = _run_with_file("stats", "--config", blob)
+        assert (code, out) == (2, "")
+        assert err.startswith("findist: ") and err.count("\n") == 1 and f"q <= {FULL_PLANE_Q_MAX}" in err
+
+    def test_full_plane_at_its_q_limit_runs(self):
+        assert len(generate(FieldSpec(FULL_PLANE_Q_MAX), "full-plane", {}, 0)) == FULL_PLANE_Q_MAX ** 2
+
     def test_unsupported_generator_exits_two(self, tmp_path):
         config = make_config(F7, "isotropic-line", {"size": 3}, checks=("stats",))
         path = tmp_path / "config.json"
@@ -561,7 +571,7 @@ class TestReductionFailures:
     @pytest.fixture
     def no_axis(self, monkeypatch):
         # no axis over the base field or its quadratic extension
-        monkeypatch.setattr(incidence, "_scan_axis", lambda fixed, spec: None)
+        monkeypatch.setattr(incidence, "_scan_axes", lambda fixed, n_classes, spec: [None] * n_classes)
 
     def test_reduce_check_fails_with_one_finding_per_class(self, no_axis, tmp_path):
         config = make_config(F7, "random", {"size": 6}, seed=7, checks=("reduce",))
@@ -579,10 +589,11 @@ class TestReductionFailures:
             assert f["lhs"][0].startswith("ReductionUnavailableError: no valid axis")
 
     def test_an_invariant_raise_is_a_finding_too(self, monkeypatch):
-        def broken(fixed, spec):
+        def broken(fixed, n_classes, spec):
             raise AssertionError("planes must be pairwise distinct")
 
-        monkeypatch.setattr(incidence, "_scan_axis", broken)
+        # a raise out of the batched pass itself fails every class
+        monkeypatch.setattr(incidence, "_scan_axes", broken)
         report = run(make_config(F5, "random", {"size": 4}, seed=3, checks=("reduce",)))
         assert report.findings and not report.passed()
         assert all(f["lhs"] == ["AssertionError: planes must be pairwise distinct"] for f in report.findings)
@@ -601,6 +612,56 @@ class TestReductionFailures:
             expected.append((f"reduction-available[size={size},r={row['reduction_r']}]", _digest(A.to_json())))
         assert [(f["name"], f["inputs"]) for f in report.findings] == expected
         assert not any(f["pass"] for f in report.findings)
+
+    # the F_25 config of CI's python -O loop (every class has a base axis) and
+    # the F_13 one (2 of 12 classes lift), reduce only
+    F25_CONFIG = {"field": {"p": 5, "r": 2}, "generator": "random", "params": {"size": 12}, "seed": 25,
+                  "checks": ["reduce"]}
+    F13_CONFIG = {"field": {"p": 13}, "generator": "random", "params": {"size": 14}, "seed": 13, "checks": ["reduce"]}
+
+    @staticmethod
+    def _fail_one_axis(monkeypatch, A, k):
+        """Class k finds no axis over the base field nor, lifted with the others, over the extension."""
+        real, lifted = incidence._scan_axes, []
+
+        def scan(fixed, n_classes, spec):
+            axes = real(fixed, n_classes, spec)
+            if spec == A.spec:
+                axes[k] = None
+                lifted[:] = [c for c, axis in enumerate(axes) if axis is None]
+            else:
+                axes[lifted.index(k)] = None
+            return axes
+
+        monkeypatch.setattr(incidence, "_scan_axes", scan)
+        return "ReductionUnavailableError: no valid axis over "
+
+    @staticmethod
+    def _fail_one_invariant(monkeypatch, A, k):
+        """Class k repeats a point row (classes keep their numbers when every one has a base axis)."""
+        real = incidence._repeating
+        monkeypatch.setattr(incidence, "_repeating", lambda cls, rows, size: np.union1d(real(cls, rows, size), [k]))
+        return "AssertionError: projective points must be pairwise distinct"
+
+    @pytest.mark.parametrize("blob, failure", [
+        (F25_CONFIG, "_fail_one_axis"), (F13_CONFIG, "_fail_one_axis"), (F25_CONFIG, "_fail_one_invariant"),
+    ], ids=["f25-axis", "f13-axis", "f25-invariant"])
+    def test_one_failing_class_leaves_the_others_unchanged(self, blob, failure, monkeypatch):
+        config = ExperimentConfig.from_json(blob)
+        A = config_point_set(config)
+        want = run(config)
+        lengths = [r.index for r, _ in segment_classes(A).nonzero_sizes()]
+        k = 3
+        message = getattr(self, failure)(monkeypatch, A, k)
+        got = run(config)
+        others = [i for i in range(len(lengths)) if i != k]
+        assert [f["name"] for f in got.findings].count(f"reduction-available[r={lengths[k]}]") == 1
+        failed = got.findings[k]
+        assert failed["name"] == f"reduction-available[r={lengths[k]}]" and failed["pass"] is False
+        assert failed["lhs"][0].startswith(message)
+        assert [canonical_json(got.findings[i]) for i in others] == [canonical_json(want.findings[i]) for i in others]
+        summaries = [s for s in want.metrics["reduce"]["reductions"] if s["r"] != lengths[k]]
+        assert canonical_json(got.metrics["reduce"]["reductions"]) == canonical_json(summaries)
 
 
 def _cli(argv):

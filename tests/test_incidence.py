@@ -26,7 +26,7 @@ from findist.incidence import (
     ReductionWitness,
     _pairwise_fixed_points,
     _rows,
-    _scan_axis,
+    _scan_axes,
     axial_pair_count,
     claim_reduction,
     count_incidences,
@@ -277,19 +277,23 @@ class TestValidAxisScan:
 
     @pytest.mark.parametrize("spec", [F5, F9], ids=["F5", "F9"])
     def test_matches_line_sweep(self, spec):
+        # 25 motion groups as the classes of one batch
         rng = random.Random(4096 + spec.q)
         motions = list(all_motions(spec))
-        for _ in range(25):
-            group = rng.sample(motions, rng.randint(2, 8))
-            columns = tuple(np.array(c, dtype=np.int64) for c in zip(*(m.key for m in group)))
-            fixed = _pairwise_fixed_points(_index_field(spec), spec.q, columns)
-            assert sorted(zip(*(c.tolist() for c in fixed))) == sorted(z.key for z in oracle.pairwise_fixed_points(group))
-            got = _scan_axis(fixed, spec)
+        groups = [rng.sample(motions, rng.randint(2, 8)) for _ in range(25)]
+        columns = tuple(np.array(c, dtype=np.int64) for c in zip(*(m.key for group in groups for m in group)))
+        size = np.array([len(group) for group in groups])
+        fixed = _pairwise_fixed_points(_index_field(spec), spec.q, columns, np.cumsum(size) - size, size)
+        axes = _scan_axes(fixed, len(groups), spec)
+        for k, group in enumerate(groups):
+            mine = fixed[0] == k
+            got = sorted(zip(fixed[1][mine].tolist(), fixed[2][mine].tolist()))
+            assert got == sorted(z.key for z in oracle.pairwise_fixed_points(group))
             want = self.brute_first_valid(group, spec)
             if want is None:
-                assert got is None
+                assert axes[k] is None
             else:
-                assert got is not None and got.key == want.key
+                assert axes[k] is not None and axes[k].key == want.key
 
 
 class TestClaimReduction:

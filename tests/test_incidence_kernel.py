@@ -1,11 +1,13 @@
 """Differential tests of the index-array incidence stage against the object oracles.
 
-``claim_reduction`` must reproduce byte for byte the witness JSON that the
-object pipeline of ``incidence_oracles.reduction_json`` builds, lifted
-reductions included.  ``count_incidences``, ``max_collinear``, the pairwise
-fixed points and ``rudnev_ratio`` are each compared with their loops, at the
-default block size and at one row per block, and the closed-form R_tau plane
-with the lazily spanned one on every non-isotropic line.
+``claim_reductions`` must reproduce byte for byte, for every class of a set
+in one batched call, the witness JSON that the object pipeline of
+``incidence_oracles.reduction_json`` builds and that a one-class call
+gives, lifted reductions included.  ``count_incidences``,
+``max_collinear``, the pairwise fixed points and ``rudnev_ratio`` are each
+compared with their loops, at the default block size and at one row per
+block, and the closed-form R_tau plane with the lazily spanned one on every
+non-isotropic line.
 """
 
 import random
@@ -24,9 +26,11 @@ from findist.geometry import PointSet, all_lines, all_points, point
 from findist.harness import canonical_json, standard_corpus_sets
 from findist.incidence import (
     _pairwise_fixed_points,
+    _rotates,
     _rows,
     _transporters,
     claim_reduction,
+    claim_reductions,
     count_incidences,
     max_collinear,
     rudnev_ratio,
@@ -60,6 +64,17 @@ def assert_witness_matches(A, r):
     return got
 
 
+def assert_batch_matches(A):
+    """Each class's witness from one batched call equals the object pipeline's and a one-class call's."""
+    lengths = [r for r, _ in nonzero_classes(A)]
+    batch = claim_reductions(A, lengths)
+    for r, w in zip(lengths, batch):
+        got = canonical_json(w.to_json())
+        assert got == canonical_json(oracle.reduction_json(A, r)), (r, A.to_json())
+        assert got == canonical_json(claim_reduction(A, r).to_json()), (r, A.to_json())
+    return batch
+
+
 def random_families(spec, seed, count):
     """Point and plane families drawn from projective 3-space, repeats and collinear runs included."""
     rng = random.Random(seed)
@@ -75,25 +90,27 @@ def random_families(spec, seed, count):
 class TestWitnessAgainstObjectPipeline:
     def test_every_subset_of_f3(self):
         pts = list(all_points(F3))
-        for mask in range(1, 2 ** len(pts)):
-            A = PointSet(F3, [p for i, p in enumerate(pts) if mask >> i & 1])
-            if nonzero_classes(A):
-                assert_witness_matches(A, largest_class(A))
+        for mask in range(2 ** len(pts)):
+            assert_batch_matches(PointSet(F3, [p for i, p in enumerate(pts) if mask >> i & 1]))
 
     def test_every_subset_of_an_f5_set(self):
         base = generate(F5, "random", {"size": 6}, 55)
         for mask in range(1, 2 ** len(base)):
-            A = PointSet(F5, [p for i, p in enumerate(base) if mask >> i & 1])
-            for r, _ in nonzero_classes(A):
-                assert_witness_matches(A, r)
+            assert_batch_matches(PointSet(F5, [p for i, p in enumerate(base) if mask >> i & 1]))
 
     @pytest.mark.parametrize("spec", [F7, F9, F25], ids=["F7", "F9", "F25"])
     def test_random_and_on_circle_sets(self, spec):
         sets = [generate(spec, "random", {"size": n}, 70 + n) for n in (3, 6, 9)]
         sets.append(generate(spec, "on-circle", {"size": 6, "center": [1, 2], "radius_sq": 1}, 7))
         for A in sets:
-            for r, _ in nonzero_classes(A):
-                assert_witness_matches(A, r)
+            assert_batch_matches(A)
+
+    @pytest.mark.parametrize("spec, size, seed, lifts", [(F25, 12, 25, 0), (F7, 12, 7, 6), (F13, 14, 13, 2)],
+                             ids=["all-base", "all-lifted", "mixed"])
+    def test_batch_groups(self, spec, size, seed, lifts):
+        A = generate(spec, "random", {"size": size}, seed)
+        batch = assert_batch_matches(A)
+        assert sum(w.lifted for w in batch) == lifts and len(batch) >= 6
 
     @pytest.mark.parametrize(
         "A, r, ext",
@@ -108,13 +125,12 @@ class TestWitnessAgainstObjectPipeline:
         w = assert_witness_matches(A, A.spec.from_index(r))
         assert w.lifted and w.work_field.q == ext
 
-    @given(st.sampled_from([F7, F13]).flatmap(
+    @given(st.sampled_from([F7, F13, F25]).flatmap(
         lambda spec: st.lists(st.sampled_from(list(all_points(spec))), min_size=2, max_size=9)
         .map(lambda pts: PointSet(spec, pts))))
     @settings(max_examples=25, deadline=None)
     def test_hypothesis_sets(self, A):
-        for r, _ in nonzero_classes(A)[:3]:
-            assert_witness_matches(A, r)
+        assert_batch_matches(A)
 
 
 class TestGrid8x12OnF961:
@@ -133,9 +149,11 @@ class TestGrid8x12OnF961:
     def test_fixed_points_match_the_motion_objects(self, witness):
         spec = witness.work_field
         columns = tuple(np.array(c, dtype=np.int64) for c in zip(*(g.key for g in witness.g_motions)))
-        got = _pairwise_fixed_points(_index_field(spec), spec.q, columns)
+        size = np.array([len(witness.g_motions)])
+        got = _pairwise_fixed_points(_index_field(spec), spec.q, columns, np.zeros(1, dtype=np.int64), size)
         want = oracle.pairwise_fixed_points(witness.g_motions)
-        assert sorted(zip(*(c.tolist() for c in got))) == sorted(z.key for z in want)
+        assert not got[0].any()
+        assert sorted(zip(*(c.tolist() for c in got[1:]))) == sorted(z.key for z in want)
         assert oracle.scan_axis(want, spec) == witness.axis
 
 
@@ -152,6 +170,14 @@ class TestOneRowBlocks:
         monkeypatch.setattr(incidence, "CHUNK_CELLS", 1)
         for A, expected in zip(sets, default):
             assert [canonical_json(claim_reduction(A, r).to_json()) for r, _ in nonzero_classes(A)] == expected
+
+    def test_batched_witnesses(self, monkeypatch):
+        sets = [LIFT_SET_F3, generate(F9, "random", {"size": 12}, 0), generate(F13, "random", {"size": 14}, 13)]
+        lengths = [[r for r, _ in nonzero_classes(A)] for A in sets]
+        default = [[canonical_json(w.to_json()) for w in claim_reductions(A, L)] for A, L in zip(sets, lengths)]
+        monkeypatch.setattr(incidence, "CHUNK_CELLS", 1)
+        for A, L, expected in zip(sets, lengths, default):
+            assert [canonical_json(w.to_json()) for w in claim_reductions(A, L)] == expected
 
     @pytest.mark.parametrize("spec", [F5, F9], ids=["F5", "F9"])
     def test_families(self, spec, one_row):
@@ -180,9 +206,10 @@ class TestKernelsAgainstLoops:
         F = _index_field(F7)
         segs = tuple(np.array([c]) for c in (0, 0, 1, 0))
         # (0, 0) -> (1, 0) onto (2, 2) -> (2, 3): a quarter turn, then a shift by (2, 2)
-        assert [c.tolist() for c in _transporters(F, segs, (2, 2, 2, 3))] == [[0], [1], [2], [2]]
-        with pytest.raises(AssertionError, match="differs in length"):
-            _transporters(F, segs, (2, 2, 2, 4))
+        g = _transporters(F, segs, (2, 2, 2, 3))
+        assert [c.tolist() for c in g] == [[0], [1], [2], [2]]
+        assert _rotates(F, g).tolist() == [True]
+        assert _rotates(F, _transporters(F, segs, (2, 2, 2, 4))).tolist() == [False]
 
     def test_witness_ratio_needs_no_recount(self):
         for A in [LIFT_SET_F3, generate(F9, "random", {"size": 12}, 0), generate(F7, "random", {"size": 9}, 1)]:
