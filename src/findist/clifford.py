@@ -6,10 +6,10 @@ taken projectively, is isomorphic to the rigid motion group when lam = -1, and
 ``rho_star`` realises that map.  All values are immutable.
 
 The element classes are the public API.  The index kernel at the end
-(``product_rows``, ``sandwich_batch``, ``rho_star_keys``) computes the same
-products on int64 arrays of canonical coefficient indices, many elements per
-call, from the same structure constants; the harness's algebra checks run on
-it, and the tests hold it equal to the classes.
+(``product_rows``, ``sandwich_batch``, ``rho_star_keys``) multiplies int64
+arrays of canonical indices by the same structure constants, and the tests
+hold it equal to the classes.  ``associativity_misses`` reads the 8x8 table
+alone: two slot gathers and one product a side for each of 512 triples.
 """
 
 from __future__ import annotations
@@ -422,6 +422,21 @@ def product_rows(form: QuadraticFormSpec, a: np.ndarray, b: np.ndarray) -> np.nd
     cols = _product(form, list(a.T), list(b.T))
     zero = np.zeros(len(a), dtype=np.int64)
     return np.stack([zero if c is None else c for c in cols], axis=1)
+
+
+def associativity_misses(form: QuadraticFormSpec) -> int:
+    """The basis triples (a, b, c) with (a b) c != a (b c), off the 8x8 structure constants.
+
+    e_a e_b = coeff[a, b] e_slot[a, b], so the sides differ when their
+    coefficient products do, or when both are nonzero on different blades.
+    """
+    F = _index_field(form.field)
+    slot, coeff = np.array([[(s, c.index) for s, c in row] for row in _blade_table(form)]).transpose(2, 0, 1)
+    a, b, c = np.indices((8, 8, 8))
+    left = F.mul(coeff[a, b], coeff[slot[a, b], c])
+    right = F.mul(coeff[b, c], coeff[a, slot[b, c]])
+    miss = (left != right) | ((left != 0) & (slot[slot[a, b], c] != slot[a, slot[b, c]]))
+    return int(np.count_nonzero(miss))
 
 
 def even_norms(form: QuadraticFormSpec, g0: np.ndarray, g12: np.ndarray) -> np.ndarray:

@@ -139,6 +139,7 @@ class FieldSpec:
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if not self.modulus:
             object.__setattr__(self, "modulus", find_irreducible(self.p, self.r))
+            return  # the search returns a monic irreducible: only a given modulus is checked
         mod = tuple(c % self.p for c in self.modulus)
         if len(mod) != self.r + 1 or mod[-1] != 1:
             raise ValueError(f"modulus must be monic of degree {self.r}")
@@ -152,7 +153,7 @@ class FieldSpec:
 
     @cached_property
     def tables(self) -> "_Tables":
-        """The log/Zech tables and interned elements, built on first use."""
+        """The log/Zech tables and interned elements, built on first use and shared by equal specs."""
         return _Tables(self)
 
     def element(self, coeffs: int | Sequence[int]) -> "FieldElement":
@@ -243,6 +244,7 @@ def _poly_pow(a: Sequence[int], n: int, p: int, rows: Sequence[Sequence[int]]) -
     return result
 
 
+@lru_cache(maxsize=None)
 class _Tables:
     """Interned elements by index, and log/Zech tables over the first primitive g.
 

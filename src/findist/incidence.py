@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import field
 from .counting import _index_coords, _per_set, bisector_table, max_collinear_cocircular, segment_classes
 from .field import FieldElement, FieldSpec, _index_field
 from .geometry import Line, Point, PointSet, Segment
@@ -541,10 +542,11 @@ def claim_reductions(A: PointSet, lengths: Sequence[FieldElement]) -> list:
                 )
         if has.all():
             break
-        if into is not None:
+        if into is not None or spec.q**2 > field.Q_MAX:
+            why = "" if into is not None else f"; the lift to q = {spec.q}^2 exceeds the limit {field.Q_MAX}"
             for c in members[~has].tolist():
                 r = lengths[c]
-                out[c] = ReductionUnavailableError(f"no valid axis over {spec!r} for r={r!r}, |S_r|={sizes[c]}")
+                out[c] = ReductionUnavailableError(f"no valid axis over {spec!r} for r={r!r}, |S_r|={sizes[c]}{why}")
             break
         spec, into = _field_embedding(spec)
         # g_i^-1 g_j takes segment j onto segment i whatever s_r is, so the

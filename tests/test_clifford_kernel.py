@@ -8,6 +8,7 @@ and kinematic checks with the object loops they replaced
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clifford_oracles import check_clifford, check_kinematic
-from findist import clifford, field, harness
+from findist import clifford, field, harness, incidence
 from findist.clifford import (
     BLADE_NAMES,
     CliffordElement,
@@ -244,3 +245,76 @@ def test_a_kappa_row_on_the_exceptional_locus_fails_the_kinematic_check(monkeypa
     # the image gains the exceptional key 1 and loses the first motion's point
     assert (by_name["kinematic-image-complement"]["lhs"], by_name["kinematic-image-complement"]["pass"]) == (2, False)
     assert (by_name["kinematic-roundtrip"]["lhs"], by_name["kinematic-roundtrip"]["pass"]) == (1, False)
+
+
+# e123 e123 = 1 in place of 0 makes sides differ in coefficient, (e123 e123) e3 = e3
+# but e123 (e123 e3) = 0; e1 e1 = e23 in place of 1 makes some differ in blade
+# only.  The norm and sandwich checks multiply no two odd blades, so only the
+# associativity count moves.
+@pytest.mark.parametrize("slots, slot", [((7, 7), 0), ((1, 1), 6)], ids=["e123e123=1", "e1e1=e23"])
+@pytest.mark.parametrize("spec", [FieldSpec(3), FieldSpec(5)], ids=["q=3", "q=5"])
+def test_associativity_of_a_bent_table_matches_the_object_loops(spec, slots, slot, monkeypatch):
+    real = clifford._blade_table
+
+    def bent(form):
+        table = [list(row) for row in real(form)]
+        table[slots[0]][slots[1]] = (slot, form.field.one())
+        return tuple(map(tuple, table))
+
+    monkeypatch.setattr(clifford, "_blade_table", bent)
+    # uncached, so the kernel's terms are read off the bent table and no cache keeps them
+    monkeypatch.setattr(clifford, "_product_terms", clifford._product_terms.__wrapped__)
+    config = make_config(spec, "random", {}, checks=("clifford-check",))
+    got = _check_clifford(config)
+    assert got == check_clifford(config)
+    assert got[0][0]["name"] == "clifford-associativity" and got[0][0]["lhs"] > 0
+
+
+# three rotations' motions a block: F_3, F_5, F_7 and F_9 end on a partial block
+@pytest.mark.parametrize("spec", [FieldSpec(3), FieldSpec(5), FieldSpec(7), FieldSpec(3, 2), FieldSpec(13),
+                                  FieldSpec(5, 2)], ids=["q=3", "q=5", "q=7", "q=9", "q=13", "q=25"])
+def test_kinematic_check_in_blocks_matches_the_object_loops(spec, monkeypatch):
+    monkeypatch.setattr(incidence, "CHUNK_CELLS", 3 * spec.q**2)
+    config = make_config(spec, "random", {}, checks=("kinematic-check",))
+    assert _check_kinematic(config) == check_kinematic(config)
+
+
+@pytest.mark.parametrize("cells", [1, None], ids=["a-block-per-rotation", "one-block"])
+def test_non_canonical_kappa_rows_fail_the_kinematic_check(cells, monkeypatch):
+    kappa_rows = harness._kappa_rows
+
+    def broken(F, motions):
+        rows = kappa_rows(F, motions)
+        u, v, s, t = motions
+        key = ((u * 5 + v) * 5 + s) * 5 + t
+        # the first and the last motion, in different blocks, both go to the key
+        # 2 q^3 outside projective space; the second to [0 : 2 : 0 : 0], a key
+        # inside it that is no canonical point
+        rows[np.isin(key, (25, 524))] = (2, 0, 0, 0)
+        rows[key == 26] = (0, 2, 0, 0)
+        return rows
+
+    monkeypatch.setattr(harness, "_kappa_rows", broken)
+    if cells:
+        monkeypatch.setattr(incidence, "CHUNK_CELLS", cells)
+    findings, metrics, _ = _check_kinematic(make_config(FieldSpec(5), "random", {}, checks=("kinematic-check",)))
+    by_name = {f["name"]: (f["lhs"], f["pass"]) for f in findings}
+    # three motions lose their points and two foreign keys join the image
+    assert metrics["motions"] == 100
+    assert by_name["kinematic-injective"] == (99, False)
+    assert by_name["kinematic-image-complement"] == (5, False)
+    assert by_name["kinematic-roundtrip"] == (3, False)
+
+
+def test_the_kinematic_check_holds_one_block_of_motions():
+    # blocks of at most CHUNK_CELLS motions keep the peak near 18 MB; all
+    # 223,260 motions at once, with their (N, 4) rows and sorted keys, take 45 MB
+    config = make_config(FieldSpec(61), "random", {}, checks=("kinematic-check",))
+    tracemalloc.start()
+    try:
+        findings, _, _ = _check_kinematic(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(f["pass"] for f in findings)
+    assert peak < 24e6

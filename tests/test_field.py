@@ -82,8 +82,22 @@ class TestFieldSpec:
         assert [e.index for e in elems] == list(range(9))
 
     def test_reducible_modulus_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="reducible"):
             FieldSpec(5, 2, (1, 0, 1))  # x^2+1 = (x+2)(x+3) over F_5
+        with pytest.raises(ValueError, match="reducible"):
+            FieldSpec.from_json({"p": 3, "r": 3, "modulus": [0, 0, 0, 1]})
+
+    def test_the_searched_modulus_is_unchanged(self):
+        # FieldSpec takes the search's first irreducible unchecked; these are they
+        for (p, r), mod in {(3, 2): (1, 0, 1), (5, 2): (2, 0, 1), (3, 3): (1, 2, 0, 1), (31, 2): (1, 0, 1),
+                            (101, 2): (2, 0, 1), (3, 4): (2, 1, 0, 0, 1)}.items():
+            assert FieldSpec(p, r).modulus == mod == find_irreducible(p, r)
+            assert FieldSpec(p, r, mod) == FieldSpec(p, r)
+
+    def test_equal_specs_share_one_table(self):
+        spec = FieldSpec(5, 2)
+        assert FieldSpec.from_json(spec.to_json()).tables is spec.tables
+        assert FieldSpec(5, 2, (3, 0, 1)).tables is not spec.tables  # x^2+3, another modulus
 
     def test_non_monic_rejected(self):
         with pytest.raises(ValueError):
@@ -336,7 +350,7 @@ class TestTableKernel:
                 same = A.from_index(b.index)
                 for op in ops:
                     assert op(a, b) == op(a, same)
-                    assert op(a, b).spec is A
+                    assert op(a, b).spec is a.spec and a.spec == A
                 if b:
                     assert a / b == a / same
 

@@ -613,6 +613,31 @@ class TestReductionFailures:
         assert [(f["name"], f["inputs"]) for f in report.findings] == expected
         assert not any(f["pass"] for f in report.findings)
 
+    def test_a_lift_past_the_field_limit_fails_only_its_classes(self, monkeypatch):
+        # F_13 lifts 2 of its 12 classes; with the limit below 13^2 those two are unavailable
+        config = ExperimentConfig.from_json(self.F13_CONFIG)
+        want = run(config)
+        lifted = {s["r"] for s in want.metrics["reduce"]["reductions"] if s["lifted"]}
+        monkeypatch.setattr(findist.field, "Q_MAX", 13**2 - 1)
+        got = run(config)
+        assert len(lifted) == 2 and len(got.findings) == len(want.findings)
+        for g, w, r in zip(got.findings, want.findings, [s["r"] for s in want.metrics["reduce"]["reductions"]]):
+            if r not in lifted:
+                assert g == w
+                continue
+            assert g["name"] == f"reduction-available[r={r}]" and g["pass"] is False
+            assert g["lhs"][0].startswith("ReductionUnavailableError: no valid axis over FieldSpec(p=13")
+            assert g["lhs"][0].endswith(f"the lift to q = 13^2 exceeds the limit {13**2 - 1}")
+
+    def test_a_sweep_row_past_the_field_limit_is_flagged(self, monkeypatch):
+        # the n = 30 row of the standard sweep lifts to F_961
+        monkeypatch.setattr(findist.field, "Q_MAX", 31**2 - 1)
+        config = make_config(FieldSpec(31), "random", {"sizes": [30]}, seed=31, checks=("sweep",))
+        report = run(config)
+        assert "reduction-unavailable" in report.rows[0]["flags"] and report.rows[0]["reduction_lifted"] is None
+        assert [f["pass"] for f in report.findings] == [False]
+        assert report.findings[0]["lhs"][0].endswith(f"exceeds the limit {31**2 - 1}")
+
     # the F_25 config of CI's python -O loop (every class has a base axis) and
     # the F_13 one (2 of 12 classes lift), reduce only
     F25_CONFIG = {"field": {"p": 5, "r": 2}, "generator": "random", "params": {"size": 12}, "seed": 25,
