@@ -115,6 +115,11 @@ class IsoscelesCounts:
 
 
 def isosceles_count(A: PointSet) -> IsoscelesCounts:
+    """The isosceles triples of A, counted once per point set."""
+    return _per_set(A, _isosceles_count)
+
+
+def _isosceles_count(A: PointSet) -> IsoscelesCounts:
     """Count isosceles triples off the bisector table's distance matrix.
 
     Equal nonzero legs force a non-isotropic base, so an apex adds

@@ -14,7 +14,7 @@ arithmetic on numpy arrays of canonical indices, for the array kernels in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -91,9 +91,9 @@ def _monic_polys(p: int, deg: int) -> Iterator[tuple[int, ...]]:
 
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     deg = len(poly) - 1
-    if deg <= 0:
+    if deg <= 0 or not (np.polyval(poly[::-1], np.arange(p)) % p).all():  # a linear factor is a root
         return False
-    for d in range(1, deg // 2 + 1):
+    for d in range(2, deg // 2 + 1):
         for divisor in _monic_polys(p, d):
             _, rem = _poly_divmod(poly, divisor, p)
             if not rem:
@@ -198,50 +198,49 @@ def _index(coeffs: Sequence[int], p: int) -> int:
     return k
 
 
-def _reduction_rows(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
-    # rows[i] = coefficients of x^(r+i) reduced mod the modulus
-    p, r, mod = spec.p, spec.r, spec.modulus
-    rows = []
-    current = [(-mod[i]) % p for i in range(r)]  # x^r
-    rows.append(tuple(current))
-    for _ in range(r - 2):
-        shifted = [0] + current[:-1]
-        lead = current[-1]
-        if lead:
-            shifted = [(shifted[i] + lead * rows[0][i]) % p for i in range(r)]
-        current = shifted
-        rows.append(tuple(current))
-    return tuple(rows)
+@lru_cache(maxsize=None)
+def _log_tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(digits, by_index, log): each index's coefficient row, the index of g^k for k < q - 1, and each index's log.
 
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int, rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Product of coefficient vectors modulo the modulus ``rows`` reduces by; builds the tables."""
-    r = len(a)
-    if r == 1:
-        return ((a[0] * b[0]) % p,)
-    prod = [0] * (2 * r - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    out = prod[:r]
-    for i in range(r, 2 * r - 1):
-        c = prod[i]
-        if c:
-            row = rows[i - r]
-            for k in range(r):
-                out[k] += c * row[k]
-    return tuple(v % p for v in out)
-
-
-def _poly_pow(a: Sequence[int], n: int, p: int, rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """a^n for n >= 0 by square-and-multiply on coefficient vectors."""
-    result = (1,) + (0,) * (len(a) - 1)
-    while n:
-        if n & 1:
-            result = _poly_mul(result, a, p, rows)
-        a, n = _poly_mul(a, a, p, rows), n >> 1
-    return result
+    g is the first primitive element in index order.  Multiplication by c is
+    the r x r matrix M with row i the coefficients of x^i * c, so c^e is row 0
+    of M^e: a block of candidates is squared up at once, and c is primitive
+    iff c^((q-1)/d) != 1 for every prime d of q - 1.  log is -1 at zero.
+    ``_IndexField`` reads these arrays alone; ``_Tables`` builds its elements
+    from them.
+    """
+    p, r, q = spec.p, spec.r, spec.q
+    n, place = q - 1, p ** np.arange(r)
+    digits = np.arange(q)[:, None] // place % p
+    # x times x^i is x^(i+1), and x^r = -(m_0 + ... + m_(r-1) x^(r-1)) for the modulus m
+    x = np.eye(r, k=1, dtype=np.int64)
+    x[-1] = np.negative(spec.modulus[:r]) % p
+    by_x = [np.eye(r, dtype=np.int64)]
+    while len(by_x) < r:
+        by_x.append(by_x[-1] @ x % p)
+    # for r > 1 the search starts past the constants (indices below p),
+    # whose orders divide p - 1 < n
+    for lo in range(2 if r == 1 else p, q, 64):
+        squares = [np.tensordot(digits[lo : lo + 64], by_x, axes=1) % p]  # M^(2^k)
+        while len(squares) < n.bit_length():
+            squares.append(squares[-1] @ squares[-1] % p)
+        primitive = np.ones(len(squares[0]), dtype=bool)
+        for d in _prime_factors(n):
+            power = reduce(lambda a, b: a @ b % p, (m for k, m in enumerate(squares) if n // d >> k & 1))
+            primitive &= (power[:, 0] != digits[1]).any(axis=1)
+        if primitive.any():
+            break
+    # g^0 .. g^(n-1) as coefficient rows, doubling the known prefix each step:
+    # powers[:m] @ M^m holds g^m .. g^(2m-1)
+    g, powers = np.argmax(primitive), np.zeros((n, r), dtype=np.int64)
+    powers[0, 0], m = 1, 1
+    for square in squares:
+        powers[m : 2 * m] = powers[: min(m, n - m)] @ square[g] % p
+        m *= 2
+    by_index = powers @ place
+    log = np.full(q, -1, dtype=np.int64)
+    log[by_index] = np.arange(n)
+    return digits, by_index, log
 
 
 @lru_cache(maxsize=None)
@@ -257,33 +256,15 @@ class _Tables:
     __slots__ = ("elements", "by_log", "zech", "order", "half")
 
     def __init__(self, spec: FieldSpec):
-        p, r, q = spec.p, spec.r, spec.q
-        rows = _reduction_rows(spec)
-        place = p ** np.arange(r)
-        vectors = list(zip(*(np.arange(q) // place[:, None] % p).tolist()))
-        one, n = vectors[1], q - 1
-        primes = _prime_factors(n)
-        # for r > 1 the search starts past the constants (indices below p),
-        # whose orders divide p - 1 < n
-        first = 2 if r == 1 else p
-        g = next(v for v in vectors[first:] if all(_poly_pow(v, n // d, p, rows) != one for d in primes))
-        # g^0 .. g^(n-1) as coefficient rows, doubling the known prefix each step:
-        # row i of by_gm is x^i * g^m, so powers[:m] @ by_gm holds g^m .. g^(2m-1)
-        powers = np.zeros((n, r), dtype=np.int64)
-        powers[0, 0], m, gm = 1, 1, g
-        while m < n:
-            by_gm = np.array([_poly_mul(x, gm, p, rows) for x in np.eye(r, dtype=np.int64).tolist()])
-            powers[m : 2 * m] = powers[: min(m, n - m)] @ by_gm % p
-            m, gm = 2 * m, _poly_mul(gm, gm, p, rows)
-        by_index = powers @ place
-        log = np.full(q, -1, dtype=np.int64)
-        log[by_index] = np.arange(n)
-        self.order, self.half = n, n // 2
+        p, q = spec.p, spec.q
+        digits, by_index, log = _log_tables(spec)
+        logs = log.tolist()
+        self.order, self.half = q - 1, (q - 1) // 2
         self.elements = [object.__new__(FieldElement) for _ in range(q)]
-        for i, (e, coeffs, k) in enumerate(zip(self.elements, vectors, log.tolist())):
+        for i, (e, coeffs, k) in enumerate(zip(self.elements, map(tuple, digits.tolist()), logs)):
             e.spec, e.coeffs, e.index, e.log, e._t = spec, coeffs, i, k, self
-        self.by_log = [self.elements[i] for i in by_index] * 2
-        self.zech = [self.elements[k].log for k in by_index - by_index % p + (by_index + 1) % p] * 2
+        self.by_log = [self.elements[i] for i in by_index.tolist()] * 2
+        self.zech = [logs[k] for k in (by_index - by_index % p + (by_index + 1) % p).tolist()] * 2
 
 
 class FieldElement:
@@ -424,12 +405,12 @@ class _IndexField:
     """
 
     def __init__(self, spec: FieldSpec):
-        t = spec.tables
-        p, r, n = spec.p, spec.r, t.order
+        p, r, n = spec.p, spec.r, spec.q - 1
+        digits, by_index, log = _log_tables(spec)
         self.p, self.order = p, n
-        self.log = np.array([2 * n] + [e.log for e in t.elements[1:]], dtype=np.int64)
-        self.exp = np.array([e.index for e in t.by_log] + [0] * (2 * n + 1), dtype=np.int64)
-        digits = np.arange(spec.q) // p ** np.arange(r)[:, None] % p
+        self.log = np.where(log < 0, 2 * n, log)
+        self.exp = np.concatenate([by_index, by_index, np.zeros(2 * n + 1, dtype=np.int64)])
+        digits = digits.T
         self.chunks = []
         for lo in range(0, r, 2) if r > 1 else ():
             d = digits[lo : lo + 2]

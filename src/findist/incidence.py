@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ from . import field
 from .counting import _index_coords, _per_set, bisector_table, max_collinear_cocircular, segment_classes
 from .field import FieldElement, FieldSpec, _index_field
 from .geometry import Line, Point, PointSet, Segment
-from .kinematic import ProjPlane, ProjPoint, _canonical_rows, _kappa_rows, r_tau_plane
+from .kinematic import ProjPlane, ProjPoint, _canonical_rows, _kappa_rows, _r_tau_planes
 from .motions import RigidMotion
 
 # Cells (rows x columns) in one block of a pairwise kernel: it bounds their
@@ -240,22 +240,19 @@ def epsilon_term(A: PointSet) -> EpsilonTerm:
 def _field_embedding(spec: FieldSpec) -> tuple[FieldSpec, np.ndarray]:
     """The quadratic extension, and the index of each base element's image under a field embedding.
 
-    Degree one embeds by constants, which keep their index; otherwise the
-    base generator goes to the canonically first root of the base modulus
-    inside the extension.
+    The base generator goes to the canonically first root of the base
+    modulus inside the extension, where the base digits are constants
+    (indices below p): Horner's rule on the extension's index kernel, for
+    every candidate root and then every base element at once.
     """
     ext = FieldSpec(spec.p, 2 * spec.r)
-    if spec.r == 1:
-        return ext, np.arange(spec.q, dtype=np.int64)
+    F = _index_field(ext)
 
-    def evaluate(coeffs: Sequence[int], at: FieldElement) -> FieldElement:
-        acc = ext.zero()
-        for c in reversed(coeffs):
-            acc = acc * at + ext.element(c)
-        return acc
+    def horner(coeffs, at):
+        return reduce(lambda acc, c: F.add(F.mul(acc, at), c), coeffs[::-1], np.int64(0))
 
-    root = next(alpha for alpha in ext.elements() if not evaluate(spec.modulus, alpha))
-    return ext, np.array([evaluate(e.coeffs, root).index for e in spec.elements()], dtype=np.int64)
+    root = np.argmax(horner(spec.modulus, np.arange(ext.q)) == 0)
+    return ext, horner(np.arange(spec.q) // spec.p ** np.arange(spec.r)[:, None] % spec.p, root)
 
 
 def _transporters(F, segs: tuple, target: tuple) -> tuple:
@@ -283,54 +280,76 @@ def _rotates(F, motions: tuple) -> np.ndarray:
     return F.add(F.mul(u, u), F.mul(v, v)) == 1
 
 
+def _normals(F, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n1, n2) columns of the canonical non-isotropic line normals in order: (1, m) by m, then (0, 1)."""
+    e = np.arange(q)
+    m = e[F.add(np.int64(1), F.mul(e, e)) != 0]
+    return np.append(np.ones_like(m), 0), np.append(m, 1)
+
+
+def _mark_lines(F, q: int, normals: tuple, lines: np.ndarray, keys: np.ndarray) -> None:
+    """Flag lines[class, k, c] for each grid point (class*q + x)*q + y on n1[k]*x + n2[k]*y = c.
+
+    Every normal's intercepts are read in one pass, CHUNK_CELLS of them a block.
+    """
+    n1, n2 = normals
+    for lo, hi in _row_blocks(len(keys), len(n1)):
+        cls, x, y = keys[lo:hi, None] // (q * q), keys[lo:hi, None] // q % q, keys[lo:hi, None] % q
+        lines[cls, np.arange(len(n1)), F.add(F.mul(n1, x), F.mul(n2, y))] = True
+
+
 def _pairwise_fixed_points(F, q: int, motions: tuple, first: np.ndarray, size: np.ndarray) -> tuple:
-    """The distinct fixed points of g_i^-1 g_j over the pairs i < j of each class, as (class, x, y) columns.
+    """The distinct fixed points of g_i^-1 g_j over the pairs i < j of each class, and its first free base line.
 
     With g: z -> R z + w, R = u + iv, g_i^-1 g_j fixes z iff (R_i - R_j) z =
     w_j - w_i, so z = (w_j - w_i) conj(R_i - R_j) / N, N = |R_i - R_j|^2 =
     2 - 2 Re(conj(R_i) R_j).  N = 0 makes it a translation, which fixes nothing.
+    The points are marked on a q x q grid per class (CHUNK_CELLS cells of
+    classes at a time, one class at least) and flag the lines through them.
+    A class whose pairs take several blocks flags after each, and once all its
+    lines are flagged it lifts and skips the rest: any subset of pairs that
+    blocks every line gives the same lifted witness.  Returns the (class, x,
+    y) columns and each class's first free line k*q + c (``_mark_lines``), -1
+    when every line is blocked.
     """
     u, v, s, t = motions
-    found, run = [np.zeros(0, dtype=np.int64)], []
-    for classes, rows, cols in _class_blocks(first, size):
-        if rows[0, 0] == first[classes[0]]:  # the classes before are complete
-            found += [np.unique(np.concatenate(run), return_counts=True)[0]] if len(run) > 1 else run
-            run = []
-        pair = rows[:, :, None] < cols[:, None, :]
-        ends = (classes[:, None, None], rows[:, :, None], cols[:, None, :])
-        cls, i, j = (np.broadcast_to(c, pair.shape)[pair] for c in ends)
-        du, dv = F.sub(u[i], u[j]), F.sub(v[i], v[j])
-        norm = F.add(F.mul(du, du), F.mul(dv, dv))
-        cls, i, j, du, dv, norm = (c[norm != 0] for c in (cls, i, j, du, dv, norm))
-        ds, dt = F.sub(s[j], s[i]), F.sub(t[j], t[i])
-        zx = F.div(F.add(F.mul(ds, du), F.mul(dt, dv)), norm)
-        zy = F.div(F.sub(F.mul(dt, du), F.mul(ds, dv)), norm)
-        run.append(np.unique((cls * q + zx) * q + zy, return_counts=True)[0])
-    keys = np.unique(np.concatenate(found + run), return_counts=True)[0]
-    return keys // (q * q), keys // q % q, keys % q
+    normals, free, found = _normals(F, q), np.zeros(len(size), dtype=np.int64), [np.zeros(0, dtype=np.int64)]
+    per = max(1, CHUNK_CELLS // (q * q))
+    for lo in range(0, len(size), per):
+        k = len(size[lo : lo + per])
+        grid, lines = np.zeros(k * q * q, dtype=bool), np.zeros((k, len(normals[0]), q), dtype=bool)
+        for classes, rows, cols in _class_blocks(first[lo : lo + per], size[lo : lo + per]):
+            # a class spread over several blocks is alone in each, and flags the lines of its new points after each
+            split = rows.shape[1] < cols.shape[1]
+            if split and lines[classes].all():
+                continue
+            pair = rows[:, :, None] < cols[:, None, :]
+            ends = (classes[:, None, None], rows[:, :, None], cols[:, None, :])
+            cls, i, j = (np.broadcast_to(c, pair.shape)[pair] for c in ends)
+            du, dv = F.sub(u[i], u[j]), F.sub(v[i], v[j])
+            norm = F.add(F.mul(du, du), F.mul(dv, dv))
+            cls, i, j, du, dv, norm = (c[norm != 0] for c in (cls, i, j, du, dv, norm))
+            ds, dt = F.sub(s[j], s[i]), F.sub(t[j], t[i])
+            zx = F.div(F.add(F.mul(ds, du), F.mul(dt, dv)), norm)
+            zy = F.div(F.sub(F.mul(dt, du), F.mul(ds, dv)), norm)
+            keys = (cls * q + zx) * q + zy
+            if split:
+                keys = np.unique(keys[~grid[keys]])
+                _mark_lines(F, q, normals, lines, keys)
+            grid[keys] = True
+        keys = np.flatnonzero(grid)
+        found.append(keys + lo * q * q)
+        _mark_lines(F, q, normals, lines, keys[~lines.any(axis=(1, 2))[keys // (q * q)]])
+        lines = lines.reshape(k, -1)
+        free[lo : lo + k] = np.where(lines.all(axis=1), -1, np.argmin(lines, axis=1))
+    keys = np.concatenate(found)
+    return (keys // (q * q), keys // q % q, keys % q), free
 
 
-def _scan_axes(fixed: tuple, n_classes: int, spec: FieldSpec) -> list:
-    """Per class, the first canonical non-isotropic line through none of its (class, x, y) points, or None.
-
-    One family of parallel lines at a time, for every class still open: the
-    points block the intercepts {x + m*y} of the normal (1, m), {y} of (0, 1).
-    """
-    F, q, e, element = _index_field(spec), spec.q, np.arange(spec.q), spec.from_index
-    cls, fx, fy = fixed
-    axes, open_, row = [None] * n_classes, np.ones(n_classes, dtype=bool), cls * q
-    # an isotropic normal is never a reflection axis; -1 stands for (0, 1)
-    for m in e[F.add(np.int64(1), F.mul(e, e)) != 0].tolist() + [-1]:
-        if not open_.any():
-            break
-        blocked = np.zeros(n_classes * q, dtype=bool)
-        blocked[row + (fy if m < 0 else F.add(fx, F.mul(np.int64(m), fy)))] = True
-        blocked = blocked.reshape(n_classes, q)
-        found = np.flatnonzero(open_ & ~blocked.all(axis=1))
-        for k, c in zip(found.tolist(), np.argmin(blocked[found], axis=1).tolist()):
-            axes[k] = Line(spec.zero(), spec.one(), element(c)) if m < 0 else Line(spec.one(), element(m), element(c))
-        open_[found] = False
-    return axes
+def _certified(fixed: tuple, into: np.ndarray, c0: int, n_classes: int) -> np.ndarray:
+    """Which classes have no fixed point whose embedded x is c0: the check of the lifted axis x = c0."""
+    cls, fx, _ = fixed
+    return np.bincount(cls[into[fx] == c0], minlength=n_classes) == 0
 
 
 def _reflect_columns(F, axis: tuple, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -375,19 +394,21 @@ _WITNESS_KEYS = (
 class ReductionWitness:
     """Everything needed to replay one segment-class reduction.
 
-    The families are kept as the index columns they were counted on: the
+    The data are kept as the indices they were computed on: ``r``, ``s_r``
+    (hx, hy, tx, ty) and ``axis`` (n1, n2, c) over ``work_field``, the
     motions ``g`` and ``h`` as (u, v, s, t) columns, the point and plane
-    families as canonical (N, 4) rows over ``work_field``.  The object tuples
+    families as canonical (N, 4) rows.  The objects ``r``, ``s_r``, ``axis``,
     ``g_motions``, ``h_motions``, ``points`` and ``planes`` and the line
-    occupancy ``k`` are built on first read.
+    occupancy ``k`` are built on first read, so a lifted reduction builds no
+    element of the extension until then.
     """
 
     base_field: FieldSpec
     work_field: FieldSpec
     lifted: bool
-    r: FieldElement
-    s_r: Segment
-    axis: Line
+    r_index: int
+    s_r_key: tuple
+    axis_key: tuple
     g: tuple
     h: tuple
     point_rows: np.ndarray
@@ -404,6 +425,19 @@ class ReductionWitness:
     def _objects(self, make, columns) -> tuple:
         element = self.work_field.from_index
         return tuple(make(*map(element, row)) for row in zip(*(c.tolist() for c in columns)))
+
+    @cached_property
+    def r(self) -> FieldElement:
+        return self.work_field.from_index(self.r_index)
+
+    @cached_property
+    def s_r(self) -> Segment:
+        ax, ay, bx, by = map(self.work_field.from_index, self.s_r_key)
+        return Segment(Point(ax, ay), Point(bx, by))
+
+    @cached_property
+    def axis(self) -> Line:
+        return Line(*map(self.work_field.from_index, self.axis_key))
 
     @cached_property
     def g_motions(self) -> tuple:
@@ -455,15 +489,29 @@ def _repeating(cls: np.ndarray, rows: np.ndarray, size: np.ndarray) -> np.ndarra
     return np.flatnonzero(np.bincount(_distinct_rows(np.column_stack([cls, rows]))[:, 0], minlength=len(size)) < size)
 
 
+def _class_rows(F, x: np.ndarray, y: np.ndarray, cls: np.ndarray, heads: np.ndarray, tails: np.ndarray,
+                size: np.ndarray) -> tuple:
+    """The segments by class, then Segment.key: (class, hx, hy, tx, ty) and the motion (u, v, s, t) onto the first."""
+    segs = (x[heads], y[heads], x[tails], y[tails])
+    order = np.lexsort(segs[::-1] + (cls,))
+    row_class, segs = cls[order], tuple(c[order] for c in segs)
+    first = np.cumsum(size) - size
+    return (row_class, *segs, *_transporters(F, segs, tuple(c[first][row_class] for c in segs)))
+
+
 def claim_reductions(A: PointSet, lengths: Sequence[FieldElement]) -> list:
     """Reduce the segment class of each distinct nonzero length to a projective point-plane incidence count.
 
     Per class: take the motions g with g(x) = s_r, the first segment; pick the
-    first mirror axis no pairwise quotient fixes a point of (over the quadratic
-    extension if the base field has none); reflect for the points, move the
-    axial-rotation plane by the g for the planes; count.  Each stage runs once
-    per work field over all classes.  Returns each class's witness or the
-    ReductionUnavailableError or AssertionError it raised.
+    first mirror axis no pairwise quotient fixes a point of; reflect for the
+    points, move the axial-rotation plane by the g for the planes; count.
+    A class whose fixed points block every base line is reduced over the
+    quadratic extension, where the axis is x = c0 for the least index c0
+    outside the embedding's image: each line x = into[b] is blocked by the
+    embedded point that blocked x = b, and x = c0 holds no base point, which
+    ``_certified`` checks.  Each stage runs once per work field over all its
+    classes.  Returns each class's witness or the ReductionUnavailableError
+    or AssertionError it raised.
     """
     if not all(lengths):
         raise ValueError("a nonzero quadratic length is required")
@@ -482,78 +530,70 @@ def claim_reductions(A: PointSet, lengths: Sequence[FieldElement]) -> list:
     axial, out = _per_set(A, _axial_counts), [None] * len(lengths)
     shared = dict(base_field=A.spec, m_curve=max_collinear_cocircular(A).m, erdos_ceiling=_ceil_sqrt(n ** 3),
                   max_class_size=int(segment_classes(A).sizes[1:].max(initial=0)))
-    x, y = _index_coords(A)
-    members, spec, into, fixed = np.arange(len(lengths)), A.spec, None, None
-    while len(members):  # the base field, then the extension for classes with no axis
-        F, element = _index_field(spec), spec.from_index
-        cx, cy = (x, y) if into is None else (into[x], into[y])
-        segs = (cx[heads], cy[heads], cx[tails], cy[tails])
-        order = np.lexsort(segs[::-1] + (cls,))  # by class, then Segment.key
-        row_class, segs = cls[order], tuple(c[order] for c in segs)
-        size = sizes[members]
+    spec, (x, y) = A.spec, _index_coords(A)
+    F, q = _index_field(spec), spec.q
+    rows = _class_rows(F, x, y, cls, heads, tails, sizes)
+    fixed, free = _pairwise_fixed_points(F, q, rows[5:], np.cumsum(sizes) - sizes, sizes)
+    base, lifted, line = free >= 0, free < 0, free[free >= 0]
+    stages = [(spec, None, base, (*(n[line // q] for n in _normals(F, q)), line % q), _only(base, *fixed),
+               _only(base, *rows))]
+    if lifted.any() and q * q > field.Q_MAX:
+        for k in np.flatnonzero(lifted).tolist():
+            out[k] = ReductionUnavailableError(f"no valid axis over {spec!r} for r={lengths[k]!r}, |S_r|={sizes[k]}; "
+                                               f"the lift to q = {q}^2 exceeds the limit {field.Q_MAX}")
+    elif lifted.any():
+        ext, into = _field_embedding(spec)
+        c0 = int(np.flatnonzero(np.bincount(into, minlength=ext.q) == 0)[0])
+        keep = lifted & _certified(fixed, into, c0, len(lengths))
+        for k in np.flatnonzero(lifted & ~keep).tolist():
+            out[k] = ReductionUnavailableError(f"no valid axis over {ext!r} for r={lengths[k]!r}, |S_r|={sizes[k]}: "
+                                               f"a fixed point embeds on x = {c0}, the certified axis")
+        if spec.r == 1:  # the embedding keeps every index, so the rows and their motions are the base ones
+            rows = _only(keep, *rows)
+        else:
+            rows = _class_rows(_index_field(ext), into[x], into[y], *_only(keep, cls, heads, tails), sizes[keep])
+        axis = np.full((3, np.count_nonzero(keep)), [[1], [0], [c0]])
+        stages.append((ext, into, keep, tuple(axis), (np.zeros(0, dtype=np.int64),) * 3, rows))
+    for spec, into, keep, axis_cols, (fc, fx, fy), (row_class, hx, hy, tx, ty, *g) in stages:
+        if not keep.any():
+            continue
+        F, done, size = _index_field(spec), np.flatnonzero(keep), sizes[keep]
         first = np.cumsum(size) - size
-        g = _transporters(F, segs, tuple(c[first][row_class] for c in segs))
-        if fixed is None:
-            fixed = _pairwise_fixed_points(F, spec.q, g, first, size)
-        axes = _scan_axes(fixed, len(members), spec)
-        has = np.array([axis is not None for axis in axes])
-        if has.any():
-            done, axes = members[has], [axis for axis in axes if axis is not None]
-            row_class, hx, hy, tx, ty, *g = _only(has, row_class, *segs, *g)
-            size = size[has]
-            first = np.cumsum(size) - size
-            axis_cols = np.array([axis.key for axis in axes]).T
-            line = tuple(c[row_class] for c in axis_cols)
-            h = _transporters(F, _reflect_columns(F, line, hx, hy) + _reflect_columns(F, line, tx, ty),
-                              tuple(c[first][row_class] for c in (hx, hy, tx, ty)))
-            points = _kappa_rows(F, h)
-            plane = np.array([[e.index for e in r_tau_plane(axis).coeffs] for axis in axes])
-            planes = _phi_planes(F, tuple(plane[row_class].T), g)
-            # Axis validity makes both sides of the plane-coincidence criterion false
-            # for every distinct pair.  A non-identity quotient is an axial rotation
-            # iff it fixes a point of the axis, so the left side fails because no
-            # pairwise fixed point lies on the axis; the right side fails because the
-            # plane keys were just checked pairwise distinct.
-            fc, fx, fy = _only(has, *fixed)
-            n1, n2, c0 = (col[fc] for col in axis_cols)
-            for bad, message in (
-                (row_class[~(_rotates(F, g) & _rotates(F, h))],
-                 "transporters must rotate: a segment differs in length from the target"),
-                (_repeating(row_class, points, size), "projective points must be pairwise distinct"),
-                (_repeating(row_class, planes, size), "planes must be pairwise distinct"),
-                (row_class[F.add(F.mul(points[:, 0], points[:, 0]), F.mul(points[:, 1], points[:, 1])) == 0],
-                 "points must avoid the exceptional locus"),
-                (fc[F.add(F.mul(n1, fx), F.mul(n2, fy)) == c0], "valid axis cannot yield an axial quotient"),
-            ):
-                for c in set(done[bad].tolist()):
-                    out[c] = out[c] or AssertionError(message)
-            blocks = [(k, _hits(F, points[rows], planes[cols])) for k, rows, cols in _class_blocks(first, size)]
-            incidences = np.bincount(*map(np.concatenate, zip(*blocks)), minlength=len(done)).astype(np.int64)
-            for c, axis, lo, hi, count in zip(done.tolist(), axes, first.tolist(), (first + size).tolist(),
-                                              incidences.tolist()):
-                r, (ax, ay, bx, by) = lengths[c], (element(int(col[lo])) for col in (hx, hy, tx, ty))
-                i_ax = int(axial[r.index])
-                out[c] = out[c] or ReductionWitness(
-                    **shared, work_field=spec, lifted=into is not None, s_r=Segment(Point(ax, ay), Point(bx, by)),
-                    r=r if into is None else element(int(into[r.index])), axis=axis, g=tuple(col[lo:hi] for col in g),
-                    h=tuple(col[lo:hi] for col in h), point_rows=points[lo:hi], plane_rows=planes[lo:hi],
-                    i_ax=i_ax, i_on_axis=i_on_axis[c], incidences=count, equal=count == i_ax,
-                    verdict="explained" if count == i_ax + i_on_axis[c] else "unexplained",
-                )
-        if has.all():
-            break
-        if into is not None or spec.q**2 > field.Q_MAX:
-            why = "" if into is not None else f"; the lift to q = {spec.q}^2 exceeds the limit {field.Q_MAX}"
-            for c in members[~has].tolist():
-                r = lengths[c]
-                out[c] = ReductionUnavailableError(f"no valid axis over {spec!r} for r={r!r}, |S_r|={sizes[c]}{why}")
-            break
-        spec, into = _field_embedding(spec)
-        # g_i^-1 g_j takes segment j onto segment i whatever s_r is, so the
-        # lifted fixed points are the embedded base ones
-        fixed = _only(~has, fixed[0], into[fixed[1]], into[fixed[2]])
-        cls, heads, tails = _only(~has, cls, heads, tails)
-        members = members[~has]
+        line = tuple(col[row_class] for col in axis_cols)
+        h = _transporters(F, _reflect_columns(F, line, hx, hy) + _reflect_columns(F, line, tx, ty),
+                          tuple(col[first][row_class] for col in (hx, hy, tx, ty)))
+        points = _kappa_rows(F, h)
+        planes = _phi_planes(F, tuple(_r_tau_planes(F, axis_cols)[row_class].T), g)
+        # Axis validity makes both sides of the plane-coincidence criterion false
+        # for every distinct pair.  A non-identity quotient is an axial rotation
+        # iff it fixes a point of the axis, so the left side fails because no
+        # pairwise fixed point lies on the axis (for a lifted class, checked by
+        # ``_certified``); the right side fails because the plane keys were just
+        # checked pairwise distinct.
+        n1, n2, c = (col[fc] for col in axis_cols)
+        for bad, message in (
+            (row_class[~(_rotates(F, g) & _rotates(F, h))],
+             "transporters must rotate: a segment differs in length from the target"),
+            (_repeating(row_class, points, size), "projective points must be pairwise distinct"),
+            (_repeating(row_class, planes, size), "planes must be pairwise distinct"),
+            (row_class[F.add(F.mul(points[:, 0], points[:, 0]), F.mul(points[:, 1], points[:, 1])) == 0],
+             "points must avoid the exceptional locus"),
+            (fc[F.add(F.mul(n1, fx), F.mul(n2, fy)) == c], "valid axis cannot yield an axial quotient"),
+        ):
+            for k in set(done[bad].tolist()):
+                out[k] = out[k] or AssertionError(message)
+        blocks = [(k, _hits(F, points[rows], planes[cols])) for k, rows, cols in _class_blocks(first, size)]
+        incidences = np.bincount(*map(np.concatenate, zip(*blocks)), minlength=len(done)).astype(np.int64)
+        for k, axis, lo, hi, count in zip(done.tolist(), zip(*(col.tolist() for col in axis_cols)), first.tolist(),
+                                          (first + size).tolist(), incidences.tolist()):
+            r, i_ax = lengths[k].index, int(axial[lengths[k].index])
+            out[k] = out[k] or ReductionWitness(
+                **shared, work_field=spec, lifted=into is not None, r_index=r if into is None else int(into[r]),
+                s_r_key=tuple(int(col[lo]) for col in (hx, hy, tx, ty)), axis_key=axis,
+                g=tuple(col[lo:hi] for col in g), h=tuple(col[lo:hi] for col in h), point_rows=points[lo:hi],
+                plane_rows=planes[lo:hi], i_ax=i_ax, i_on_axis=i_on_axis[k], incidences=count, equal=count == i_ax,
+                verdict="explained" if count == i_ax + i_on_axis[k] else "unexplained",
+            )
     return out
 
 

@@ -18,9 +18,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .clifford import EvenCliffordElement, QuadraticFormSpec
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, _index_field
 from .geometry import IsotropicAxisError, Line, Point
-from .motions import RigidMotion, Rotation, rotation_about, transporter_set
+from .motions import RigidMotion, transporter_set
 
 
 class NotInImageError(ValueError):
@@ -344,30 +344,57 @@ def transporter_line(x: Point, y: Point) -> tuple[ProjPoint, ProjPoint]:
     return first, second
 
 
-# cached per axis, so the sample runs once for each distinct axis; an
-# isotropic axis raises on every call
+def _ranks(F, rows: np.ndarray) -> np.ndarray:
+    """The rank of each (k, 4) block of index rows: the pivots of a Gauss elimination on every block at once."""
+    at, used = np.arange(len(rows)), np.zeros(rows.shape[:2], dtype=bool)
+    for col in range(rows.shape[2]):
+        candidates = (rows[:, :, col] != 0) & ~used
+        has, pivot = candidates.any(axis=1), np.argmax(candidates, axis=1)
+        lead = rows[at, pivot]
+        factor = np.where(has[:, None], F.div(rows[:, :, col], np.where(has, lead[:, col], 1)[:, None]), 0)
+        rows = F.sub(rows, F.mul(factor[:, :, None], lead[:, None, :]))  # the pivot row too: it is read no more
+        used[at[has], pivot[has]] = True
+    return used.sum(axis=1)
+
+
+def _r_tau_planes(F, axes: tuple) -> np.ndarray:
+    """The plane spanned by the image of the rotations about points of each axis, as canonical rows.
+
+    ``axes`` holds the (n1, n2, c) index columns of canonical non-isotropic
+    lines n1*x + n2*y = c.  A rotation (u, v) about z has kappa [u+1 : v :
+    v*z_y : v*z_x], and [0 : 1 : z_y : z_x] at u = -1, so every member lies on
+    the plane (0 : -c : n2 : n1).  A bounded sample re-derives it per axis:
+    the identity and the quarter and half turns about two distinct axis points
+    must span a plane and lie on it.
+    """
+    n1, n2, c = (np.atleast_1d(np.asarray(col, dtype=np.int64)) for col in axes)
+    zero, minus = np.zeros_like(c), F.sub(np.int64(0), np.int64(1))
+    plane = _canonical_rows(F, np.stack([zero, F.sub(zero, c), n2, n1], axis=1))
+    # two axis points: x = c - n2*y at y = 0, 1 when n1 = 1, else y = c at x = 0, 1
+    y = np.arange(2)[:, None]
+    zx, zy = np.where(n1 != 0, F.sub(c, F.mul(n2, y)), y), np.where(n1 != 0, y, c)
+    # the quarter and half turns (u, v) about each point shift by z - R z
+    u, v = np.array([[0], [0], [minus]])[..., None], np.array([[1], [minus], [0]])[..., None]
+    s = F.sub(zx, F.sub(F.mul(u, zx), F.mul(v, zy)))
+    t = F.sub(zy, F.add(F.mul(v, zx), F.mul(u, zy)))
+    turns = [np.broadcast_to(col, s.shape).reshape(-1, len(c)) for col in (u, v, s, t)]
+    members = [np.concatenate([[first], col]).ravel() for first, col in zip((1 + zero, zero, zero, zero), turns)]
+    images = _kappa_rows(F, tuple(members)).reshape(7, len(c), 4).transpose(1, 0, 2)
+    if (_ranks(F, images) != 3).any():
+        raise AssertionError("axial rotation image must span a plane")
+    on = F.add(F.add(F.mul(images[..., 0], plane[:, None, 0]), F.mul(images[..., 1], plane[:, None, 1])),
+               F.add(F.mul(images[..., 2], plane[:, None, 2]), F.mul(images[..., 3], plane[:, None, 3])))
+    if on.any():
+        raise AssertionError("axial rotation image left the derived plane")
+    return plane
+
+
+# cached per axis; an isotropic axis raises on every call
 @lru_cache(maxsize=None)
 def r_tau_plane(axis: Line) -> ProjPlane:
-    """The plane spanned by the image of the rotations about points of the axis.
-
-    A rotation (u, v) about z has kappa [u+1 : v : v*z_y : v*z_x], and
-    [0 : 1 : z_y : z_x] at u = -1, so for the axis n1*x + n2*y = c every
-    member lies on the plane (0 : -c : n2 : n1).  A bounded sample re-derives
-    it: the identity and the quarter and half turns about two distinct axis
-    points must span a plane and lie on it.
-    """
+    """The plane spanned by the image of the rotations about points of the axis: ``_r_tau_planes`` of one axis."""
     if axis.is_isotropic():
         raise IsotropicAxisError(f"{axis!r} is isotropic")
     spec = axis.n1.spec
-    one, zero = spec.one(), spec.zero()
-    plane = ProjPlane((zero, -axis.c, axis.n2, axis.n1))
-    # two axis points: x = c - n2*y at y = 0, 1 when n1 = 1, else y = c at x = 0, 1
-    centers = [Point(axis.c - axis.n2 * y, y) if axis.n1 else Point(y, axis.c) for y in (zero, one)]
-    rotations = (Rotation(zero, one), Rotation(zero, -one), Rotation(-one, zero))
-    members = [RigidMotion.identity(spec)] + [rotation_about(z, rot) for z in centers for rot in rotations]
-    images = [kappa(m) for m in members]
-    if matrix_rank([p.coords for p in images], spec) != 3:
-        raise AssertionError("axial rotation image must span a plane")
-    if not all(plane.contains(p) for p in images):
-        raise AssertionError("axial rotation image left the derived plane")
-    return plane
+    (row,) = _r_tau_planes(_index_field(spec), axis.key).tolist()
+    return ProjPlane(tuple(map(spec.from_index, row)))

@@ -4,7 +4,8 @@ These are the loops ``claim_reduction`` and ``rudnev_ratio`` ran before the
 index kernel: ``ProjPlane.contains`` over every (point, plane) pair, with a
 plane-deduplicating variant; the log-keyed ``max_collinear``; the motion
 objects' pairwise fixed points and the axis scan over a set of ``Point``s;
-the plane spanned lazily by the axial rotation image; the lifted point set;
+the plane spanned lazily by the axial rotation image; the field embedding
+and the lifted point set;
 and the whole reduction built from those pieces, which returns the witness
 JSON the index kernel must reproduce byte for byte.
 """
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 from bisector_oracles import class_for, loop_axial_pair_count, object_segment_classes
 from findist.counting import max_collinear_cocircular
+from findist.field import FieldSpec
 from findist.geometry import Line, Point, PointSet, Segment, reflect
 from findist.incidence import _field_embedding
 from findist.kinematic import ProjPlane, ProjPoint, kappa, phi_left
@@ -150,6 +152,20 @@ def lazy_span_plane(axis):
     for b, piv in zip(basis, pivots):
         coeffs[piv] = -b[free]
     return ProjPlane(coeffs)
+
+
+def field_embedding(spec):
+    """The quadratic extension and the embedding's index array, by Horner on field objects one element at a time."""
+    ext = FieldSpec(spec.p, 2 * spec.r)
+
+    def evaluate(coeffs, at):
+        acc = ext.zero()
+        for c in reversed(coeffs):
+            acc = acc * at + ext.element(c)
+        return acc
+
+    root = next(alpha for alpha in ext.elements() if not evaluate(spec.modulus, alpha))
+    return ext, [evaluate(e.coeffs, root).index for e in spec.elements()]
 
 
 def lift_point_set(A):

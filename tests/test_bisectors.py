@@ -30,6 +30,7 @@ from findist.counting import bisector_stats, bisector_table, distance_stats, seg
 from findist.field import FieldSpec
 from findist.generators import generate
 from findist.geometry import Line, PointSet, all_lines, all_points, equidistant_line, point
+from findist.harness import config_point_set, make_config, run
 from findist.incidence import axial_pair_count, claim_reduction, epsilon_term
 from incidence_oracles import lift_point_set
 
@@ -289,6 +290,22 @@ class TestPerSetCache:
         assert len(witnesses) > 1
         assert calls == [A]
         assert [w.i_ax for w in witnesses] == [loop_axial_pair_count(A, r) for r in lengths]
+
+    def test_isosceles_counted_once_per_set(self, monkeypatch):
+        calls = []
+        count = counting._isosceles_count
+
+        def counted(A):
+            calls.append(A)
+            return count(A)
+
+        monkeypatch.setattr(counting, "_isosceles_count", counted)
+        # stats, verify and the prune step all read the input set's count
+        config = make_config(F25, "random", {"size": 12}, seed=25, checks=("stats", "verify", "reduce", "prune"))
+        report = run(config)
+        A = config_point_set(config)
+        assert report.metrics["prune"]["steps"] and [B == A for B in calls] == [True] + [False] * (len(calls) - 1)
+        assert len({id(B) for B in calls}) == len(calls)
 
     def test_entries_are_built_only_on_demand(self, monkeypatch):
         built = []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from field_oracles import poly_mul, poly_pow, reduction_rows
 from findist.field import (
     FieldElement,
     FieldMismatchError,
@@ -13,10 +14,7 @@ from findist.field import (
     NonUnitError,
     Q_MAX,
     _is_prime,
-    _poly_mul,
-    _poly_pow,
     _prime_factors,
-    _reduction_rows,
     find_irreducible,
 )
 
@@ -222,7 +220,7 @@ class PolyOracle:
     """Coefficient-vector arithmetic of one field: the reference for the log/Zech tables."""
 
     def __init__(self, spec: FieldSpec):
-        self.p, self.q, self.rows = spec.p, spec.q, _reduction_rows(spec)
+        self.p, self.q, self.rows = spec.p, spec.q, reduction_rows(spec)
         self.zero = (0,) * spec.r
         self.one = (1,) + self.zero[1:]
         self.vectors = [tuple((k // spec.p**i) % spec.p for i in range(spec.r)) for k in range(spec.q)]
@@ -234,10 +232,10 @@ class PolyOracle:
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def mul(self, a, b):
-        return _poly_mul(a, b, self.p, self.rows)
+        return poly_mul(a, b, self.p, self.rows)
 
     def pow(self, a, n):
-        return _poly_pow(a, n, self.p, self.rows)
+        return poly_pow(a, n, self.p, self.rows)
 
     def inverse(self, a):
         return next(x for x in self.vectors if self.mul(a, x) == self.one)

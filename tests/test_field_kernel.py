@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from findist.field import FieldSpec, _index_field, _poly_mul, _poly_pow, _reduction_rows
+from field_oracles import poly_mul, poly_pow, reduction_rows
+from findist.field import FieldSpec, _index_field, _is_prime
 
 EXHAUSTIVE = [
     FieldSpec(3),
@@ -83,15 +84,15 @@ def test_kernel_memory_is_linear_in_r_q():
 
 def _sequential_logs(spec):
     # the first primitive element in index order, then g^0 .. g^(q-2) one multiply at a time
-    p, q, rows = spec.p, spec.q, _reduction_rows(spec)
+    p, q, rows = spec.p, spec.q, reduction_rows(spec)
     vectors = [tuple((k // p**i) % p for i in range(spec.r)) for k in range(q)]
     one, n = vectors[1], q - 1
     primes = [d for d in range(2, q) if n % d == 0 and all(d % e for e in range(2, d))]
-    g = next(v for v in vectors[2:] if all(_poly_pow(v, n // d, p, rows) != one for d in primes))
+    g = next(v for v in vectors[2:] if all(poly_pow(v, n // d, p, rows) != one for d in primes))
     log, x = [-1] * q, one
     for k in range(n):
         log[vectors.index(x)] = k
-        x = _poly_mul(x, g, p, rows)
+        x = poly_mul(x, g, p, rows)
     return g, log
 
 
@@ -105,3 +106,22 @@ def test_table_build_matches_sequential_powers(spec):
     assert [e.index for e in t.by_log] == [log.index(k) for k in range(t.order)] * 2
     p = spec.p
     assert t.zech == [log[e.index - e.index % p + (e.index + 1) % p] for e in t.by_log]
+
+
+def test_kernel_arrays_match_the_object_tables():
+    # every field with q <= 1024; the kernel is built from arrays alone, the tables hold the objects
+    specs = [FieldSpec(p, r) for p in range(3, 1025) if _is_prime(p) for r in range(1, 11) if p**r <= 1024]
+    assert len(specs) == 188
+    for spec in specs:
+        F, t, p = _index_field(spec), spec.tables, spec.p
+        n = t.order
+        assert F.log.tolist() == [2 * n] + [e.log for e in t.elements[1:]], spec
+        assert F.exp.tolist() == [e.index for e in t.by_log] + [0] * (2 * n + 1), spec
+        assert len(F.chunks) == (0 if spec.r == 1 else (spec.r + 1) // 2), spec
+        for lo, (spread, negspread, fold) in zip(range(0, spec.r, 2), F.chunks):
+            width = len(t.elements[0].coeffs[lo : lo + 2])
+            radix = [(2 * p - 1) ** i for i in range(width)]
+            assert spread.tolist() == [sum(c * w for c, w in zip(e.coeffs[lo:], radix)) for e in t.elements], spec
+            assert negspread.tolist() == [sum(-c % p * w for c, w in zip(e.coeffs[lo:], radix)) for e in t.elements]
+            assert fold.tolist() == [sum(k // w % (2 * p - 1) % p * p ** (lo + i) for i, w in enumerate(radix))
+                                     for k in range((2 * p - 1) ** width)], spec

@@ -463,7 +463,8 @@ _ALGEBRA_CHECKS = ["kinematic-check", "clifford-check"]
 
 # sha256 of Report.render(): the configs of CI's "python -O" loop, plus F_27
 # (three digits, two chunks of the index kernel) and F_49; recorded before the
-# index kernel became table gathers, so a kernel change that moves a byte fails here
+# index kernel became table gathers (the F_9 reduce one before lifted axes came
+# from the certificate), so a kernel change that moves a byte fails here
 PINNED_REPORTS = [
     pytest.param(
         {"field": {"p": 5, "r": 2}, "generator": "random", "params": {"size": 12}, "seed": 25, "checks": _STATS_CHECKS},
@@ -474,6 +475,11 @@ PINNED_REPORTS = [
         {"field": {"p": 13}, "generator": "random", "params": {"size": 14}, "seed": 13, "checks": _STATS_CHECKS},
         "61a8f6d720df53ac54d6595544f75defcae98c106121eaf079bcd8b2293896f1",
         id="f13",
+    ),
+    pytest.param(
+        {"field": {"p": 3, "r": 2}, "generator": "random", "params": {"size": 9}, "seed": 9, "checks": ["reduce"]},
+        "e8b6fafea9e5fa539d9343a887ea136282d8f45b916045bb44d63d123b4c0be5",
+        id="f9-reduce",
     ),
     pytest.param(
         {"field": {"p": 31}, "generator": "random", "params": {"sizes": [20, 30]}, "seed": 31, "checks": ["sweep"]},
@@ -570,8 +576,15 @@ class TestReductionFailures:
 
     @pytest.fixture
     def no_axis(self, monkeypatch):
-        # no axis over the base field or its quadratic extension
-        monkeypatch.setattr(incidence, "_scan_axes", lambda fixed, n_classes, spec: [None] * n_classes)
+        # every class blocks every base line, and the lifted axis x = c0 fails its check
+        real = incidence._pairwise_fixed_points
+
+        def certified_lifts(*args):
+            fixed, free = real(*args)
+            return fixed, np.full_like(free, -1)
+
+        monkeypatch.setattr(incidence, "_pairwise_fixed_points", certified_lifts)
+        monkeypatch.setattr(incidence, "_certified", lambda fixed, into, c0, n_classes: np.zeros(n_classes, bool))
 
     def test_reduce_check_fails_with_one_finding_per_class(self, no_axis, tmp_path):
         config = make_config(F7, "random", {"size": 6}, seed=7, checks=("reduce",))
@@ -589,11 +602,11 @@ class TestReductionFailures:
             assert f["lhs"][0].startswith("ReductionUnavailableError: no valid axis")
 
     def test_an_invariant_raise_is_a_finding_too(self, monkeypatch):
-        def broken(fixed, n_classes, spec):
+        def broken(F, q, motions, first, size):
             raise AssertionError("planes must be pairwise distinct")
 
         # a raise out of the batched pass itself fails every class
-        monkeypatch.setattr(incidence, "_scan_axes", broken)
+        monkeypatch.setattr(incidence, "_pairwise_fixed_points", broken)
         report = run(make_config(F5, "random", {"size": 4}, seed=3, checks=("reduce",)))
         assert report.findings and not report.passed()
         assert all(f["lhs"] == ["AssertionError: planes must be pairwise distinct"] for f in report.findings)
@@ -646,19 +659,21 @@ class TestReductionFailures:
 
     @staticmethod
     def _fail_one_axis(monkeypatch, A, k):
-        """Class k finds no axis over the base field nor, lifted with the others, over the extension."""
-        real, lifted = incidence._scan_axes, []
+        """Class k blocks every base line, and its lifted axis x = c0 fails the certificate's check."""
+        real_fixed, real_certified = incidence._pairwise_fixed_points, incidence._certified
 
-        def scan(fixed, n_classes, spec):
-            axes = real(fixed, n_classes, spec)
-            if spec == A.spec:
-                axes[k] = None
-                lifted[:] = [c for c, axis in enumerate(axes) if axis is None]
-            else:
-                axes[lifted.index(k)] = None
-            return axes
+        def fixed_points(*args):
+            fixed, free = real_fixed(*args)
+            free[k] = -1
+            return fixed, free
 
-        monkeypatch.setattr(incidence, "_scan_axes", scan)
+        def certified(fixed, into, c0, n_classes):
+            ok = real_certified(fixed, into, c0, n_classes)
+            ok[k] = False
+            return ok
+
+        monkeypatch.setattr(incidence, "_pairwise_fixed_points", fixed_points)
+        monkeypatch.setattr(incidence, "_certified", certified)
         return "ReductionUnavailableError: no valid axis over "
 
     @staticmethod

@@ -25,8 +25,8 @@ from findist.incidence import (
     EmptySegmentClassError,
     ReductionWitness,
     _pairwise_fixed_points,
+    _normals,
     _rows,
-    _scan_axes,
     axial_pair_count,
     claim_reduction,
     count_incidences,
@@ -283,17 +283,19 @@ class TestValidAxisScan:
         groups = [rng.sample(motions, rng.randint(2, 8)) for _ in range(25)]
         columns = tuple(np.array(c, dtype=np.int64) for c in zip(*(m.key for group in groups for m in group)))
         size = np.array([len(group) for group in groups])
-        fixed = _pairwise_fixed_points(_index_field(spec), spec.q, columns, np.cumsum(size) - size, size)
-        axes = _scan_axes(fixed, len(groups), spec)
+        F, q = _index_field(spec), spec.q
+        fixed, free = _pairwise_fixed_points(F, q, columns, np.cumsum(size) - size, size)
+        n1, n2 = _normals(F, q)
         for k, group in enumerate(groups):
             mine = fixed[0] == k
             got = sorted(zip(fixed[1][mine].tolist(), fixed[2][mine].tolist()))
             assert got == sorted(z.key for z in oracle.pairwise_fixed_points(group))
             want = self.brute_first_valid(group, spec)
             if want is None:
-                assert axes[k] is None
+                assert free[k] == -1
             else:
-                assert axes[k] is not None and axes[k].key == want.key
+                line = free[k] // q
+                assert (n1[line], n2[line], free[k] % q) == want.key
 
 
 class TestClaimReduction:
@@ -404,8 +406,8 @@ class TestLazyWitness:
         def unread(*args, **kwargs):
             raise self.Unread
 
-        # the incidence names only: r_tau_plane's sample check builds kinematic objects
-        for name in ("max_collinear", "RigidMotion", "ProjPoint", "ProjPlane"):
+        # r, s_r and the axis wait for a read too, and the R_tau planes come from the index kernel
+        for name in ("max_collinear", "RigidMotion", "ProjPoint", "ProjPlane", "Segment", "Point", "Line"):
             monkeypatch.setattr(incidence, name, unread)
         report = run(ExperimentConfig.from_json(config))
         assert report.passed()

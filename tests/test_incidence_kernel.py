@@ -10,7 +10,9 @@ block, and the closed-form R_tau plane with the lazily spanned one on every
 non-isotropic line.
 """
 
+import hashlib
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,13 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incidence_oracles as oracle
-from findist import incidence
+from findist import field, incidence
 from findist.counting import segment_classes
 from findist.field import FieldSpec, _index_field
 from findist.generators import generate
 from findist.geometry import PointSet, all_lines, all_points, point
-from findist.harness import canonical_json, standard_corpus_sets
+from findist.harness import _child_seed, canonical_json, standard_corpus_sets
 from findist.incidence import (
+    _certified,
+    _field_embedding,
     _pairwise_fixed_points,
     _rotates,
     _rows,
@@ -150,9 +154,9 @@ class TestGrid8x12OnF961:
         spec = witness.work_field
         columns = tuple(np.array(c, dtype=np.int64) for c in zip(*(g.key for g in witness.g_motions)))
         size = np.array([len(witness.g_motions)])
-        got = _pairwise_fixed_points(_index_field(spec), spec.q, columns, np.zeros(1, dtype=np.int64), size)
+        got, free = _pairwise_fixed_points(_index_field(spec), spec.q, columns, np.zeros(1, dtype=np.int64), size)
         want = oracle.pairwise_fixed_points(witness.g_motions)
-        assert not got[0].any()
+        assert not got[0].any() and free[0] >= 0
         assert sorted(zip(*(c.tolist() for c in got[1:]))) == sorted(z.key for z in want)
         assert oracle.scan_axis(want, spec) == witness.axis
 
@@ -224,3 +228,69 @@ def test_closed_form_r_tau_plane_is_the_spanned_plane(spec):
     assert lines
     for line in lines:
         assert r_tau_plane(line) == oracle.lazy_span_plane(line), line
+
+
+@pytest.mark.parametrize("spec", [F9, F25, FieldSpec(3, 3), FieldSpec(7, 2)], ids=["F9", "F25", "F27", "F49"])
+def test_field_embedding_matches_object_evaluation(spec):
+    ext, into = _field_embedding(spec)
+    want_ext, want = oracle.field_embedding(spec)
+    assert ext == want_ext and into.dtype == np.int64 and into.tolist() == want
+
+
+class TestCertificate:
+    """A class whose fixed points block every base line lifts to the axis x = c0 with no more of its pairs."""
+
+    def test_a_strict_subset_of_the_pairs_gives_the_same_witnesses(self, monkeypatch):
+        A = generate(F7, "random", {"size": 12}, 7)  # all six classes lift
+        lengths = [r for r, _ in nonzero_classes(A)]
+        want = [canonical_json(w.to_json()) for w in claim_reductions(A, lengths)]
+        real, calls = incidence._pairwise_fixed_points, []
+        monkeypatch.setattr(incidence, "_pairwise_fixed_points", lambda *args: calls.append(args) or real(*args))
+        # a few rows of pairs per block, so each class can stop after any of its blocks
+        monkeypatch.setattr(incidence, "CHUNK_CELLS", 64)
+        got = [canonical_json(w.to_json()) for w in claim_reductions(A, lengths)]
+        assert got == want == [canonical_json(oracle.reduction_json(A, r)) for r in lengths]
+        (args,) = calls
+        (cls, fx, fy), free = real(*args)
+        monkeypatch.setattr(incidence, "CHUNK_CELLS", 1 << 16)
+        (whole_cls, wx, wy), whole_free = real(*args)
+        assert (free == -1).all() and (whole_free == -1).all()
+        assert set(zip(cls.tolist(), fx.tolist(), fy.tolist())) < set(zip(whole_cls.tolist(), wx.tolist(), wy.tolist()))
+        assert (np.bincount(cls, minlength=len(lengths)) < np.bincount(whole_cls, minlength=len(lengths))).all()
+
+    def test_the_check_reads_the_embedded_x(self):
+        # the fixed points of classes 0..2; a broken embedding sends x = 2 onto c0 = 5, which only class 1 has
+        fixed = tuple(np.array(col) for col in ([0, 0, 1, 2], [0, 1, 2, 1], [2, 2, 0, 1]))
+        into = np.array([0, 1, 5])
+        assert _certified(fixed, into, 5, 4).tolist() == [True, False, True, True]
+        assert _certified(fixed, np.arange(3), 3, 4).all()
+
+    def test_lifted_axis_is_the_least_index_outside_the_image(self):
+        for A in (LIFT_SET_F3, generate(F9, "random", {"size": 9}, 9), generate(F7, "random", {"size": 12}, 7)):
+            ext, into = _field_embedding(A.spec)
+            c0 = min(set(range(ext.q)) - set(into.tolist()))
+            lifted = [w for w in claim_reductions(A, [r for r, _ in nonzero_classes(A)]) if w.lifted]
+            assert lifted and all(w.axis_key == (1, 0, c0) for w in lifted)
+            assert c0 == A.spec.q or A.spec.r > 1
+
+
+class TestLiftBuildsNoExtensionObjects:
+    """A lifted reduction runs on the extension's index kernel; its objects wait for the first read."""
+
+    @pytest.mark.parametrize("A, r, q, digest", [
+        # the largest class of the n = 30 row of the standard sweep (seed 31)
+        (generate(FieldSpec(31), "random", {"size": 30}, _child_seed(31, 1)), 22, 961,
+         "3022751c5a18b35d1d2d3bce45839e277a37dc344cb164a2d4cf50c2970582a6"),
+        (generate(F9, "random", {"size": 9}, 9), 6, 81,
+         "d502c8faa23e51a86d6d2b0c009fb8fb18d4fe478851c6e65952e1c105f295d2"),
+    ], ids=["F31-F961", "F9-F81"])
+    def test_no_tables_until_read(self, A, r, q, digest, monkeypatch):
+        # a fresh extension spec, so that no earlier read has cached its tables
+        monkeypatch.setattr(incidence, "_field_embedding", lru_cache(maxsize=None)(_field_embedding.__wrapped__))
+        real, built = field._Tables, []
+        monkeypatch.setattr(field, "_Tables", lambda spec: built.append(spec.q) or real(spec))
+        w = claim_reduction(A, A.spec.from_index(r))
+        w.ratio()
+        assert w.lifted and w.work_field.q == q and q not in built
+        assert hashlib.sha256(canonical_json(w.to_json()).encode()).hexdigest() == digest
+        assert q in built

@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from findist.field import FieldSpec
-from findist.geometry import Line, point
+from findist import kinematic
+from findist.field import FieldSpec, _index_field
+from findist.geometry import Line, all_lines, point
 from findist.kinematic import (
     NotInImageError,
     ProjMap,
@@ -23,6 +25,8 @@ from findist.kinematic import (
     transporter_line,
     _chart_a,
     _chart_b,
+    _r_tau_planes,
+    _ranks,
 )
 from findist.motions import (
     RigidMotion,
@@ -288,3 +292,37 @@ class TestRTauPlane:
             other = r_tau_plane(Line(spec.one(), spec.one(), spec.from_index(3)))
             assert other is not plane
             assert all(c.spec == spec for c in other.coeffs)
+
+
+class TestRTauPlaneBatch:
+    """The R_tau planes of many axes in one call on the index kernel, with their sample check."""
+
+    @pytest.mark.parametrize("spec", [F5, F7, F9], ids=["F5", "F7", "F9"])
+    def test_ranks_match_elimination(self, spec):
+        rng = random.Random(77 + spec.q)
+        blocks = []
+        for _ in range(60):
+            rows = [[rng.randrange(spec.q) for _ in range(4)] for _ in range(rng.randint(1, 3))]
+            # combinations of the drawn rows, so that most blocks are rank deficient
+            blocks.append(rows + [rows[rng.randrange(len(rows))] for _ in range(7 - len(rows))])
+        F, got = _index_field(spec), _ranks(_index_field(spec), np.array(blocks, dtype=np.int64))
+        want = [matrix_rank([[spec.from_index(k) for k in row] for row in block], spec) for block in blocks]
+        assert got.tolist() == want and 0 < min(want) and max(want) == 3
+
+    @pytest.mark.parametrize("spec", [F5, F9], ids=["F5", "F9"])
+    def test_batch_is_the_per_axis_plane(self, spec):
+        lines = [line for line in all_lines(spec) if not line.is_isotropic()]
+        planes = _r_tau_planes(_index_field(spec), tuple(np.array(col) for col in zip(*(line.key for line in lines))))
+        assert [tuple(row) for row in planes.tolist()] == [r_tau_plane(line).key for line in lines]
+
+    def test_the_sample_check_is_live(self, monkeypatch):
+        F, axis = _index_field(F7), (1, 0, 2)
+        real = kinematic._kappa_rows
+        # every member at the identity's image: rank 1
+        monkeypatch.setattr(kinematic, "_kappa_rows", lambda F, motions: np.tile(real(F, motions)[:1], (7, 1)))
+        with pytest.raises(AssertionError, match="must span a plane"):
+            _r_tau_planes(F, axis)
+        # the last two coordinates swapped: still rank 3, on the plane (0 : -c : n1 : n2) instead
+        monkeypatch.setattr(kinematic, "_kappa_rows", lambda F, motions: real(F, motions)[:, [0, 1, 3, 2]])
+        with pytest.raises(AssertionError, match="left the derived plane"):
+            _r_tau_planes(F, axis)
