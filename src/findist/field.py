@@ -2,7 +2,7 @@
 
 Elements are canonical coefficient tuples (constant term first) modulo a monic
 irreducible polynomial.  Each FieldSpec interns its q elements in log/Zech
-tables, built on first use by polynomial multiplication in O(q) time and
+tables, built on first use by matrix powers over F_p in O(q) time and
 memory (hence q <= Q_MAX), so every operation is a few integer operations and
 a list index.  Everything is deterministic: element enumeration order, the
 irreducible-modulus search, and square-root conventions are all fixed so that
@@ -91,9 +91,9 @@ def _monic_polys(p: int, deg: int) -> Iterator[tuple[int, ...]]:
 
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     deg = len(poly) - 1
-    if deg <= 0 or not (np.polyval(poly[::-1], np.arange(p)) % p).all():  # a linear factor is a root
+    if deg <= 0:
         return False
-    for d in range(2, deg // 2 + 1):
+    for d in range(1, deg // 2 + 1):
         for divisor in _monic_polys(p, d):
             _, rem = _poly_divmod(poly, divisor, p)
             if not rem:
@@ -214,7 +214,7 @@ def _log_tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     digits = np.arange(q)[:, None] // place % p
     # x times x^i is x^(i+1), and x^r = -(m_0 + ... + m_(r-1) x^(r-1)) for the modulus m
     x = np.eye(r, k=1, dtype=np.int64)
-    x[-1] = np.negative(spec.modulus[:r]) % p
+    x[-1] = [-m % p for m in spec.modulus[:r]]
     by_x = [np.eye(r, dtype=np.int64)]
     while len(by_x) < r:
         by_x.append(by_x[-1] @ x % p)
@@ -224,15 +224,15 @@ def _log_tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         squares = [np.tensordot(digits[lo : lo + 64], by_x, axes=1) % p]  # M^(2^k)
         while len(squares) < n.bit_length():
             squares.append(squares[-1] @ squares[-1] % p)
-        primitive = np.ones(len(squares[0]), dtype=bool)
+        primitive = [True] * len(squares[0])
         for d in _prime_factors(n):
             power = reduce(lambda a, b: a @ b % p, (m for k, m in enumerate(squares) if n // d >> k & 1))
-            primitive &= (power[:, 0] != digits[1]).any(axis=1)
-        if primitive.any():
+            primitive = [ok and k != 1 for ok, k in zip(primitive, (power[:, 0] @ place).tolist())]
+        if any(primitive):
             break
     # g^0 .. g^(n-1) as coefficient rows, doubling the known prefix each step:
     # powers[:m] @ M^m holds g^m .. g^(2m-1)
-    g, powers = np.argmax(primitive), np.zeros((n, r), dtype=np.int64)
+    g, powers = primitive.index(True), np.zeros((n, r), dtype=np.int64)
     powers[0, 0], m = 1, 1
     for square in squares:
         powers[m : 2 * m] = powers[: min(m, n - m)] @ square[g] % p
@@ -408,7 +408,7 @@ class _IndexField:
         p, r, n = spec.p, spec.r, spec.q - 1
         digits, by_index, log = _log_tables(spec)
         self.p, self.order = p, n
-        self.log = np.where(log < 0, 2 * n, log)
+        self.log = np.concatenate([[2 * n], log[1:]])  # index 0 is zero, the only index without a log
         self.exp = np.concatenate([by_index, by_index, np.zeros(2 * n + 1, dtype=np.int64)])
         digits = digits.T
         self.chunks = []

@@ -287,15 +287,27 @@ def _normals(F, q: int) -> tuple[np.ndarray, np.ndarray]:
     return np.append(np.ones_like(m), 0), np.append(m, 1)
 
 
-def _mark_lines(F, q: int, normals: tuple, lines: np.ndarray, keys: np.ndarray) -> None:
-    """Flag lines[class, k, c] for each grid point (class*q + x)*q + y on n1[k]*x + n2[k]*y = c.
+def _first_free(F, q: int, normals: tuple, keys: np.ndarray, classes: np.ndarray, start: int = 0) -> np.ndarray:
+    """Each class's first line k*q + c, n1[k]*x + n2[k]*y = c with k >= ``start``, through none of its points, or -1.
 
-    Every normal's intercepts are read in one pass, CHUNK_CELLS of them a block.
+    ``keys`` are distinct points (class*q + x)*q + y of the sorted ``classes``.
+    A block of normals at a time, of CHUNK_CELLS intercepts and flags or one
+    normal, for the classes still open: O(points + classes * q) memory.
     """
     n1, n2 = normals
-    for lo, hi in _row_blocks(len(keys), len(n1)):
-        cls, x, y = keys[lo:hi, None] // (q * q), keys[lo:hi, None] // q % q, keys[lo:hi, None] % q
-        lines[cls, np.arange(len(n1)), F.add(F.mul(n1, x), F.mul(n2, y))] = True
+    cls, x, y = np.searchsorted(classes, keys // (q * q)), keys // q % q, keys % q
+    free, step = np.full(len(classes), -1), max(1, CHUNK_CELLS // max(1, len(keys), len(classes) * q))
+    for lo in range(start, len(n1), step):
+        k = np.arange(lo, min(lo + step, len(n1)))
+        lines = np.zeros((len(classes), len(k) * q), dtype=bool)
+        c = F.add(n1[k] * x[:, None], F.mul(n2[k], y[:, None]))  # n1 is 0 or 1, which an index product keeps
+        lines.reshape(-1)[(cls[:, None] * len(k) + k - lo) * q + c] = True
+        now = (free < 0) & ~lines.all(axis=1)
+        free[now] = lo * q + np.argmin(lines[now], axis=1)
+        if (free >= 0).all():
+            break
+        cls, x, y = (col[free[cls] < 0] for col in (cls, x, y))
+    return free
 
 
 def _pairwise_fixed_points(F, q: int, motions: tuple, first: np.ndarray, size: np.ndarray) -> tuple:
@@ -304,52 +316,41 @@ def _pairwise_fixed_points(F, q: int, motions: tuple, first: np.ndarray, size: n
     With g: z -> R z + w, R = u + iv, g_i^-1 g_j fixes z iff (R_i - R_j) z =
     w_j - w_i, so z = (w_j - w_i) conj(R_i - R_j) / N, N = |R_i - R_j|^2 =
     2 - 2 Re(conj(R_i) R_j).  N = 0 makes it a translation, which fixes nothing.
-    The points are marked on a q x q grid per class (CHUNK_CELLS cells of
-    classes at a time, one class at least) and flag the lines through them.
-    A class whose pairs take several blocks flags after each, and once all its
-    lines are flagged it lifts and skips the rest: any subset of pairs that
-    blocks every line gives the same lifted witness.  Returns the (class, x,
-    y) columns and each class's first free line k*q + c (``_mark_lines``), -1
-    when every line is blocked.
+    A class whose pairs take several blocks keeps a line its points so far
+    miss, rescans when a block hits it, and skips the rest once every line is
+    blocked: any subset of pairs that blocks them gives the same lifted witness.
     """
     u, v, s, t = motions
     normals, free, found = _normals(F, q), np.zeros(len(size), dtype=np.int64), [np.zeros(0, dtype=np.int64)]
-    per = max(1, CHUNK_CELLS // (q * q))
-    for lo in range(0, len(size), per):
-        k = len(size[lo : lo + per])
-        grid, lines = np.zeros(k * q * q, dtype=bool), np.zeros((k, len(normals[0]), q), dtype=bool)
-        for classes, rows, cols in _class_blocks(first[lo : lo + per], size[lo : lo + per]):
-            # a class spread over several blocks is alone in each, and flags the lines of its new points after each
-            split = rows.shape[1] < cols.shape[1]
-            if split and lines[classes].all():
-                continue
-            pair = rows[:, :, None] < cols[:, None, :]
-            ends = (classes[:, None, None], rows[:, :, None], cols[:, None, :])
-            cls, i, j = (np.broadcast_to(c, pair.shape)[pair] for c in ends)
-            du, dv = F.sub(u[i], u[j]), F.sub(v[i], v[j])
-            norm = F.add(F.mul(du, du), F.mul(dv, dv))
-            cls, i, j, du, dv, norm = (c[norm != 0] for c in (cls, i, j, du, dv, norm))
-            ds, dt = F.sub(s[j], s[i]), F.sub(t[j], t[i])
-            zx = F.div(F.add(F.mul(ds, du), F.mul(dt, dv)), norm)
-            zy = F.div(F.sub(F.mul(dt, du), F.mul(ds, dv)), norm)
-            keys = (cls * q + zx) * q + zy
-            if split:
-                keys = np.unique(keys[~grid[keys]])
-                _mark_lines(F, q, normals, lines, keys)
-            grid[keys] = True
-        keys = np.flatnonzero(grid)
-        found.append(keys + lo * q * q)
-        _mark_lines(F, q, normals, lines, keys[~lines.any(axis=(1, 2))[keys // (q * q)]])
-        lines = lines.reshape(k, -1)
-        free[lo : lo + k] = np.where(lines.all(axis=1), -1, np.argmin(lines, axis=1))
+    spread = np.zeros(len(size), dtype=bool)
+    for classes, rows, cols in _class_blocks(first, size):
+        k, split = classes[0], rows.shape[1] < cols.shape[1]
+        if free[k] < 0:  # a class spread over several blocks is alone in each, and every line is blocked
+            continue
+        pair = rows[:, :, None] < cols[:, None, :]
+        ends = (classes[:, None, None], rows[:, :, None], cols[:, None, :])
+        cls, i, j = (np.broadcast_to(c, pair.shape)[pair] for c in ends)
+        du, dv = F.sub(u[i], u[j]), F.sub(v[i], v[j])
+        norm = F.add(F.mul(du, du), F.mul(dv, dv))
+        cls, i, j, du, dv, norm = (c[norm != 0] for c in (cls, i, j, du, dv, norm))
+        ds, dt = F.sub(s[j], s[i]), F.sub(t[j], t[i])
+        zx = F.div(F.add(F.mul(ds, du), F.mul(dt, dv)), norm)
+        zy = F.div(F.sub(F.mul(dt, du), F.mul(ds, dv)), norm)
+        keys = (cls * q + zx) * q + zy
+        if split and rows[0, 0] > first[k]:
+            keys = np.concatenate([found.pop(), keys])
+        found.append(np.unique(keys, return_counts=True)[0])  # without counts np.unique imports numpy.ma
+        spread[k], line = split, free[k] // q
+        if split and (F.add(F.mul(normals[0][line], zx), F.mul(normals[1][line], zy)) == free[k] % q).any():
+            free[k] = _first_free(F, q, normals, found[-1], classes, line)[0]
     keys = np.concatenate(found)
+    free[~spread] = _first_free(F, q, normals, keys[~spread[keys // (q * q)]], np.flatnonzero(~spread))
     return (keys // (q * q), keys // q % q, keys % q), free
 
 
 def _certified(fixed: tuple, into: np.ndarray, c0: int, n_classes: int) -> np.ndarray:
-    """Which classes have no fixed point whose embedded x is c0: the check of the lifted axis x = c0."""
-    cls, fx, _ = fixed
-    return np.bincount(cls[into[fx] == c0], minlength=n_classes) == 0
+    """Which classes have no fixed point whose embedded x is c0: all, for c0 outside a field embedding's image."""
+    return np.bincount(fixed[0][into[fixed[1]] == c0], minlength=n_classes) == 0
 
 
 def _reflect_columns(F, axis: tuple, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -397,10 +398,9 @@ class ReductionWitness:
     The data are kept as the indices they were computed on: ``r``, ``s_r``
     (hx, hy, tx, ty) and ``axis`` (n1, n2, c) over ``work_field``, the
     motions ``g`` and ``h`` as (u, v, s, t) columns, the point and plane
-    families as canonical (N, 4) rows.  The objects ``r``, ``s_r``, ``axis``,
-    ``g_motions``, ``h_motions``, ``points`` and ``planes`` and the line
-    occupancy ``k`` are built on first read, so a lifted reduction builds no
-    element of the extension until then.
+    families as canonical (N, 4) rows.  Their objects and the line occupancy
+    ``k`` are built on first read, so a lifted reduction builds no extension
+    element until then.
     """
 
     base_field: FieldSpec
@@ -506,12 +506,12 @@ def claim_reductions(A: PointSet, lengths: Sequence[FieldElement]) -> list:
     first mirror axis no pairwise quotient fixes a point of; reflect for the
     points, move the axial-rotation plane by the g for the planes; count.
     A class whose fixed points block every base line is reduced over the
-    quadratic extension, where the axis is x = c0 for the least index c0
-    outside the embedding's image: each line x = into[b] is blocked by the
-    embedded point that blocked x = b, and x = c0 holds no base point, which
-    ``_certified`` checks.  Each stage runs once per work field over all its
-    classes.  Returns each class's witness or the ReductionUnavailableError
-    or AssertionError it raised.
+    quadratic extension with the axis x = p: the constants embed as
+    themselves and index p, the generator, lies in no proper subfield, so
+    each line x = into[b] before it is blocked by the embedded point that
+    blocked x = b, and x = p holds none (``_certified`` checks ``into``).
+    Each stage runs once per work field over all its classes.  Returns each
+    class's witness or the ReductionUnavailableError or AssertionError it raised.
     """
     if not all(lengths):
         raise ValueError("a nonzero quadratic length is required")
@@ -543,16 +543,12 @@ def claim_reductions(A: PointSet, lengths: Sequence[FieldElement]) -> list:
                                                f"the lift to q = {q}^2 exceeds the limit {field.Q_MAX}")
     elif lifted.any():
         ext, into = _field_embedding(spec)
-        c0 = int(np.flatnonzero(np.bincount(into, minlength=ext.q) == 0)[0])
-        keep = lifted & _certified(fixed, into, c0, len(lengths))
+        keep = lifted & _certified(fixed, into, spec.p, len(lengths))
         for k in np.flatnonzero(lifted & ~keep).tolist():
             out[k] = ReductionUnavailableError(f"no valid axis over {ext!r} for r={lengths[k]!r}, |S_r|={sizes[k]}: "
-                                               f"a fixed point embeds on x = {c0}, the certified axis")
-        if spec.r == 1:  # the embedding keeps every index, so the rows and their motions are the base ones
-            rows = _only(keep, *rows)
-        else:
-            rows = _class_rows(_index_field(ext), into[x], into[y], *_only(keep, cls, heads, tails), sizes[keep])
-        axis = np.full((3, np.count_nonzero(keep)), [[1], [0], [c0]])
+                                               f"a fixed point embeds on x = {spec.p}, the certified axis")
+        rows = _class_rows(_index_field(ext), into[x], into[y], *_only(keep, cls, heads, tails), sizes[keep])
+        axis = np.full((3, np.count_nonzero(keep)), [[1], [0], [spec.p]])
         stages.append((ext, into, keep, tuple(axis), (np.zeros(0, dtype=np.int64),) * 3, rows))
     for spec, into, keep, axis_cols, (fc, fx, fy), (row_class, hx, hy, tx, ty, *g) in stages:
         if not keep.any():

@@ -12,7 +12,7 @@ incidence reduction and the harness's kinematic check run on it.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -345,27 +345,23 @@ def transporter_line(x: Point, y: Point) -> tuple[ProjPoint, ProjPoint]:
 
 
 def _ranks(F, rows: np.ndarray) -> np.ndarray:
-    """The rank of each (k, 4) block of index rows: the pivots of a Gauss elimination on every block at once."""
-    at, used = np.arange(len(rows)), np.zeros(rows.shape[:2], dtype=bool)
+    """The rank of each (k, 4) block of index rows: per column, one pivot row is eliminated from its block."""
+    at, rank = np.arange(len(rows)), np.zeros(len(rows), dtype=np.int64)
     for col in range(rows.shape[2]):
-        candidates = (rows[:, :, col] != 0) & ~used
-        has, pivot = candidates.any(axis=1), np.argmax(candidates, axis=1)
-        lead = rows[at, pivot]
-        factor = np.where(has[:, None], F.div(rows[:, :, col], np.where(has, lead[:, col], 1)[:, None]), 0)
-        rows = F.sub(rows, F.mul(factor[:, :, None], lead[:, None, :]))  # the pivot row too: it is read no more
-        used[at[has], pivot[has]] = True
-    return used.sum(axis=1)
+        pivot = rows[at, np.argmax(rows[:, :, col] != 0, axis=1)]
+        has = pivot[:, col] != 0
+        factor = F.div(rows[:, :, col], np.where(has, pivot[:, col], 1)[:, None])
+        rows, rank = F.sub(rows, F.mul(factor[:, :, None], pivot[:, None, :])), rank + has
+    return rank
 
 
 def _r_tau_planes(F, axes: tuple) -> np.ndarray:
-    """The plane spanned by the image of the rotations about points of each axis, as canonical rows.
+    """The plane spanned by the image of the rotations about points of each axis (n1, n2, c), as canonical rows.
 
-    ``axes`` holds the (n1, n2, c) index columns of canonical non-isotropic
-    lines n1*x + n2*y = c.  A rotation (u, v) about z has kappa [u+1 : v :
-    v*z_y : v*z_x], and [0 : 1 : z_y : z_x] at u = -1, so every member lies on
-    the plane (0 : -c : n2 : n1).  A bounded sample re-derives it per axis:
-    the identity and the quarter and half turns about two distinct axis points
-    must span a plane and lie on it.
+    A rotation (u, v) about z has kappa [u+1 : v : v*z_y : v*z_x], and [0 : 1 :
+    z_y : z_x] at u = -1, so each lies on the plane (0 : -c : n2 : n1).  A
+    sample re-derives it per axis: the identity and the quarter and half turns
+    about two axis points must span a plane and lie on it.
     """
     n1, n2, c = (np.atleast_1d(np.asarray(col, dtype=np.int64)) for col in axes)
     zero, minus = np.zeros_like(c), F.sub(np.int64(0), np.int64(1))
@@ -382,9 +378,7 @@ def _r_tau_planes(F, axes: tuple) -> np.ndarray:
     images = _kappa_rows(F, tuple(members)).reshape(7, len(c), 4).transpose(1, 0, 2)
     if (_ranks(F, images) != 3).any():
         raise AssertionError("axial rotation image must span a plane")
-    on = F.add(F.add(F.mul(images[..., 0], plane[:, None, 0]), F.mul(images[..., 1], plane[:, None, 1])),
-               F.add(F.mul(images[..., 2], plane[:, None, 2]), F.mul(images[..., 3], plane[:, None, 3])))
-    if on.any():
+    if reduce(F.add, (F.mul(images[..., i], plane[:, None, i]) for i in range(4))).any():
         raise AssertionError("axial rotation image left the derived plane")
     return plane
 

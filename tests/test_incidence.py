@@ -297,6 +297,12 @@ class TestValidAxisScan:
                 line = free[k] // q
                 assert (n1[line], n2[line], free[k] % q) == want.key
 
+    @pytest.mark.parametrize("spec", [F5, F9], ids=["F5", "F9"])
+    def test_matches_line_sweep_a_normal_at_a_time(self, spec, monkeypatch):
+        # whole classes whose free lines lie on different normals, scanned one normal a block
+        monkeypatch.setattr(incidence, "CHUNK_CELLS", 64)
+        self.test_matches_line_sweep(spec)
+
 
 class TestClaimReduction:
     def test_mirror_pair_witness(self):

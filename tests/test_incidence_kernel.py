@@ -12,6 +12,7 @@ non-isotropic line.
 
 import hashlib
 import random
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -25,7 +26,7 @@ from findist.counting import segment_classes
 from findist.field import FieldSpec, _index_field
 from findist.generators import generate
 from findist.geometry import PointSet, all_lines, all_points, point
-from findist.harness import _child_seed, canonical_json, standard_corpus_sets
+from findist.harness import _child_seed, canonical_json, make_config, run, standard_corpus_sets
 from findist.incidence import (
     _certified,
     _field_embedding,
@@ -39,7 +40,7 @@ from findist.incidence import (
     max_collinear,
     rudnev_ratio,
 )
-from findist.kinematic import ProjPlane, all_proj_points, r_tau_plane, transporter_image
+from findist.kinematic import ProjPlane, _r_tau_planes, all_proj_points, r_tau_plane, transporter_image
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
@@ -226,8 +227,11 @@ class TestKernelsAgainstLoops:
 def test_closed_form_r_tau_plane_is_the_spanned_plane(spec):
     lines = [line for line in all_lines(spec) if not line.is_isotropic()]
     assert lines
-    for line in lines:
-        assert r_tau_plane(line) == oracle.lazy_span_plane(line), line
+    # one batch over every axis, and the public one-axis call
+    planes = _r_tau_planes(_index_field(spec), tuple(np.array(col) for col in zip(*(line.key for line in lines))))
+    for line, row in zip(lines, planes.tolist()):
+        want = oracle.lazy_span_plane(line)
+        assert tuple(row) == want.key and r_tau_plane(line) == want, line
 
 
 @pytest.mark.parametrize("spec", [F9, F25, FieldSpec(3, 3), FieldSpec(7, 2)], ids=["F9", "F25", "F27", "F49"])
@@ -235,6 +239,21 @@ def test_field_embedding_matches_object_evaluation(spec):
     ext, into = _field_embedding(spec)
     want_ext, want = oracle.field_embedding(spec)
     assert ext == want_ext and into.dtype == np.int64 and into.tolist() == want
+
+
+def test_reduce_memory_does_not_grow_with_q_squared():
+    # over F_131071 one q x q grid of flags would take 17 GB; the fixed points
+    # and the line scan hold O(pairs + classes * q), about 9 MB here
+    config = make_config(FieldSpec(131071), "random", {"size": 6}, seed=0, checks=("reduce",))
+    run(config)  # the field's tables and kernel, which are built once per spec
+    tracemalloc.start()
+    try:
+        report = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed() and len(report.metrics["reduce"]["reductions"]) == 15
+    assert peak < 16e6
 
 
 class TestCertificate:
@@ -266,12 +285,13 @@ class TestCertificate:
         assert _certified(fixed, np.arange(3), 3, 4).all()
 
     def test_lifted_axis_is_the_least_index_outside_the_image(self):
+        # that index is p, the extension's generator x, over a prime base and a degree-2 one alike
         for A in (LIFT_SET_F3, generate(F9, "random", {"size": 9}, 9), generate(F7, "random", {"size": 12}, 7)):
             ext, into = _field_embedding(A.spec)
             c0 = min(set(range(ext.q)) - set(into.tolist()))
             lifted = [w for w in claim_reductions(A, [r for r, _ in nonzero_classes(A)]) if w.lifted]
             assert lifted and all(w.axis_key == (1, 0, c0) for w in lifted)
-            assert c0 == A.spec.q or A.spec.r > 1
+            assert c0 == A.spec.p
 
 
 class TestLiftBuildsNoExtensionObjects:

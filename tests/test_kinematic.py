@@ -7,7 +7,7 @@ import pytest
 
 from findist import kinematic
 from findist.field import FieldSpec, _index_field
-from findist.geometry import Line, all_lines, point
+from findist.geometry import Line, point
 from findist.kinematic import (
     NotInImageError,
     ProjMap,
@@ -308,12 +308,6 @@ class TestRTauPlaneBatch:
         F, got = _index_field(spec), _ranks(_index_field(spec), np.array(blocks, dtype=np.int64))
         want = [matrix_rank([[spec.from_index(k) for k in row] for row in block], spec) for block in blocks]
         assert got.tolist() == want and 0 < min(want) and max(want) == 3
-
-    @pytest.mark.parametrize("spec", [F5, F9], ids=["F5", "F9"])
-    def test_batch_is_the_per_axis_plane(self, spec):
-        lines = [line for line in all_lines(spec) if not line.is_isotropic()]
-        planes = _r_tau_planes(_index_field(spec), tuple(np.array(col) for col in zip(*(line.key for line in lines))))
-        assert [tuple(row) for row in planes.tolist()] == [r_tau_plane(line).key for line in lines]
 
     def test_the_sample_check_is_live(self, monkeypatch):
         F, axis = _index_field(F7), (1, 0, 2)
