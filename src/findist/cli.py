@@ -12,11 +12,10 @@ import sys
 from typing import Optional, Sequence
 
 from .field import FieldSpec
-from .generators import UnsupportedGeneratorError
 from .geometry import PointSet
-from .harness import ExperimentConfig, make_config, run
+from .harness import CHECKS, ExperimentConfig, run, validate_checks
 
-SUBCOMMANDS = ("stats", "verify", "reduce", "prune", "kinematic-check", "clifford-check", "sweep")
+SUBCOMMANDS = tuple(CHECKS)
 
 _DEFAULT_FIELD = (7, 1)
 _DEFAULT_SWEEP_FIELD = (31, 1)
@@ -73,49 +72,45 @@ def _load_json(path: str) -> dict:
 
 
 def _resolve_config(args) -> ExperimentConfig:
+    """One config: the file's or the defaults, the options over it, and the subcommand as its only check."""
     if args.config:
-        obj = _load_json(args.config)
-        try:
-            config = ExperimentConfig.from_json(obj)
-        except _MALFORMED as exc:
-            raise CliError(f"bad config {args.config}: {_describe(exc)}") from exc
+        obj, where = _load_json(args.config), f"bad config {args.config}: "
     else:
-        p, r = _DEFAULT_SWEEP_FIELD if args.subcommand == "sweep" else _DEFAULT_FIELD
-        params = {"sizes": list(_DEFAULT_SWEEP_SIZES)} if args.subcommand == "sweep" else {"size": 10}
-        config = make_config(FieldSpec(p, r), "random", params, seed=7)
+        sweep = args.subcommand == "sweep"
+        p, r = _DEFAULT_SWEEP_FIELD if sweep else _DEFAULT_FIELD
+        params = {"sizes": list(_DEFAULT_SWEEP_SIZES)} if sweep else {"size": 10}
+        obj, where = {"field": {"p": p, "r": r}, "params": params, "seed": 7}, ""
+    try:
+        # the subcommand replaces the file's checks, which must still be well-formed
+        validate_checks(obj.get("checks", ()))
+        obj = dict(obj, checks=[args.subcommand])
+    except _MALFORMED as exc:
+        raise CliError(f"{where}{_describe(exc)}") from exc
 
-    updates = {}
     if args.field is not None:
         p, r = _parse_field(args.field)
         try:
-            updates["field"] = FieldSpec(p, r)
+            obj["field"] = FieldSpec(p, r).to_json()
         except ValueError as exc:
             raise CliError(str(exc)) from exc
     if args.seed is not None:
-        updates["seed"] = args.seed
+        obj["seed"] = args.seed
     if args.out is not None:
-        updates["out"] = args.out
+        obj["out"] = args.out
 
     points_path = getattr(args, "points", None)
     if points_path:
         blob = _load_json(points_path)
         try:
-            updates["field"] = FieldSpec.from_json(blob["field"])
-            updates["params"] = {"points": blob["points"]}
+            FieldSpec.from_json(blob["field"])
+            obj.update(field=blob["field"], generator="explicit", params={"points": blob["points"]})
         except _MALFORMED as exc:
             raise CliError(f"bad point-set file {points_path}: {_describe(exc)}") from exc
-        updates["generator"] = "explicit"
 
-    checks = (args.subcommand,)
-    config = make_config(
-        field=updates.get("field", config.field),
-        generator=updates.get("generator", config.generator),
-        params=updates.get("params", config.params_dict()),
-        seed=updates.get("seed", config.seed),
-        checks=checks,
-        out=updates.get("out", config.out),
-        thresholds=config.thresholds,
-    )
+    try:
+        config = ExperimentConfig.from_json(obj)
+    except _MALFORMED as exc:
+        raise CliError(f"{where}{_describe(exc)}") from exc
     if config.generator == "explicit":
         # read the points now, so a malformed set is a usage error, not a crash mid-run
         try:
@@ -147,7 +142,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"findist: {exc}", file=sys.stderr)
         return 2
-    except (UnsupportedGeneratorError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"findist: {exc}", file=sys.stderr)
         return 2
     return 0 if report.passed() else 1

@@ -445,3 +445,7 @@ class _IndexField:
 
 
 _index_field = lru_cache(maxsize=None)(_IndexField)
+
+# Cells (rows x columns) in one block of an index-array kernel: it bounds their
+# temporaries whatever the family sizes, N in the thousands included.
+CHUNK_CELLS = 1 << 16

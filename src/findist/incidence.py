@@ -33,10 +33,6 @@ from .geometry import Line, Point, PointSet, Segment
 from .kinematic import ProjPlane, ProjPoint, _canonical_rows, _kappa_rows, _r_tau_planes
 from .motions import RigidMotion
 
-# Cells (rows x columns) in one block of a pairwise kernel: it bounds their
-# temporaries whatever the family sizes, N in the thousands included.
-CHUNK_CELLS = 1 << 16
-
 
 class EmptySegmentClassError(ValueError):
     pass
@@ -53,7 +49,7 @@ def _ceil_sqrt(n: int) -> int:
 
 def _row_blocks(n_rows: int, n_cols: int):
     """Consecutive row ranges with at most CHUNK_CELLS cells each (one row at least)."""
-    step = max(1, CHUNK_CELLS // max(n_cols, 1))
+    step = max(1, field.CHUNK_CELLS // max(n_cols, 1))
     return ((lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step))
 
 
@@ -85,7 +81,7 @@ def count_incidences(points: np.ndarray, planes: np.ndarray, spec: FieldSpec) ->
 def _class_blocks(first: np.ndarray, size: np.ndarray):
     """Blocks (classes, rows (k, h), cols (k, s)): row indices of k classes of size s, at most CHUNK_CELLS cells."""
     for s in np.flatnonzero(np.bincount(size)).tolist():
-        group, step = np.flatnonzero(size == s), max(1, CHUNK_CELLS // s)
+        group, step = np.flatnonzero(size == s), max(1, field.CHUNK_CELLS // s)
         per = max(1, step // s)
         for k in range(0, len(group), per):
             start = first[group[k : k + per], None]
@@ -296,7 +292,7 @@ def _first_free(F, q: int, normals: tuple, keys: np.ndarray, classes: np.ndarray
     """
     n1, n2 = normals
     cls, x, y = np.searchsorted(classes, keys // (q * q)), keys // q % q, keys % q
-    free, step = np.full(len(classes), -1), max(1, CHUNK_CELLS // max(1, len(keys), len(classes) * q))
+    free, step = np.full(len(classes), -1), max(1, field.CHUNK_CELLS // max(1, len(keys), len(classes) * q))
     for lo in range(start, len(n1), step):
         k = np.arange(lo, min(lo + step, len(n1)))
         lines = np.zeros((len(classes), len(k) * q), dtype=bool)

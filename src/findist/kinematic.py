@@ -17,7 +17,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .clifford import EvenCliffordElement, QuadraticFormSpec
 from .field import FieldElement, FieldSpec, _index_field
 from .geometry import IsotropicAxisError, Line, Point
 from .motions import RigidMotion, transporter_set
@@ -246,8 +245,11 @@ def _kappa_rows(F, motions: tuple) -> np.ndarray:
     return _canonical_rows(F, np.stack(rows, axis=1))
 
 
-def kappa_even(g: RigidMotion) -> EvenCliffordElement:
+def kappa_even(g: RigidMotion) -> "EvenCliffordElement":
     """The even Clifford representative (X0, X1, X2, X3) of kappa(g)."""
+    # imported here: nothing else in this module needs the Clifford algebra
+    from .clifford import EvenCliffordElement, QuadraticFormSpec
+
     form = QuadraticFormSpec.standard(g.spec)
     x = kappa(g).coords
     return EvenCliffordElement(form, x[0], x[1], x[2], x[3])

@@ -1,0 +1,272 @@
+"""The point checks: stats, verify, reduce and prune on the config's point set, and the sweep.
+
+Each check returns (findings, metrics, witnesses, rows); only the sweep has
+rows.  The harness loads this module when a config names one of them.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Mapping
+
+import numpy as np
+
+# incidence first: without a bytecode cache a module's compile memory stays in
+# the process's peak, so the largest module compiles while the least is live
+from . import incidence  # noqa: I001
+from . import counting, generators
+from .field import FieldSpec, _index_field
+from .geometry import PointSet
+from .harness import ExperimentConfig, Thresholds, _child_seed, _digest, _finding, _jsonify
+
+
+def _reduction_unavailable(name: str, inputs: str, exc: Exception) -> dict:
+    """The failing finding of a reduction that raised instead of producing a witness."""
+    return _finding(name, inputs, [f"{type(exc).__name__}: {exc}"], "=", [], False)
+
+
+def _pind_meets_floor(pind: int, size: int, floor: Fraction) -> bool:
+    # pind / size^(2/3) >= floor, cubed to stay in integers
+    return (pind * floor.denominator) ** 3 >= size**2 * floor.numerator**3
+
+
+def _check_stats(A: PointSet, config: ExperimentConfig):
+    inputs = _digest(A.to_json())
+    dist = counting.distance_stats(A)
+    iso = counting.isosceles_count(A)
+    classes = counting.segment_classes(A)
+    bis = counting.bisector_stats(A)
+    occ = counting.max_collinear_cocircular(A)
+    floor = config.thresholds.pind_floor
+    pind_ok = _pind_meets_floor(dist.pind, len(A), floor) if len(A) else True
+    flags = [] if pind_ok else ["pind-below-floor"]
+    metrics = {
+        "size": len(A),
+        "pind": dist.pind,
+        "pind_nonzero": dist.pind_nonzero,
+        "distinct_distances": dist.distinct_distances,
+        "nonzero_pairs": dist.nonzero_pairs,
+        "isosceles_t": iso.t,
+        "isosceles_t_all": iso.t_all,
+        "quadruple_q": classes.q_value,
+        "bisector_b": bis.b_energy,
+        "bisector_b_star": bis.b_star_energy,
+        "cone_points": bis.cone_count,
+        "occupancy_m": occ.m,
+        "occupancy_m_line": occ.m_line,
+        "occupancy_m_circle": occ.m_circle,
+        "flags": flags,
+    }
+    findings = [
+        _finding(
+            "pinned-ratio-floor",
+            inputs,
+            (dist.pind * floor.denominator) ** 3,
+            ">=",
+            len(A) ** 2 * floor.numerator**3,
+            pind_ok or not config.thresholds.enforce,
+        )
+    ]
+    return findings, metrics, [], []
+
+
+def _check_verify(A: PointSet, config: ExperimentConfig):
+    inputs = _digest(A.to_json())
+    entries = counting.verify_identities(A)
+    findings = [
+        _finding(e["name"], inputs, e["lhs"], e["relation"], e["rhs"], e["pass"])
+        for e in entries
+    ]
+    return findings, {"identities": _jsonify(entries)}, [], []
+
+
+def _check_reduce(A: PointSet, config: ExperimentConfig):
+    inputs = _digest(A.to_json())
+    findings, witnesses, summaries = [], [], []
+    lengths = [r for r, _ in counting.segment_classes(A).nonzero_sizes()]
+    try:
+        results = incidence.claim_reductions(A, lengths)
+    except (incidence.ReductionUnavailableError, AssertionError) as exc:
+        results = [exc] * len(lengths)
+    for r, w in zip(lengths, results):
+        if isinstance(w, Exception):
+            findings.append(_reduction_unavailable(f"reduction-available[r={r.index}]", inputs, w))
+            continue
+        explained = w.verdict == "explained"
+        findings.append(
+            _finding(
+                f"reduction-explained[r={r.index}]",
+                inputs,
+                w.incidences,
+                "=",
+                w.i_ax + w.i_on_axis,
+                explained,
+            )
+        )
+        summaries.append(
+            {
+                "r": r.index,
+                "segments": w.max_class_size,
+                "i_ax": w.i_ax,
+                "i_on_axis": w.i_on_axis,
+                "incidences": w.incidences,
+                "lifted": w.lifted,
+                "verdict": w.verdict,
+            }
+        )
+        if not explained:
+            witnesses.append(w.to_json())
+    return findings, {"reductions": summaries}, witnesses, []
+
+
+def _check_prune(A: PointSet, config: ExperimentConfig):
+    inputs = _digest(A.to_json())
+    findings, removed = [], []
+    orig_sq = len(A) ** 2
+    current = A
+    for step, (curve, current, check) in enumerate(counting.prune_steps(A)):
+        name = f"prune-triple-bound[step={step}]"
+        findings.append(_finding(name, inputs, check["lhs"], check["relation"], check["rhs"], check["pass"]))
+        removed.append(curve.to_json())
+    steps = len(removed)
+    budget = counting._ceil_cbrt(len(A)) + 1
+    occ = counting.max_collinear_cocircular(current)
+    findings.append(_finding("prune-step-budget", inputs, steps, "<=", budget, steps <= budget))
+    findings.append(
+        _finding("prune-line-occupancy", inputs, occ.m_line**3, "<=", orig_sq, occ.m_line**3 <= orig_sq)
+    )
+    findings.append(
+        _finding(
+            "prune-circle-occupancy", inputs, occ.m_circle**3, "<=", orig_sq, occ.m_circle**3 <= orig_sq
+        )
+    )
+    metrics = {
+        "steps": steps,
+        "removed": removed,
+        "final_size": len(current),
+        "final_m": occ.m,
+    }
+    return findings, metrics, [], []
+
+
+def _isotropic_line_occupancy(A: PointSet) -> int:
+    """The most points of A on one line x + i*y = c with i^2 = -1; 0 when -1 is not a square."""
+    if not len(A):
+        return 0
+    F = _index_field(A.spec)
+    x, y = counting._index_coords(A)
+    lines = (F.add(x, F.mul(i.index, y)) for i in (-A.spec.one()).sqrt())
+    return max((int(np.bincount(c).max()) for c in lines), default=0)
+
+
+def _sweep_row(spec: FieldSpec, kind: str, params: Mapping, size: int, seed: int,
+               thresholds: Thresholds) -> tuple[dict, list, list]:
+    """One sweep row, the witnesses of an unexplained reduction, and the findings of a failed one."""
+    A = generators.generate(spec, kind, dict(params, size=size), seed)
+    dist = counting.distance_stats(A)
+    iso_t = counting.isosceles_count(A).t
+    classes = counting.segment_classes(A)
+    b_star = counting.bisector_stats(A).b_star_energy
+    occ = counting.max_collinear_cocircular(A)
+
+    flags = []
+    pind_ok = _pind_meets_floor(dist.pind, len(A), thresholds.pind_floor)
+    if not pind_ok:
+        flags.append("pind-below-floor")
+    in_hyp = len(A) ** 3 <= spec.p**4 and 3 * _isotropic_line_occupancy(A) <= len(A)
+    if not in_hyp:
+        flags.append("out-of-hypothesis")
+
+    witnesses, failures = [], []
+    reduction = dict.fromkeys(
+        ("reduction_r", "reduction_lifted", "rudnev_surrogate", "rudnev_float", "rudnev_ok")
+    )
+    nonzero = classes.nonzero_sizes()
+    if nonzero:
+        r_star, _ = max(nonzero, key=lambda item: (item[1], -item[0].index))
+        reduction["reduction_r"] = r_star.index
+        try:
+            w = incidence.claim_reduction(A, r_star)
+        except (incidence.ReductionUnavailableError, AssertionError) as exc:
+            flags.append("reduction-unavailable")
+            name = f"reduction-available[size={size},r={r_star.index}]"
+            failures.append(_reduction_unavailable(name, _digest(A.to_json()), exc))
+        else:
+            ratio = w.ratio()
+            rudnev_ok = ratio.surrogate_ratio <= thresholds.rudnev_ceiling
+            if not rudnev_ok:
+                flags.append("rudnev-above-ceiling")
+            if w.verdict != "explained":
+                flags.append("unexplained-reduction")
+                witnesses.append(w.to_json())
+            reduction.update(
+                reduction_lifted=w.lifted,
+                rudnev_surrogate=ratio.surrogate_ratio,
+                rudnev_float=ratio.float_ratio,
+                rudnev_ok=rudnev_ok,
+            )
+
+    row = {
+        "q": spec.q,
+        "size": len(A),
+        "pind": dist.pind,
+        "size_two_thirds": len(A) ** (2.0 / 3.0),
+        "pind_ratio": dist.pind / len(A) ** (2.0 / 3.0) if len(A) else 0.0,
+        "pind_ok": pind_ok,
+        "isosceles_t": iso_t,
+        "quadruple_q": classes.q_value,
+        "bisector_b_star": b_star,
+        "occupancy_m": occ.m,
+        "in_hypothesis": in_hyp,
+        "flags": sorted(flags),
+    }
+    row.update(reduction)
+    return row, witnesses, failures
+
+
+def _check_sweep(config: ExperimentConfig):
+    params = config.params_dict()
+    sizes = params.pop("sizes", None)
+    if not isinstance(sizes, list) or not sizes:
+        raise ValueError("sweep: params must include a non-empty 'sizes' list")
+    kind = config.generator
+    findings, rows, witnesses = [], [], []
+    inputs = config.digest()
+    for i, size in enumerate(sizes):
+        row, extra, failures = _sweep_row(
+            config.field, kind, params, size, _child_seed(config.seed, i), config.thresholds
+        )
+        rows.append(row)
+        witnesses.extend(extra)
+        findings.extend(failures)
+        # an unexplained reduction is an exactness regression, never a
+        # monitored ratio: it fails the run unconditionally
+        if "unexplained-reduction" in row["flags"]:
+            findings.append(
+                _finding(f"sweep-reduction[size={size}]", inputs, ["unexplained-reduction"], "=", [], False)
+            )
+        monitored = [
+            f for f in row["flags"]
+            if f not in ("out-of-hypothesis", "unexplained-reduction", "reduction-unavailable")
+        ]
+        if config.thresholds.enforce:
+            findings.append(
+                _finding(
+                    f"sweep-thresholds[size={size}]",
+                    inputs,
+                    monitored,
+                    "=",
+                    [],
+                    not monitored,
+                )
+            )
+    metrics = {"rows": len(rows)}
+    return findings, metrics, witnesses, rows
+
+
+def config_point_set(config: ExperimentConfig) -> PointSet:
+    if config.generator == "explicit":
+        params = config.params_dict()
+        return PointSet.from_json({"field": config.field.to_json(), "points": params["points"]})
+    params = {k: v for k, v in config.params_dict().items() if k != "sizes"}
+    return generators.generate(config.field, config.generator, params, config.seed)

@@ -1,7 +1,7 @@
 """Object-level oracles for the algebra checks' index kernel.
 
-These are the loops ``harness._check_clifford`` and
-``harness._check_kinematic`` ran before the index kernel: every product,
+These are the loops ``algebra_checks._check_clifford`` and
+``algebra_checks._check_kinematic`` ran before the index kernel: every product,
 sandwich and ``rho_star`` through ``CliffordElement``,
 ``EvenCliffordElement`` and ``RigidMotion`` objects, with fibres keyed by the
 motion's canonical JSON, and every motion through ``kappa`` and ``kappa_inv``
@@ -153,7 +153,7 @@ def check_clifford(config):
         _finding("clifford-sandwich-displays", inputs, display_misses, "=", 0, display_misses == 0)
     )
     metrics["display_forms"] = [v.lam.index for v in lam_values]
-    return findings, metrics, []
+    return findings, metrics, [], []
 
 
 def check_kinematic(config):
@@ -191,4 +191,4 @@ def check_kinematic(config):
         "proj_points": len(complement) + n_exceptional,
         "exceptional": n_exceptional,
     }
-    return findings, metrics, []
+    return findings, metrics, [], []

@@ -30,11 +30,7 @@ from findist.counting import (
 from findist.field import FieldSpec
 from findist.generators import generate
 from findist.geometry import Circle, Line, Point, all_points
-from findist.harness import (
-    FROZEN_RUDNEV_CEILING,
-    _isotropic_line_occupancy,
-    standard_corpus_sets,
-)
+from findist.harness import FROZEN_RUDNEV_CEILING, standard_corpus_sets
 from findist.incidence import claim_reduction
 from findist.kinematic import (
     ProjPlane,
@@ -51,6 +47,7 @@ from findist.kinematic import (
     r_tau_plane,
 )
 from findist.motions import all_motions, iter_r_tau, so2_order, transporter_set
+from findist.point_checks import _isotropic_line_occupancy
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)

@@ -25,12 +25,13 @@ from bisector_oracles import (
     loop_epsilon_value,
     sweep_bisector_stats,
 )
-from findist import counting, incidence
+from findist import counting, field, incidence
 from findist.counting import bisector_stats, bisector_table, distance_stats, segment_classes, verify_identities
 from findist.field import FieldSpec
 from findist.generators import generate
 from findist.geometry import Line, PointSet, all_lines, all_points, equidistant_line, point
-from findist.harness import config_point_set, make_config, run
+from findist.harness import make_config, run
+from findist.point_checks import config_point_set
 from findist.incidence import axial_pair_count, claim_reduction, epsilon_term
 from incidence_oracles import lift_point_set
 
@@ -194,7 +195,7 @@ class TestAxialPairCount:
         # each block gathers a single line's dist[M_L x M_L]
         sets = sets_over(spec, 3, 12, 1700 + spec.q) + [generate(spec, "random", {"size": 40}, spec.q)]
         default = [incidence._axial_counts(A) for A in sets]
-        monkeypatch.setattr(incidence, "CHUNK_CELLS", 1)
+        monkeypatch.setattr(field, "CHUNK_CELLS", 1)
         for A, bins in zip(sets, default):
             assert incidence._axial_counts(A).tolist() == bins.tolist()
             assert_every_class_matches_the_key_loop(PointSet(spec, A.points))

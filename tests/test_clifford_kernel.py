@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clifford_oracles import check_clifford, check_kinematic
-from findist import clifford, field, harness, incidence
+from findist import algebra_checks, clifford, field
 from findist.clifford import (
     BLADE_NAMES,
     CliffordElement,
@@ -34,7 +34,8 @@ from findist.clifford import (
     sandwich_batch,
 )
 from findist.field import FieldSpec, NonUnitError
-from findist.harness import _check_clifford, _check_kinematic, make_config
+from findist.algebra_checks import _check_clifford, _check_kinematic
+from findist.harness import make_config
 from findist.kinematic import all_proj_points, exceptional_set, is_exceptional, kappa_inv
 from findist.motions import SpecMismatchError
 
@@ -208,7 +209,7 @@ def test_clifford_check_matches_the_object_loops(p, r, seed):
 def test_kinematic_check_splits_projective_space_like_exceptional_set(spec):
     points = list(all_proj_points(spec))
     assert [p for p in points if is_exceptional(p)] == exceptional_set(spec)
-    findings, metrics, _ = _check_kinematic(make_config(spec, "random", {}, checks=("kinematic-check",)))
+    findings, metrics, _, _ = _check_kinematic(make_config(spec, "random", {}, checks=("kinematic-check",)))
     assert all(f["pass"] for f in findings)
     assert metrics["proj_points"] == len(points)
     assert metrics["exceptional"] == len(exceptional_set(spec))
@@ -232,15 +233,15 @@ def test_kappa_inv_is_rho_star_with_x2_negated(spec):
 
 
 def test_a_kappa_row_on_the_exceptional_locus_fails_the_kinematic_check(monkeypatch):
-    kappa_rows = harness._kappa_rows
+    kappa_rows = algebra_checks._kappa_rows
 
     def broken(F, motions):
         rows = kappa_rows(F, motions)
         rows[0] = (0, 0, 0, 1)  # X0^2 + X1^2 = 0, where rho_star has no value
         return rows
 
-    monkeypatch.setattr(harness, "_kappa_rows", broken)
-    findings, _, _ = _check_kinematic(make_config(FieldSpec(5), "random", {}, checks=("kinematic-check",)))
+    monkeypatch.setattr(algebra_checks, "_kappa_rows", broken)
+    findings, _, _, _ = _check_kinematic(make_config(FieldSpec(5), "random", {}, checks=("kinematic-check",)))
     by_name = {f["name"]: f for f in findings}
     # the image gains the exceptional key 1 and loses the first motion's point
     assert (by_name["kinematic-image-complement"]["lhs"], by_name["kinematic-image-complement"]["pass"]) == (2, False)
@@ -274,14 +275,22 @@ def test_associativity_of_a_bent_table_matches_the_object_loops(spec, slots, slo
 @pytest.mark.parametrize("spec", [FieldSpec(3), FieldSpec(5), FieldSpec(7), FieldSpec(3, 2), FieldSpec(13),
                                   FieldSpec(5, 2)], ids=["q=3", "q=5", "q=7", "q=9", "q=13", "q=25"])
 def test_kinematic_check_in_blocks_matches_the_object_loops(spec, monkeypatch):
-    monkeypatch.setattr(incidence, "CHUNK_CELLS", 3 * spec.q**2)
+    blocks, kappa_rows = [], algebra_checks._kappa_rows
+
+    def counted(F, motions):
+        blocks.append(len(motions[0]))
+        return kappa_rows(F, motions)
+
+    monkeypatch.setattr(algebra_checks, "_kappa_rows", counted)
+    monkeypatch.setattr(field, "CHUNK_CELLS", 3 * spec.q**2)
     config = make_config(spec, "random", {}, checks=("kinematic-check",))
     assert _check_kinematic(config) == check_kinematic(config)
+    assert len(blocks) > 1 and max(blocks) == 3 * spec.q**2
 
 
 @pytest.mark.parametrize("cells", [1, None], ids=["a-block-per-rotation", "one-block"])
 def test_non_canonical_kappa_rows_fail_the_kinematic_check(cells, monkeypatch):
-    kappa_rows = harness._kappa_rows
+    kappa_rows = algebra_checks._kappa_rows
 
     def broken(F, motions):
         rows = kappa_rows(F, motions)
@@ -294,10 +303,10 @@ def test_non_canonical_kappa_rows_fail_the_kinematic_check(cells, monkeypatch):
         rows[key == 26] = (0, 2, 0, 0)
         return rows
 
-    monkeypatch.setattr(harness, "_kappa_rows", broken)
+    monkeypatch.setattr(algebra_checks, "_kappa_rows", broken)
     if cells:
-        monkeypatch.setattr(incidence, "CHUNK_CELLS", cells)
-    findings, metrics, _ = _check_kinematic(make_config(FieldSpec(5), "random", {}, checks=("kinematic-check",)))
+        monkeypatch.setattr(field, "CHUNK_CELLS", cells)
+    findings, metrics, _, _ = _check_kinematic(make_config(FieldSpec(5), "random", {}, checks=("kinematic-check",)))
     by_name = {f["name"]: (f["lhs"], f["pass"]) for f in findings}
     # three motions lose their points and two foreign keys join the image
     assert metrics["motions"] == 100
@@ -312,7 +321,7 @@ def test_the_kinematic_check_holds_one_block_of_motions():
     config = make_config(FieldSpec(61), "random", {}, checks=("kinematic-check",))
     tracemalloc.start()
     try:
-        findings, _, _ = _check_kinematic(config)
+        findings, _, _, _ = _check_kinematic(config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -25,20 +25,19 @@ from findist.counting import segment_classes
 from findist.field import FieldSpec
 from findist.generators import FULL_PLANE_Q_MAX, GENERATOR_KINDS, UnsupportedGeneratorError, generate
 from findist.geometry import Line, Point, PointSet, all_points, distance, origin
+from findist.algebra_checks import KINEMATIC_Q_MAX
 from findist.harness import (
-    CHECK_NAMES,
-    KINEMATIC_Q_MAX,
+    CHECKS,
     SWEEP_COLUMNS,
     ExperimentConfig,
     Thresholds,
     _child_seed,
     _digest,
-    _isotropic_line_occupancy,
     canonical_json,
-    config_point_set,
     make_config,
     run,
 )
+from findist.point_checks import _isotropic_line_occupancy, config_point_set
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
@@ -242,6 +241,30 @@ class TestConfig:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
             make_config(F7, "random", {"size": 5}, checks=("stats", "vibes"))
+
+    @pytest.mark.parametrize("seed", [3.0, True, "3", None])
+    def test_seed_must_be_an_int(self, seed):
+        # 3.0 used to pass and then fail inside numpy mid-run; True ran seed 1 under another digest
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            make_config(F5, "random", {"size": 5}, seed=seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ExperimentConfig(F5, seed=seed)
+
+    def test_repeated_checks_rejected(self):
+        # a repeated check would report each of its findings twice and its metrics once
+        with pytest.raises(ValueError, match=r"checks \['stats'\] named more than once"):
+            make_config(F7, "random", {"size": 5}, checks=("stats", "verify", "stats"))
+        with pytest.raises(ValueError, match="named more than once"):
+            ExperimentConfig.from_json({"field": F7.to_json(), "checks": ["stats", "stats"]})
+
+    def test_checks_given_as_a_string_rejected(self):
+        message = "checks must be a list of check names, not the string 'stats'"
+        with pytest.raises(ValueError, match=message):
+            make_config(F7, "random", {"size": 5}, checks="stats")
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json({"field": F7.to_json(), "checks": "stats"})
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(F7, checks="stats")
 
     @pytest.mark.parametrize("params", [{"points": {}}, {"points": [{"x": 1}]}, {"sizes": [3, {}]}])
     def test_mapping_params_rejected(self, params):
@@ -798,7 +821,7 @@ _bad_configs = st.one_of(
     st.builds(_config_with, st.just("params"), st.one_of(
         st.integers().filter(bool), st.text(min_size=1), st.lists(st.integers(), min_size=1))),
     st.builds(_config_with, st.just("checks"), st.one_of(
-        st.integers(), st.text(min_size=1), st.lists(st.text().filter(lambda t: t not in CHECK_NAMES), min_size=1))),
+        st.integers(), st.text(min_size=1), st.lists(st.text().filter(lambda t: t not in CHECKS), min_size=1))),
     st.builds(_config_with, st.just("thresholds"), st.one_of(
         _json.filter(lambda v: not isinstance(v, dict)),
         st.sampled_from([[1, 0], "ab", [1, 2, 3]]).map(lambda v: {"pind_floor": v}))),

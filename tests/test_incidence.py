@@ -9,7 +9,7 @@ import pytest
 import incidence_oracles as oracle
 from bisector_oracles import brute_axial_pairs
 from findist.counting import bisector_stats, distance_stats, segment_classes
-from findist import incidence
+from findist import field, incidence
 from findist.field import FieldSpec, _index_field
 from findist.geometry import (
     Line,
@@ -300,7 +300,7 @@ class TestValidAxisScan:
     @pytest.mark.parametrize("spec", [F5, F9], ids=["F5", "F9"])
     def test_matches_line_sweep_a_normal_at_a_time(self, spec, monkeypatch):
         # whole classes whose free lines lie on different normals, scanned one normal a block
-        monkeypatch.setattr(incidence, "CHUNK_CELLS", 64)
+        monkeypatch.setattr(field, "CHUNK_CELLS", 64)
         self.test_matches_line_sweep(spec)
 
 

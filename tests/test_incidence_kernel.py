@@ -167,12 +167,12 @@ class TestOneRowBlocks:
 
     @pytest.fixture
     def one_row(self, monkeypatch):
-        monkeypatch.setattr(incidence, "CHUNK_CELLS", 1)
+        monkeypatch.setattr(field, "CHUNK_CELLS", 1)
 
     def test_witnesses(self, monkeypatch):
         sets = [LIFT_SET_F3, generate(F9, "random", {"size": 12}, 0), generate(F25, "random", {"size": 8}, 3)]
         default = [[canonical_json(claim_reduction(A, r).to_json()) for r, _ in nonzero_classes(A)] for A in sets]
-        monkeypatch.setattr(incidence, "CHUNK_CELLS", 1)
+        monkeypatch.setattr(field, "CHUNK_CELLS", 1)
         for A, expected in zip(sets, default):
             assert [canonical_json(claim_reduction(A, r).to_json()) for r, _ in nonzero_classes(A)] == expected
 
@@ -180,7 +180,7 @@ class TestOneRowBlocks:
         sets = [LIFT_SET_F3, generate(F9, "random", {"size": 12}, 0), generate(F13, "random", {"size": 14}, 13)]
         lengths = [[r for r, _ in nonzero_classes(A)] for A in sets]
         default = [[canonical_json(w.to_json()) for w in claim_reductions(A, L)] for A, L in zip(sets, lengths)]
-        monkeypatch.setattr(incidence, "CHUNK_CELLS", 1)
+        monkeypatch.setattr(field, "CHUNK_CELLS", 1)
         for A, L, expected in zip(sets, lengths, default):
             assert [canonical_json(w.to_json()) for w in claim_reductions(A, L)] == expected
 
@@ -266,12 +266,12 @@ class TestCertificate:
         real, calls = incidence._pairwise_fixed_points, []
         monkeypatch.setattr(incidence, "_pairwise_fixed_points", lambda *args: calls.append(args) or real(*args))
         # a few rows of pairs per block, so each class can stop after any of its blocks
-        monkeypatch.setattr(incidence, "CHUNK_CELLS", 64)
+        monkeypatch.setattr(field, "CHUNK_CELLS", 64)
         got = [canonical_json(w.to_json()) for w in claim_reductions(A, lengths)]
         assert got == want == [canonical_json(oracle.reduction_json(A, r)) for r in lengths]
         (args,) = calls
         (cls, fx, fy), free = real(*args)
-        monkeypatch.setattr(incidence, "CHUNK_CELLS", 1 << 16)
+        monkeypatch.setattr(field, "CHUNK_CELLS", 1 << 16)
         (whole_cls, wx, wy), whole_free = real(*args)
         assert (free == -1).all() and (whole_free == -1).all()
         assert set(zip(cls.tolist(), fx.tolist(), fy.tolist())) < set(zip(whole_cls.tolist(), wx.tolist(), wy.tolist()))

@@ -1,0 +1,117 @@
+"""What each entry point loads: ``import findist``, a config, a run, and the CLI.
+
+Every case runs in a fresh interpreter, so that ``sys.modules`` starts clean.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+_BASE = {"findist", "findist.field", "findist.harness"}
+_ALGEBRA = _BASE | {"findist.algebra_checks", "findist.clifford", "findist.geometry", "findist.kinematic",
+                    "findist.motions"}
+_POINTS = _BASE | {"findist.point_checks", "findist.counting", "findist.incidence", "findist.generators",
+                   "findist.geometry", "findist.kinematic", "findist.motions"}
+
+# each check, a small config of it, and the findist modules that config loads
+CASES = {
+    "stats": ({"field": {"p": 5}, "params": {"size": 6}, "seed": 1}, _POINTS),
+    "verify": ({"field": {"p": 5}, "params": {"size": 6}, "seed": 1}, _POINTS),
+    "reduce": ({"field": {"p": 5}, "params": {"size": 6}, "seed": 1}, _POINTS),
+    "prune": ({"field": {"p": 5}, "params": {"size": 6}, "seed": 1}, _POINTS),
+    "sweep": ({"field": {"p": 5}, "params": {"sizes": [4, 6]}, "seed": 1}, _POINTS),
+    "kinematic-check": ({"field": {"p": 3}, "seed": 3}, _ALGEBRA),
+    "clifford-check": ({"field": {"p": 3}, "seed": 3}, _ALGEBRA),
+}
+
+_PROBE = """
+import json, sys
+import findist
+imported = set(sys.modules)
+config = findist.ExperimentConfig.from_json(json.loads(sys.argv[1]))
+configured = set(sys.modules)
+report = findist.run(config)
+print(json.dumps({
+    "imported": sorted(m for m in imported if m.startswith("findist")),
+    "configured": sorted(m for m in configured if m.startswith("findist")),
+    "added_by_run": sorted(set(sys.modules) - configured),
+    "passed": report.passed(),
+}))
+"""
+
+
+def _python(flags, code, *args):
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("check", list(CASES))
+def test_a_config_loads_its_checks_modules_and_run_imports_nothing(check, flags):
+    blob, loaded = CASES[check]
+    got = _python(flags, _PROBE, json.dumps(dict(blob, checks=[check])))
+    assert got["imported"] == sorted(_BASE)
+    assert got["configured"] == sorted(loaded)
+    assert got["added_by_run"] == []
+    assert got["passed"]
+
+
+def test_the_checks_table_covers_every_check():
+    from findist.harness import CHECKS
+
+    assert set(CHECKS) == set(CASES)
+
+
+@pytest.mark.parametrize("subcommand", ["kinematic-check", "clifford-check"])
+def test_the_cli_runs_an_algebra_check_without_the_point_modules(subcommand):
+    code = """
+import io, json, sys, contextlib
+from findist.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main([sys.argv[1], "--field", "3"])
+print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules if m.startswith("findist"))}))
+"""
+    got = _python([], code, subcommand)
+    assert got["code"] == 0
+    assert got["loaded"] == sorted(_ALGEBRA | {"findist.cli"})
+
+
+def test_every_public_name_resolves_to_its_submodules_object():
+    code = """
+import importlib, json
+import findist
+names = list(findist.__all__)
+listed = set(dir(findist))
+lazy = [n for n in names if n not in vars(findist)]
+wrong = [n for n in names
+         if getattr(findist, n) is not getattr(importlib.import_module("findist." + findist._MODULE_OF[n]), n)]
+star = {}
+exec("from findist import *", star)
+starred = [n for n in names if star.get(n) is not getattr(findist, n)]
+try:
+    findist.no_such_name
+    missing_raises = False
+except AttributeError:
+    missing_raises = True
+print(json.dumps({"names": names, "unlisted": sorted(set(names) - listed), "lazy": len(lazy),
+                  "wrong": wrong, "starred": starred, "extra": sorted(set(star) - set(names) - {"__builtins__"}),
+                  "missing_raises": missing_raises}))
+"""
+    got = _python([], code)
+    assert len(got["names"]) == len(set(got["names"])) == 70
+    assert got["unlisted"] == []
+    assert got["lazy"] > 0  # names outside field and harness wait for their first read
+    assert got["wrong"] == [] and got["starred"] == [] and got["extra"] == []
+    assert got["missing_raises"]

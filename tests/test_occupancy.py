@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from findist import counting, harness
+from findist import counting, point_checks
 from findist.counting import (
     _circle_scan,
     _circle_sweep,
@@ -269,7 +269,7 @@ class TestPruneOrder:
             line = [Point(e, spec.one()) for e in spec.elements()]
             A = PointSet(spec, rng.sample(pts, 4) + line)
             config = make_config(spec, "explicit", {"points": [p.to_json() for p in A]}, checks=("prune",))
-            _, metrics, _ = harness._check_prune(A, config)
+            _, metrics, _, _ = point_checks._check_prune(A, config)
             _, removed = oracle_prune(A)
             assert removed, "the set must carry a heavy curve"
             assert metrics["removed"] == [curve.to_json() for curve in removed]
@@ -289,7 +289,7 @@ class TestPruneOrder:
             current = pruned
         assert current == expected == prune_heavy(A)[0]
         config = make_config(spec, "explicit", {"points": [p.to_json() for p in A]}, checks=("prune",))
-        findings, metrics, _ = harness._check_prune(A, config)
+        findings, metrics, _, _ = point_checks._check_prune(A, config)
         assert metrics["removed"] == [curve.to_json() for curve in removed]
         assert [f["name"] for f in findings[:2]] == ["prune-triple-bound[step=0]", "prune-triple-bound[step=1]"]
 
