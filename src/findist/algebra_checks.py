@@ -21,8 +21,8 @@ from .clifford import (
 )
 from .field import _index_field
 from .harness import ExperimentConfig, _digest, _finding
-from .kinematic import _kappa_rows
 from .motions import so2_order
+from .projective_rows import _kappa_rows
 
 # kinematic-check holds one boolean per key of projective 3-space (2 q^3) and
 # its motions a block at a time; q = 101, the scaling sweep's largest prime, takes about 0.4 s and 60 MB.

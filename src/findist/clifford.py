@@ -14,7 +14,6 @@ alone: two slot gathers and one product a side for each of 512 triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -31,18 +30,23 @@ _MASK_TO_SLOT = {m: i for i, m in enumerate(_BLADE_MASKS)}
 _GRADES = (0, 1, 1, 1, 2, 2, 2, 3)
 
 
-@dataclass(frozen=True)
 class QuadraticFormSpec:
     """The form diag(1, -lam, 0); lam must be a nonzero field element."""
 
-    field: FieldSpec
-    lam: FieldElement
+    __setattr__ = __delattr__ = FieldSpec.__setattr__  # a cache key: never assigned to
 
-    def __post_init__(self):
-        if self.lam.spec is not self.field and self.lam.spec != self.field:
+    def __init__(self, field: FieldSpec, lam: FieldElement):
+        if lam.spec is not field and lam.spec != field:
             raise FieldMismatchError("lam lives in a different field")
-        if not self.lam:
+        if not lam:
             raise ValueError("lam must be nonzero")
+        self.__dict__.update(field=field, lam=lam)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, QuadraticFormSpec) and (self.field, self.lam) == (other.field, other.lam)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.lam))
 
     @staticmethod
     def standard(field: FieldSpec) -> "QuadraticFormSpec":

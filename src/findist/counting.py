@@ -13,10 +13,9 @@ quadruples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -40,7 +39,6 @@ def _index_coords(A: PointSet) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-@dataclass(eq=False)
 class DistanceStats:
     """Pinned distance spectra: the pair counts, and the per-point sets and their union built on first read."""
 
@@ -49,6 +47,9 @@ class DistanceStats:
     pind_nonzero: int
     nonzero_pairs: int
     distinct_distances: int
+
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
 
     @cached_property
     def per_point(self) -> dict:
@@ -69,13 +70,11 @@ def distance_stats(A: PointSet) -> DistanceStats:
     rows = np.sort(dist, axis=1)
     pind = int((1 + np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)).max(initial=0))
     # every spectrum holds d(a, a) = 0
-    return DistanceStats(
-        A, pind, max(pind - 1, 0), int(np.count_nonzero(dist)), int(np.count_nonzero(segment_classes(A).sizes))
-    )
+    return DistanceStats(A=A, pind=pind, pind_nonzero=max(pind - 1, 0), nonzero_pairs=int(np.count_nonzero(dist)),
+                         distinct_distances=int(np.count_nonzero(segment_classes(A).sizes)))
 
 
-@dataclass(eq=False)
-class SegmentClasses:
+class SegmentClasses(NamedTuple):
     """Ordered pairs of A-points grouped by quadratic length, as class sizes.
 
     ``sizes[r]`` counts the pairs at length index r, one bin per element of
@@ -103,8 +102,7 @@ def _segment_classes(A: PointSet) -> SegmentClasses:
     return SegmentClasses(A.spec, sizes, int(sizes[1:] @ sizes[1:]))
 
 
-@dataclass(frozen=True)
-class IsoscelesCounts:
+class IsoscelesCounts(NamedTuple):
     """Ordered triples (apex, b, b') with equal legs and non-isotropic base.
 
     t requires the common leg length to be nonzero, t_all does not.
@@ -149,16 +147,14 @@ def _isosceles_count(A: PointSet) -> IsoscelesCounts:
     return IsoscelesCounts(t, t + 2 * int(n1 @ n2))
 
 
-@dataclass(frozen=True)
-class LineBisectorRecord:
+class LineBisectorRecord(NamedTuple):
     line: Line
     incidence: int
     b: int
     b_star: int
 
 
-@dataclass(eq=False)
-class BisectorTable:
+class BisectorTable(NamedTuple):
     """The pair tables of A, indexed in the order of ``A.points``.
 
     ``dist[i, j]`` is the index of d(a_i, a_j).  ``keys[i, j]`` is the
@@ -203,7 +199,6 @@ def line_from_key(spec: FieldSpec, key: int) -> Line:
     return Line(spec.zero(), spec.one(), spec.from_index(key - q * q))
 
 
-@dataclass(eq=False)
 class BisectorStats:
     """Per-line symmetry counts and their second moments.
 
@@ -230,6 +225,9 @@ class BisectorStats:
     incidence: np.ndarray
     b: np.ndarray
     b_star: np.ndarray
+
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
 
     @cached_property
     def entries(self) -> dict:
@@ -285,13 +283,12 @@ def _bisector_stats(A: PointSet) -> BisectorStats:
     cone = int(np.count_nonzero(F.add(F.mul(x, x), F.mul(y, y)) == 0))
     n_isotropic = max(cone - 1, 0)
     universal = bool(np.all(anchored == incidence * n_isotropic))
-    return BisectorStats(
-        int(b @ b), int(b_star @ b_star), cone, n_isotropic, universal, spec, lines, incidence, b, b_star
-    )
+    return BisectorStats(b_energy=int(b @ b), b_star_energy=int(b_star @ b_star), cone_count=cone,
+                         n_isotropic=n_isotropic, relation_universal=universal, spec=spec, line_keys=lines,
+                         incidence=incidence, b=b, b_star=b_star)
 
 
-@dataclass(frozen=True)
-class CurveOccupancy:
+class CurveOccupancy(NamedTuple):
     """Maximum number of A-points on one line / one nonzero-radius circle."""
 
     m: int

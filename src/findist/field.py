@@ -13,7 +13,6 @@ arithmetic on numpy arrays of canonical indices, for the array kernels in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from typing import Iterator, Sequence
 
@@ -120,32 +119,39 @@ def find_irreducible(p: int, r: int) -> tuple[int, ...]:
     raise RuntimeError("unreachable: an irreducible polynomial always exists")
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """A concrete F_{p^r}: odd prime p, degree r, monic modulus (constant first)."""
+    """A concrete F_{p^r}: odd prime p, degree r, monic modulus (constant first); a value, never assigned to."""
 
-    p: int
-    r: int = 1
-    modulus: tuple[int, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError(f"r must be positive, got {self.r}")
+    def __init__(self, p: int, r: int = 1, modulus: tuple[int, ...] = ()):
+        if r < 1:
+            raise ValueError(f"r must be positive, got {r}")
         # r > 64 exceeds the limit for every p >= 2 without computing p^r
-        if self.p > 1 and (self.r > 64 or self.p**self.r > Q_MAX):
-            order = self.p if self.r == 1 else f"{self.p}^{self.r}"
+        if p > 1 and (r > 64 or p**r > Q_MAX):
+            order = p if r == 1 else f"{p}^{r}"
             raise ValueError(f"field order q = {order} exceeds the limit {Q_MAX}")
-        if not _is_prime(self.p) or self.p == 2:
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if not self.modulus:
-            object.__setattr__(self, "modulus", find_irreducible(self.p, self.r))
-            return  # the search returns a monic irreducible: only a given modulus is checked
-        mod = tuple(c % self.p for c in self.modulus)
-        if len(mod) != self.r + 1 or mod[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {self.r}")
-        if self.r > 1 and not _is_irreducible(mod, self.p):
-            raise ValueError(f"modulus {mod} is reducible over F_{self.p}")
-        object.__setattr__(self, "modulus", mod)
+        if not _is_prime(p) or p == 2:
+            raise ValueError(f"p must be an odd prime, got {p}")
+        if modulus:  # the search returns a monic irreducible: only a given modulus is checked
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != r + 1 or modulus[-1] != 1:
+                raise ValueError(f"modulus must be monic of degree {r}")
+            if r > 1 and not _is_irreducible(modulus, p):
+                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+        self.__dict__.update(p=p, r=r, modulus=modulus or find_irreducible(p, r))
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and (self.p, self.r, self.modulus) == (other.p, other.r, other.modulus)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.r, self.modulus))
+
+    def __repr__(self) -> str:
+        return f"FieldSpec(p={self.p!r}, r={self.r!r}, modulus={self.modulus!r})"
 
     @property
     def q(self) -> int:
@@ -187,7 +193,10 @@ class FieldSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "FieldSpec":
-        return FieldSpec(int(obj["p"]), int(obj.get("r", 1)), tuple(obj.get("modulus", ())))
+        p, r, modulus = obj["p"], obj.get("r", 1), tuple(obj.get("modulus", ()))
+        if any(type(v) is not int for v in (p, r, *modulus)):
+            raise ValueError(f"field p, r and modulus must be integers, got {obj!r}")
+        return FieldSpec(p, r, modulus)
 
 
 def _index(coeffs: Sequence[int], p: int) -> int:

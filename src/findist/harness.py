@@ -15,9 +15,8 @@ import hashlib
 import importlib
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -87,8 +86,7 @@ def _thaw(value):
     return value
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     """Monitored-ratio knobs.  With enforce=False violations only annotate."""
 
     pind_floor: Fraction = Fraction(1, 4)
@@ -107,39 +105,46 @@ class Thresholds:
         base = Thresholds()
         pind = obj.get("pind_floor")
         rud = obj.get("rudnev_ceiling")
+        enforce = obj.get("enforce", False)
+        if type(enforce) is not bool:
+            raise ValueError(f"thresholds enforce must be true or false, got {enforce!r}")
         return Thresholds(
             pind_floor=Fraction(*pind) if pind is not None else base.pind_floor,
             rudnev_ceiling=Fraction(*rud) if rud is not None else base.rudnev_ceiling,
-            enforce=bool(obj.get("enforce", False)),
+            enforce=enforce,
         )
 
 
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run depends on; two equal configs give equal outputs."""
 
-    field: FieldSpec
-    generator: str = "random"
-    params: tuple = ()
-    seed: int = 0
-    checks: tuple = ("stats",)
-    out: Optional[str] = None
-    thresholds: Thresholds = Thresholds()
+    __slots__ = ("field", "generator", "params", "seed", "checks", "out", "thresholds")
 
-    def __post_init__(self):
-        if not isinstance(self.generator, str):
-            raise ValueError(f"generator must be a string, got {self.generator!r}")
-        if type(self.seed) is not int:
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed {self.seed} outside the 64-bit range")
-        validate_checks(self.checks)
+    def __init__(self, field: FieldSpec, generator: str = "random", params: tuple = (), seed: int = 0,
+                 checks: tuple = ("stats",), out: Optional[str] = None, thresholds: Thresholds = Thresholds()):
+        if not isinstance(generator, str):
+            raise ValueError(f"generator must be a string, got {generator!r}")
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed {seed} outside the 64-bit range")
+        validate_checks(checks)
         # load what the checks run now, so that run imports nothing
-        for name in self.checks:
+        for name in checks:
             module, _, _, lazy = CHECKS[name]
             _module(module)
             for other in lazy:
                 importlib.import_module(other)
+        for name, value in zip(self.__slots__, (field, generator, params, seed, checks, out, thresholds)):
+            object.__setattr__(self, name, value)
+
+    __setattr__ = __delattr__ = FieldSpec.__setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, n) for n in self.__slots__))
 
     def params_dict(self) -> dict:
         return {k: _thaw(v) for k, v in self.params}
@@ -201,8 +206,7 @@ def _module(name: str):
     return importlib.import_module(f"{__package__}.{name}")
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     config: dict
     digest: str
     findings: list

@@ -19,10 +19,9 @@ built on first read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,8 +29,7 @@ from . import field
 from .counting import _index_coords, _per_set, bisector_table, max_collinear_cocircular, segment_classes
 from .field import FieldElement, FieldSpec, _index_field
 from .geometry import Line, Point, PointSet, Segment
-from .kinematic import ProjPlane, ProjPoint, _canonical_rows, _kappa_rows, _r_tau_planes
-from .motions import RigidMotion
+from .projective_rows import _canonical_rows, _kappa_rows, _r_tau_planes
 
 
 class EmptySegmentClassError(ValueError):
@@ -123,8 +121,7 @@ def max_collinear(points: np.ndarray, spec: FieldSpec) -> int:
     return 1 + longest
 
 
-@dataclass(eq=False)
-class RudnevRatio:
+class RudnevRatio(NamedTuple):
     """Observed incidences against the sqrt(|P|)|Pi| + k|Pi| shape."""
 
     incidences: int
@@ -139,7 +136,7 @@ class RudnevRatio:
     within_char_bound: bool
 
     def to_json(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = self._asdict()
         out["surrogate_ratio"] = [self.surrogate_ratio.numerator, self.surrogate_ratio.denominator]
         return out
 
@@ -206,8 +203,7 @@ def axial_pair_count(A: PointSet, r: FieldElement) -> int:
     return int(_per_set(A, _axial_counts)[r.index])
 
 
-@dataclass(frozen=True)
-class EpsilonTerm:
+class EpsilonTerm(NamedTuple):
     """Degenerate-segment contribution to the reflection energy."""
 
     value: int
@@ -387,16 +383,16 @@ _WITNESS_KEYS = (
 )
 
 
-@dataclass(eq=False)
 class ReductionWitness:
     """Everything needed to replay one segment-class reduction.
 
     The data are kept as the indices they were computed on: ``r``, ``s_r``
     (hx, hy, tx, ty) and ``axis`` (n1, n2, c) over ``work_field``, the
     motions ``g`` and ``h`` as (u, v, s, t) columns, the point and plane
-    families as canonical (N, 4) rows.  Their objects and the line occupancy
-    ``k`` are built on first read, so a lifted reduction builds no extension
-    element until then.
+    families as canonical (N, 4) rows.  Their objects, with their classes'
+    modules, and the line occupancy ``k`` are built on first read, so a point
+    run loads no motion code and a lifted reduction builds no extension
+    element until then; ``to_json`` writes the families from their rows.
     """
 
     base_field: FieldSpec
@@ -418,6 +414,9 @@ class ReductionWitness:
     max_class_size: int
     erdos_ceiling: int
 
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
     def _objects(self, make, columns) -> tuple:
         element = self.work_field.from_index
         return tuple(make(*map(element, row)) for row in zip(*(c.tolist() for c in columns)))
@@ -437,18 +436,22 @@ class ReductionWitness:
 
     @cached_property
     def g_motions(self) -> tuple:
+        from .motions import RigidMotion
         return self._objects(RigidMotion, self.g)
 
     @cached_property
     def h_motions(self) -> tuple:
+        from .motions import RigidMotion
         return self._objects(RigidMotion, self.h)
 
     @cached_property
     def points(self) -> tuple:
+        from .kinematic import ProjPoint
         return self._objects(lambda *coords: ProjPoint(coords), self.point_rows.T)
 
     @cached_property
     def planes(self) -> tuple:
+        from .kinematic import ProjPlane
         return self._objects(lambda *coeffs: ProjPlane(coeffs), self.plane_rows.T)
 
     @cached_property
@@ -464,12 +467,16 @@ class ReductionWitness:
         return _ratio_from_counts(self.incidences, len(self.point_rows), len(self.plane_rows), self.k, self.work_field)
 
     def to_json(self) -> dict:
-        def encode(value):
-            if isinstance(value, tuple):
-                return [x.to_json() for x in value]
+        # each family from its canonical rows, as its objects would write it
+        families = {"g_motions": self.g, "h_motions": self.h, "points": self.point_rows.T, "planes": self.plane_rows.T}
+
+        def encode(name):
+            if name in families:
+                return list(self._objects(lambda *row: [x.to_json() for x in row], families[name]))
+            value = getattr(self, name)
             return value.to_json() if hasattr(value, "to_json") else value
 
-        return {name: encode(getattr(self, name)) for name in _WITNESS_KEYS}
+        return {name: encode(name) for name in _WITNESS_KEYS}
 
 
 def _only(keep: np.ndarray, cls: np.ndarray, *columns) -> tuple:

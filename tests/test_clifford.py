@@ -350,3 +350,13 @@ class TestRhoStar:
             QuadraticFormSpec(F7, F7.zero())
         with pytest.raises(FieldMismatchError):
             QuadraticFormSpec(F7, F5.one())
+
+    def test_a_form_is_a_value(self):
+        # forms key the blade-table caches, so equal forms hash alike and none is assigned to
+        assert QuadraticFormSpec.standard(F7) == QuadraticFormSpec(F7, -F7.one()) != ALT7
+        assert hash(QuadraticFormSpec.standard(F7)) == hash(QuadraticFormSpec(F7, F7.from_index(6)))
+        with pytest.raises(AttributeError, match="cannot assign to field 'lam'"):
+            ALT7.lam = F7.one()
+        with pytest.raises(AttributeError):
+            del ALT7.field
+        assert (ALT7.field, ALT7.lam) == (F7, F7.from_index(2))

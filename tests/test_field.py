@@ -120,6 +120,34 @@ class TestFieldSpec:
         for spec in SMALL_FIELDS:
             assert FieldSpec.from_json(spec.to_json()) == spec
 
+    def test_a_spec_is_a_value(self):
+        # the repr is part of ReductionUnavailableError messages, and so of report bytes
+        assert repr(FieldSpec(31)) == "FieldSpec(p=31, r=1, modulus=(0, 1))"
+        assert repr(FieldSpec(5, 2)) == "FieldSpec(p=5, r=2, modulus=(2, 0, 1))"
+        spec = FieldSpec(5, 2)
+        assert hash(spec) == hash((5, 2, (2, 0, 1))) == hash(FieldSpec(5, 2, [7, 5, 1]))
+        assert spec == FieldSpec(5, 2, (2, 0, 1)) and spec != FieldSpec(5, 2, (3, 0, 1)) and spec != FieldSpec(5)
+        # never a tuple: witness, parameter and CSV encoders write tuples as lists
+        assert not isinstance(spec, tuple) and spec != (5, 2, (2, 0, 1))
+        assert "__eq__" in vars(FieldSpec)  # where the benchmark tracer counts comparisons
+        spec.tables
+        for name in ("p", "r", "modulus", "tables", "q"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(spec, name, 7)
+            with pytest.raises(AttributeError):
+                delattr(spec, name)
+        assert (spec.p, spec.r, spec.modulus, spec.q) == (5, 2, (2, 0, 1), 25)
+
+    @pytest.mark.parametrize("blob", [
+        {"p": 31.7, "r": "1"}, {"p": 31.0}, {"p": "31"}, {"p": True}, {"p": 5, "r": 2.0},
+        {"p": 5, "r": 2, "modulus": [2, 0, 1.0]}, {"p": 5, "r": 2, "modulus": [2, 0, True]},
+        {"p": 5, "r": 2, "modulus": "201"},
+    ])
+    def test_from_json_refuses_non_integers(self, blob):
+        # int() used to truncate: {"p": 31.7} ran over F_31
+        with pytest.raises(ValueError, match="field p, r and modulus must be integers"):
+            FieldSpec.from_json(blob)
+
     def test_chi_minus_one_mod_four(self):
         # invariant: -1 is a square exactly when q ≡ 1 (mod 4)
         for spec in SMALL_FIELDS + [FieldSpec(11), FieldSpec(13)]:

@@ -276,6 +276,43 @@ class TestConfig:
         t = Thresholds(pind_floor=Fraction(2, 7), rudnev_ceiling=Fraction(9, 8), enforce=True)
         assert Thresholds.from_json(t.to_json()) == t
 
+    @pytest.mark.parametrize("enforce", ["false", "true", 0, 1, None, [True]])
+    def test_thresholds_enforce_must_be_a_bool(self, enforce):
+        # bool("false") is True: the string used to switch enforcement on
+        with pytest.raises(ValueError, match="thresholds enforce must be true or false"):
+            Thresholds.from_json({"enforce": enforce})
+        with pytest.raises(ValueError, match="thresholds enforce must be true or false"):
+            ExperimentConfig.from_json({"field": F7.to_json(), "thresholds": {"enforce": enforce}})
+        assert Thresholds.from_json({"enforce": False}) == Thresholds() != Thresholds.from_json({"enforce": True})
+
+    def test_a_config_is_a_value(self):
+        a = make_config(F7, "grid", {"rows": 2, "cols": 3}, seed=4, checks=("stats", "verify"))
+        b = ExperimentConfig(F7, "grid", (("cols", 3), ("rows", 2)), 4, ("stats", "verify"))
+        assert a == b and hash(a) == hash(b)
+        assert a != make_config(F7, "grid", {"rows": 2, "cols": 3}, seed=5, checks=("stats", "verify"))
+        assert a != make_config(F7, "grid", {"rows": 2, "cols": 3}, seed=4, checks=("stats", "verify"), out="x")
+        assert ExperimentConfig(F7) == ExperimentConfig(F7, "random", (), 0, ("stats",), None, Thresholds())
+        assert ExperimentConfig(F7) != ExperimentConfig(F7, thresholds=Thresholds(enforce=True))
+        for name in ("field", "seed", "checks", "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(a, name, 5)
+        with pytest.raises(AttributeError):
+            del a.seed
+        assert a.seed == 4
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"generator": 3}, "generator must be a string, got 3"),
+        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+        ({"seed": 2**64}, f"seed {2**64} outside the 64-bit range"),
+        ({"seed": -1}, "seed -1 outside the 64-bit range"),
+        ({"checks": ("stats", "vibes")}, r"unknown checks \['vibes'\]; choose from \('stats', "),
+        ({"checks": "stats"}, "checks must be a list of check names, not the string 'stats'"),
+        ({"checks": ("verify", "verify")}, r"checks \['verify'\] named more than once"),
+    ])
+    def test_config_validation_messages(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(F7, **kwargs)
+
 
 class TestRun:
     def test_reports_are_byte_identical_across_workers(self):
@@ -424,6 +461,22 @@ class TestCli:
 
     def test_bad_field_exits_two(self):
         assert main(["stats", "--field", "nonsense"]) == 2
+
+    @pytest.mark.parametrize("field", [{"p": 31.7, "r": "1"}, {"p": 31.0}, {"p": 5, "r": 2, "modulus": [2, 0, 1.0]}])
+    def test_non_integer_field_in_a_config_exits_two(self, field):
+        code, out, err = _run_with_file("stats", "--config", {"field": field, "params": {"size": 5}})
+        assert (code, out) == (2, "")
+        assert err.startswith("findist: ") and "field p, r and modulus must be integers" in err
+
+    def test_non_integer_field_in_a_points_file_exits_two(self):
+        code, out, err = _run_with_file("stats", "--points", {"field": {"p": 5.5}, "points": [[0, 0], [1, 2]]})
+        assert (code, out) == (2, "")
+        assert err.startswith("findist: bad point-set file ") and "must be integers" in err
+
+    def test_non_bool_enforce_exits_two(self):
+        code, out, err = _run_with_file("stats", "--config", {"field": {"p": 7}, "thresholds": {"enforce": "false"}})
+        assert (code, out) == (2, "")
+        assert "thresholds enforce must be true or false, got 'false'" in err
 
     def test_field_above_the_order_limit_exits_two(self):
         # 131101 is the first prime above Q_MAX = 2^17

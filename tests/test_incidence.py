@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import incidence_oracles as oracle
 from bisector_oracles import brute_axial_pairs
 from findist.counting import bisector_stats, distance_stats, segment_classes
-from findist import field, incidence
+from findist import field, incidence, kinematic, motions
 from findist.field import FieldSpec, _index_field
 from findist.geometry import (
     Line,
@@ -413,11 +414,34 @@ class TestLazyWitness:
             raise self.Unread
 
         # r, s_r and the axis wait for a read too, and the R_tau planes come from the index kernel
-        for name in ("max_collinear", "RigidMotion", "ProjPoint", "ProjPlane", "Segment", "Point", "Line"):
+        for name in ("max_collinear", "Segment", "Point", "Line"):
             monkeypatch.setattr(incidence, name, unread)
+        # the families' classes are imported from their modules on first read
+        for module, name in ((motions, "RigidMotion"), (kinematic, "ProjPoint"), (kinematic, "ProjPlane")):
+            monkeypatch.setattr(module, name, unread)
         report = run(ExperimentConfig.from_json(config))
         assert report.passed()
         assert report.render() == want
+
+    @pytest.mark.parametrize("A, r", [(RIGHT_ANGLE_F7, F7.one()), (LIFT_SET_F3, F3.one())],
+                             ids=["unlifted", "lifted"])
+    def test_the_json_families_are_those_of_the_objects(self, A, r):
+        witness = claim_reduction(A, r)
+        got = witness.to_json()
+        families = ("g_motions", "h_motions", "points", "planes")
+        assert "points" not in vars(witness)  # written from the index rows
+        assert {name: got[name] for name in families} == {
+            name: [x.to_json() for x in getattr(witness, name)] for name in families}
+        assert json.dumps(witness.to_json()) == json.dumps(got)
+
+    def test_ratio_json_keeps_the_field_order(self):
+        ratio = claim_reduction(RIGHT_ANGLE_F7, F7.one()).ratio()
+        got = ratio.to_json()
+        assert list(got) == ["incidences", "n_points", "n_planes", "k", "sqrt_ceiling", "surrogate_ratio",
+                             "float_ratio", "duality_swapped", "char_squared", "within_char_bound"]
+        assert got["surrogate_ratio"] == [ratio.surrogate_ratio.numerator, ratio.surrogate_ratio.denominator]
+        assert [got[name] for name in got if name != "surrogate_ratio"] == [
+            value for value in ratio if not isinstance(value, Fraction)]
 
     @pytest.mark.parametrize("A, r", [(RIGHT_ANGLE_F7, F7.one()), (LIFT_SET_F3, F3.one())],
                              ids=["unlifted", "lifted"])

@@ -40,7 +40,8 @@ from findist.incidence import (
     max_collinear,
     rudnev_ratio,
 )
-from findist.kinematic import ProjPlane, _r_tau_planes, all_proj_points, r_tau_plane, transporter_image
+from findist.kinematic import ProjPlane, all_proj_points, r_tau_plane, transporter_image
+from findist.projective_rows import _r_tau_planes
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from findist import kinematic
+from findist import projective_rows
 from findist.field import FieldSpec, _index_field
 from findist.geometry import Line, point
 from findist.kinematic import (
@@ -25,8 +25,6 @@ from findist.kinematic import (
     transporter_line,
     _chart_a,
     _chart_b,
-    _r_tau_planes,
-    _ranks,
 )
 from findist.motions import (
     RigidMotion,
@@ -34,6 +32,7 @@ from findist.motions import (
     enumerate_rotations,
     r_tau_set,
 )
+from findist.projective_rows import _r_tau_planes, _ranks
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
@@ -311,12 +310,12 @@ class TestRTauPlaneBatch:
 
     def test_the_sample_check_is_live(self, monkeypatch):
         F, axis = _index_field(F7), (1, 0, 2)
-        real = kinematic._kappa_rows
+        real = projective_rows._kappa_rows
         # every member at the identity's image: rank 1
-        monkeypatch.setattr(kinematic, "_kappa_rows", lambda F, motions: np.tile(real(F, motions)[:1], (7, 1)))
+        monkeypatch.setattr(projective_rows, "_kappa_rows", lambda F, motions: np.tile(real(F, motions)[:1], (7, 1)))
         with pytest.raises(AssertionError, match="must span a plane"):
             _r_tau_planes(F, axis)
         # the last two coordinates swapped: still rank 3, on the plane (0 : -c : n1 : n2) instead
-        monkeypatch.setattr(kinematic, "_kappa_rows", lambda F, motions: real(F, motions)[:, [0, 1, 3, 2]])
+        monkeypatch.setattr(projective_rows, "_kappa_rows", lambda F, motions: real(F, motions)[:, [0, 1, 3, 2]])
         with pytest.raises(AssertionError, match="left the derived plane"):
             _r_tau_planes(F, axis)

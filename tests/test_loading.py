@@ -13,10 +13,10 @@ import pytest
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 _BASE = {"findist", "findist.field", "findist.harness"}
-_ALGEBRA = _BASE | {"findist.algebra_checks", "findist.clifford", "findist.geometry", "findist.kinematic",
-                    "findist.motions"}
+_ALGEBRA = _BASE | {"findist.algebra_checks", "findist.clifford", "findist.geometry", "findist.motions",
+                    "findist.projective_rows"}
 _POINTS = _BASE | {"findist.point_checks", "findist.counting", "findist.incidence", "findist.generators",
-                   "findist.geometry", "findist.kinematic", "findist.motions"}
+                   "findist.geometry", "findist.projective_rows"}
 
 # each check, a small config of it, and the findist modules that config loads
 CASES = {
@@ -86,6 +86,52 @@ print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules if m.sta
     got = _python([], code, subcommand)
     assert got["code"] == 0
     assert got["loaded"] == sorted(_ALGEBRA | {"findist.cli"})
+
+
+@pytest.mark.parametrize("argv", [["stats", "--field", "7"], ["reduce", "--field", "7"], ["sweep"]],
+                         ids=["stats", "reduce", "sweep"])
+def test_the_cli_runs_a_point_check_without_the_object_layer(argv):
+    code = """
+import io, json, sys, contextlib
+from findist.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules if m.startswith("findist")),
+                  "dataclasses": "dataclasses" in sys.modules}))
+"""
+    got = _python([], code, *argv)
+    assert got["code"] == 0
+    assert got["loaded"] == sorted(_POINTS | {"findist.cli"})
+    assert not got["dataclasses"]
+
+
+@pytest.mark.parametrize("p, xy, lifted", [
+    (7, [[0, 0], [1, 0], [0, 1]], False),
+    (3, [[0, 0], [0, 1], [1, 0], [2, 1], [2, 2]], True),
+], ids=["unlifted", "lifted"])
+def test_a_witness_builds_its_objects_when_the_object_layer_was_not_loaded(p, xy, lifted):
+    code = """
+import json, sys
+from findist.field import FieldSpec
+from findist.geometry import PointSet, point
+from findist.incidence import claim_reduction
+spec = FieldSpec(int(sys.argv[1]))
+w = claim_reduction(PointSet(spec, [point(spec, x, y) for x, y in json.loads(sys.argv[2])]), spec.one())
+before = sorted(m for m in sys.modules if m in ("findist.kinematic", "findist.motions", "findist.clifford"))
+families = {name: getattr(w, name) for name in ("g_motions", "h_motions", "points", "planes")}
+print(json.dumps({
+    "lifted": w.lifted,
+    "before": before,
+    "types": [type(family[0]).__name__ for family in families.values()],
+    "sizes": [len(family) for family in families.values()],
+    "json": all(w.to_json()[name] == [x.to_json() for x in family] for name, family in families.items()),
+}))
+"""
+    got = _python([], code, str(p), json.dumps(xy))
+    assert got["lifted"] is lifted
+    assert got["before"] == []
+    assert got["types"] == ["RigidMotion", "RigidMotion", "ProjPoint", "ProjPlane"]
+    assert len(set(got["sizes"])) == 1 and got["json"]
 
 
 def test_every_public_name_resolves_to_its_submodules_object():
