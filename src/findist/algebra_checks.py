@@ -49,9 +49,9 @@ def _check_kinematic(config: ExperimentConfig):
     # in index order, against all q^2 translations, a block of rotations at a time
     u, v = np.divmod(np.arange(q * q, dtype=np.int64), q)
     rotations = np.flatnonzero(F.add(F.mul(u, u), F.mul(v, v)) == 1)
-    n_motions, roundtrip_misses, step = len(rotations) * q * q, 0, max(1, field.CHUNK_CELLS // q**2)
-    for lo in range(0, len(rotations), step):
-        motions = (rotations[lo : lo + step, None] * q**2 + np.arange(q * q, dtype=np.int64)).ravel()
+    n_motions, roundtrip_misses = len(rotations) * q * q, 0
+    for lo, hi in field.blocks(len(rotations), q * q):
+        motions = (rotations[lo:hi, None] * q**2 + np.arange(q * q, dtype=np.int64)).ravel()
         x0, x1, x2, x3 = _kappa_rows(F, tuple(motions // q**k % q for k in (3, 2, 1, 0))).T
         keys = ((x0 * q + x1) * q + x2) * q + x3
         image[keys[keys < len(image)]] = True

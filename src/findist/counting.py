@@ -19,7 +19,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .field import FieldElement, FieldSpec, _index_field
+from .field import FieldElement, FieldSpec, _index_field, blocks
 from .geometry import Circle, Line, Point, PointSet
 
 
@@ -65,12 +65,11 @@ class DistanceStats:
 
 
 def distance_stats(A: PointSet) -> DistanceStats:
-    """The distance spectra, off one sort of each row of the bisector table's distance matrix."""
-    dist = bisector_table(A).dist
-    rows = np.sort(dist, axis=1)
-    pind = int((1 + np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)).max(initial=0))
+    """The distance spectra: pind is the most lengths one apex has in the pinned-distance profile."""
+    pind = int(np.bincount(pinned_profile(A).apex).max(initial=0))
     # every spectrum holds d(a, a) = 0
-    return DistanceStats(A=A, pind=pind, pind_nonzero=max(pind - 1, 0), nonzero_pairs=int(np.count_nonzero(dist)),
+    return DistanceStats(A=A, pind=pind, pind_nonzero=max(pind - 1, 0),
+                         nonzero_pairs=int(np.count_nonzero(bisector_table(A).dist)),
                          distinct_distances=int(np.count_nonzero(segment_classes(A).sizes)))
 
 
@@ -102,6 +101,47 @@ def _segment_classes(A: PointSet) -> SegmentClasses:
     return SegmentClasses(A.spec, sizes, int(sizes[1:] @ sizes[1:]))
 
 
+class PinnedProfile(NamedTuple):
+    """The pinned-distance profile n_{a,r} = #{b in A : d(a, b) = r}, as columns.
+
+    One entry per apex index a and length index r with n_{a,r} > 0, by apex
+    and then r; each apex's first entry is r = 0, which holds a itself.
+    """
+
+    apex: np.ndarray
+    r: np.ndarray
+    n: np.ndarray
+
+
+def pinned_profile(A: PointSet) -> PinnedProfile:
+    """The pinned-distance profile of A, computed once per point set."""
+    return _per_set(A, _pinned_profile)
+
+
+def _pinned_profile(A: PointSet) -> PinnedProfile:
+    # the runs of equal entries in each sorted row of the distance matrix
+    rows = np.sort(bisector_table(A).dist, axis=1)
+    starts = np.ones(rows.shape, dtype=bool)
+    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    first = np.flatnonzero(starts)
+    return PinnedProfile(first // max(len(A), 1), rows.ravel()[first], np.diff(first, append=rows.size))
+
+
+def isotropic_line_counts(A: PointSet) -> np.ndarray:
+    """Per square root i of -1, the points of A on the line x + i*y = c through each point, once per point set.
+
+    One row per root, in ``sqrt`` order, and none when -1 is not a square.
+    """
+    return _per_set(A, _isotropic_line_counts)
+
+
+def _isotropic_line_counts(A: PointSet) -> np.ndarray:
+    F = _index_field(A.spec)
+    x, y = _index_coords(A)
+    lines = (F.add(x, F.mul(i.index, y)) for i in (-A.spec.one()).sqrt())
+    return np.array([np.bincount(c)[c] for c in lines], dtype=np.int64)
+
+
 class IsoscelesCounts(NamedTuple):
     """Ordered triples (apex, b, b') with equal legs and non-isotropic base.
 
@@ -118,33 +158,19 @@ def isosceles_count(A: PointSet) -> IsoscelesCounts:
 
 
 def _isosceles_count(A: PointSet) -> IsoscelesCounts:
-    """Count isosceles triples off the bisector table's distance matrix.
+    """Count isosceles triples off the pinned-distance profile.
 
     Equal nonzero legs force a non-isotropic base, so an apex adds
-    n_r(n_r - 1) for each run of n_r equal nonzero entries in its sorted
-    row.  Zero legs add only the cross pairs on the two isotropic rays
-    through the apex, 2 n_1 n_2, and those rays exist only when -1 is a
-    square.
+    n_{a,r}(n_{a,r} - 1) for each nonzero r.  Zero legs add only the cross
+    pairs on the two isotropic lines through the apex, 2 (n_1 - 1)(n_2 - 1)
+    for lines holding n_1 and n_2 points, and those lines exist only when -1
+    is a square.
     """
-    dist = bisector_table(A).dist
-    rows = np.sort(dist, axis=1)
-    starts = np.ones(rows.shape, dtype=bool)
-    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
-    first = np.flatnonzero(starts)
-    runs = np.diff(first, append=rows.size)[rows.ravel()[first] != 0]
-    t = int(runs @ (runs - 1))
-    roots = (-A.spec.one()).sqrt()
-    if not roots:
-        return IsoscelesCounts(t, t)
-    # w = b - a with |w|^2 = 0 and w != 0 has w_y = +-i w_x
-    F = _index_field(A.spec)
-    x, y = _index_coords(A)
-    dx, dy = F.sub(x[None, :], x[:, None]), F.sub(y[None, :], y[:, None])
-    isotropic = dist == 0
-    np.fill_diagonal(isotropic, False)
-    n1 = np.count_nonzero(isotropic & (dy == F.mul(roots[0].index, dx)), axis=1)
-    n2 = np.count_nonzero(isotropic, axis=1) - n1
-    return IsoscelesCounts(t, t + 2 * int(n1 @ n2))
+    profile = pinned_profile(A)
+    legs = profile.n[profile.r != 0]
+    t = int(legs @ (legs - 1))
+    others = isotropic_line_counts(A) - 1
+    return IsoscelesCounts(t, t + 2 * int(others[0] @ others[1]) if len(others) else t)
 
 
 class LineBisectorRecord(NamedTuple):
@@ -265,8 +291,8 @@ def _bisector_stats(A: PointSet) -> BisectorStats:
     spec, q = A.spec, A.spec.q
     F = _index_field(spec)
     x, y = _index_coords(A)
-    table = bisector_table(A)
-    partners = np.count_nonzero(table.dist == 0, axis=1) - 1
+    table, profile = bisector_table(A), pinned_profile(A)
+    partners = profile.n[profile.r == 0] - 1
     # the q + 1 lines through each point: x + m*y = c for every slope m, and y = c
     slopes = np.arange(q)
     sloped = slopes * q + F.add(x[:, None], F.mul(slopes, y[:, None]))
@@ -350,26 +376,22 @@ def _sweep_is_cheaper(q: int, n: int) -> bool:
     return 5 * q * q * (n + q) <= 140 * comb(n, 3) + 90_000 * (n - 2)
 
 
-# Cells of one centre-sweep block: its d table and its q^2 bins per centre row.
-SWEEP_CELLS = 1 << 17
-
-
 def _circle_sweep(F, q: int, x: np.ndarray, y: np.ndarray, heavy_cube: Optional[int], heavy: dict) -> int:
     """m_circle by the centre sweep; the circles with m^3 > heavy_cube go into heavy."""
     # for a block of centre rows z_x, bin (z_x q + z_y) q + d, the circle's
     # key, counts the points at d = (z_x - a_x)^2 + (z_y - a_y)^2 from z; the
-    # r^2 = 0 bins are dropped, and a count below 3 is no circle
+    # r^2 = 0 bins are dropped, and a count below 3 is no circle.  A row holds
+    # q (n + q) cells: its d table and its q^2 bins.
     n = len(x)
     centres = np.arange(q)[:, None]
     dx, dy = F.sub(centres, x), F.sub(centres, y)
     sx, sy = F.mul(dx, dx), F.mul(dy, dy)
-    step = max(1, SWEEP_CELLS // (q * (n + q)))
-    offsets = np.arange(step * q)[:, None] * q
     m_circle = 0
-    for lo in range(0, q, step):
-        rows = min(step, q - lo) * q
-        d = F.add(sx[lo : lo + rows // q, None, :], sy).reshape(rows, n)
-        counts = np.bincount((d + offsets[:rows]).ravel(), minlength=rows * q)
+    for lo, hi in blocks(q, q * (n + q)):
+        rows = (hi - lo) * q
+        d = F.add(sx[lo:hi, None, :], sy).reshape(rows, n)
+        d += np.arange(rows)[:, None] * q
+        counts = np.bincount(d.ravel(), minlength=rows * q)
         counts[::q] = 0
         top = int(counts.max())
         m_circle = max(m_circle, top)
@@ -442,7 +464,8 @@ def verify_identities(A: PointSet) -> list[dict]:
     bstats = bisector_stats(A)
     occupancy = max_collinear_cocircular(A)
 
-    # the apex histograms, one row of the distance table each
+    # the apex histograms, one row of the distance table each, and not the
+    # pinned profile: the cone second moment checks T against this count
     dist, q = bisector_table(A).dist, A.spec.q
     cells, counts = np.unique(np.arange(n)[:, None] * q + dist, return_counts=True)
     cone_second_moment = int(np.sum(counts[cells % q != 0] ** 2))

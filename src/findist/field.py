@@ -123,6 +123,9 @@ class FieldSpec:
     """A concrete F_{p^r}: odd prime p, degree r, monic modulus (constant first); a value, never assigned to."""
 
     def __init__(self, p: int, r: int = 1, modulus: tuple[int, ...] = ()):
+        # bools are ints to Python, and a float p would pass the primality test
+        if any(type(v) is not int for v in (p, r, *modulus)):
+            raise ValueError(f"field p, r and modulus must be integers, got p={p!r}, r={r!r}, modulus={modulus!r}")
         if r < 1:
             raise ValueError(f"r must be positive, got {r}")
         # r > 64 exceeds the limit for every p >= 2 without computing p^r
@@ -193,10 +196,7 @@ class FieldSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "FieldSpec":
-        p, r, modulus = obj["p"], obj.get("r", 1), tuple(obj.get("modulus", ()))
-        if any(type(v) is not int for v in (p, r, *modulus)):
-            raise ValueError(f"field p, r and modulus must be integers, got {obj!r}")
-        return FieldSpec(p, r, modulus)
+        return FieldSpec(obj["p"], obj.get("r", 1), tuple(obj.get("modulus", ())))
 
 
 def _index(coeffs: Sequence[int], p: int) -> int:
@@ -458,3 +458,9 @@ _index_field = lru_cache(maxsize=None)(_IndexField)
 # Cells (rows x columns) in one block of an index-array kernel: it bounds their
 # temporaries whatever the family sizes, N in the thousands included.
 CHUNK_CELLS = 1 << 16
+
+
+def blocks(n_rows: int, row_cells: int) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges (lo, hi) of at most CHUNK_CELLS cells each, row_cells to a row, one row at least."""
+    step = max(1, CHUNK_CELLS // max(row_cells, 1))
+    return ((lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step))

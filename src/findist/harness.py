@@ -102,17 +102,19 @@ class Thresholds(NamedTuple):
 
     @staticmethod
     def from_json(obj: Mapping) -> "Thresholds":
-        base = Thresholds()
-        pind = obj.get("pind_floor")
-        rud = obj.get("rudnev_ceiling")
-        enforce = obj.get("enforce", False)
+        enforce, ratios = obj.get("enforce", False), {}
         if type(enforce) is not bool:
             raise ValueError(f"thresholds enforce must be true or false, got {enforce!r}")
-        return Thresholds(
-            pind_floor=Fraction(*pind) if pind is not None else base.pind_floor,
-            rudnev_ceiling=Fraction(*rud) if rud is not None else base.rudnev_ceiling,
-            enforce=enforce,
-        )
+        for name in ("pind_floor", "rudnev_ceiling"):
+            value = obj.get(name)
+            if value is None:
+                continue
+            # a string or a lone number would unpack into Fraction too, and a bool is an int
+            if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value) and value[1]):
+                raise ValueError(f"thresholds {name} must be [numerator, denominator], integers with a nonzero "
+                                 f"denominator, got {value!r}")
+            ratios[name] = Fraction(*value)
+        return Thresholds(enforce=enforce, **ratios)
 
 
 class ExperimentConfig:

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import field
-from .counting import _index_coords, _per_set, bisector_table, max_collinear_cocircular, segment_classes
+from .counting import _index_coords, _per_set, bisector_table, max_collinear_cocircular, pinned_profile, segment_classes
 from .field import FieldElement, FieldSpec, _index_field
 from .geometry import Line, Point, PointSet, Segment
 from .projective_rows import _canonical_rows, _kappa_rows, _r_tau_planes
@@ -43,12 +43,6 @@ class ReductionUnavailableError(RuntimeError):
 def _ceil_sqrt(n: int) -> int:
     s = math.isqrt(n)
     return s if s * s == n else s + 1
-
-
-def _row_blocks(n_rows: int, n_cols: int):
-    """Consecutive row ranges with at most CHUNK_CELLS cells each (one row at least)."""
-    step = max(1, field.CHUNK_CELLS // max(n_cols, 1))
-    return ((lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step))
 
 
 def _rows(family: Sequence) -> np.ndarray:
@@ -73,18 +67,17 @@ def _hits(F, points: np.ndarray, planes: np.ndarray) -> np.ndarray:
 def count_incidences(points: np.ndarray, planes: np.ndarray, spec: FieldSpec) -> int:
     """Exact #{(X, P): X . P = 0} over (N, 4) point and (M, 4) plane index arrays, a block of points at a time."""
     F = _index_field(spec)
-    return sum(int(_hits(F, points[lo:hi], planes)) for lo, hi in _row_blocks(len(points), len(planes)))
+    return sum(int(_hits(F, points[lo:hi], planes)) for lo, hi in field.blocks(len(points), len(planes)))
 
 
 def _class_blocks(first: np.ndarray, size: np.ndarray):
     """Blocks (classes, rows (k, h), cols (k, s)): row indices of k classes of size s, at most CHUNK_CELLS cells."""
     for s in np.flatnonzero(np.bincount(size)).tolist():
-        group, step = np.flatnonzero(size == s), max(1, field.CHUNK_CELLS // s)
-        per = max(1, step // s)
-        for k in range(0, len(group), per):
-            start = first[group[k : k + per], None]
-            for lo in range(0, s, step):
-                yield group[k : k + per], start + np.arange(lo, min(lo + step, s)), start + np.arange(s)
+        group = np.flatnonzero(size == s)
+        for k, end in field.blocks(len(group), s * s):
+            start = first[group[k:end], None]
+            for lo, hi in field.blocks(s, s):
+                yield group[k:end], start + np.arange(lo, hi), start + np.arange(s)
 
 
 def max_collinear(points: np.ndarray, spec: FieldSpec) -> int:
@@ -105,7 +98,7 @@ def max_collinear(points: np.ndarray, spec: FieldSpec) -> int:
     pivot = np.argmax(pts != 0, axis=1)
     cols = np.arange(4)
     longest = 0
-    for lo, hi in _row_blocks(n, n):
+    for lo, hi in field.blocks(n, n):
         piv = pivot[lo:hi, None]
         scale = pts[:, pivot[lo:hi]].T
         residual = F.sub(pts[None, :, :], F.mul(scale[..., None], pts[lo:hi, None, :]))
@@ -286,16 +279,16 @@ def _first_free(F, q: int, normals: tuple, keys: np.ndarray, classes: np.ndarray
     A block of normals at a time, of CHUNK_CELLS intercepts and flags or one
     normal, for the classes still open: O(points + classes * q) memory.
     """
-    n1, n2 = normals
+    n1, n2 = (col[start:] for col in normals)
     cls, x, y = np.searchsorted(classes, keys // (q * q)), keys // q % q, keys % q
-    free, step = np.full(len(classes), -1), max(1, field.CHUNK_CELLS // max(1, len(keys), len(classes) * q))
-    for lo in range(start, len(n1), step):
-        k = np.arange(lo, min(lo + step, len(n1)))
+    free = np.full(len(classes), -1)
+    for lo, hi in field.blocks(len(n1), max(len(keys), len(classes) * q)):
+        k = np.arange(lo, hi)
         lines = np.zeros((len(classes), len(k) * q), dtype=bool)
         c = F.add(n1[k] * x[:, None], F.mul(n2[k], y[:, None]))  # n1 is 0 or 1, which an index product keeps
         lines.reshape(-1)[(cls[:, None] * len(k) + k - lo) * q + c] = True
         now = (free < 0) & ~lines.all(axis=1)
-        free[now] = lo * q + np.argmin(lines[now], axis=1)
+        free[now] = (start + lo) * q + np.argmin(lines[now], axis=1)
         if (free >= 0).all():
             break
         cls, x, y = (col[free[cls] < 0] for col in (cls, x, y))
@@ -527,9 +520,11 @@ def claim_reductions(A: PointSet, lengths: Sequence[FieldElement]) -> list:
     if not sizes.all():
         raise EmptySegmentClassError(f"no segments of length {lengths[int(np.argmin(sizes))]!r}")
     # the embedding changes no count below, so the base set gives them; the
-    # on-axis count is 2 h(h - 1) per apex heading h segments, plus |S_r|
-    apex = np.bincount(cls * n + heads, minlength=len(lengths) * n).reshape(len(lengths), n)
-    i_on_axis = (2 * (apex * (apex - 1)).sum(axis=1) + sizes).tolist()
+    # on-axis count is 2 n_{a,r}(n_{a,r} - 1) summed over the apexes a, plus
+    # |S_r|; the float weights are exact below 2^53
+    profile = pinned_profile(A)
+    apex_pairs = np.bincount(profile.r, weights=profile.n * (profile.n - 1), minlength=A.spec.q).astype(np.int64)
+    i_on_axis = (2 * apex_pairs[[r.index for r in lengths]] + sizes).tolist()
     axial, out = _per_set(A, _axial_counts), [None] * len(lengths)
     shared = dict(base_field=A.spec, m_curve=max_collinear_cocircular(A).m, erdos_ceiling=_ceil_sqrt(n ** 3),
                   max_class_size=int(segment_classes(A).sizes[1:].max(initial=0)))

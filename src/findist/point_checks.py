@@ -9,13 +9,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-import numpy as np
-
 # incidence first: without a bytecode cache a module's compile memory stays in
 # the process's peak, so the largest module compiles while the least is live
 from . import incidence  # noqa: I001
 from . import counting, generators
-from .field import FieldSpec, _index_field
+from .field import FieldSpec
 from .geometry import PointSet
 from .harness import ExperimentConfig, Thresholds, _child_seed, _digest, _finding, _jsonify
 
@@ -25,21 +23,12 @@ def _reduction_unavailable(name: str, inputs: str, exc: Exception) -> dict:
     return _finding(name, inputs, [f"{type(exc).__name__}: {exc}"], "=", [], False)
 
 
-def _pind_meets_floor(pind: int, size: int, floor: Fraction) -> bool:
-    # pind / size^(2/3) >= floor, cubed to stay in integers
-    return (pind * floor.denominator) ** 3 >= size**2 * floor.numerator**3
-
-
-def _check_stats(A: PointSet, config: ExperimentConfig):
-    inputs = _digest(A.to_json())
+def _stats(A: PointSet, floor: Fraction) -> tuple[dict, int, int]:
+    """The stats check's metrics of A, flags aside, and both sides of pind / |A|^(2/3) >= floor, cubed."""
     dist = counting.distance_stats(A)
     iso = counting.isosceles_count(A)
-    classes = counting.segment_classes(A)
     bis = counting.bisector_stats(A)
     occ = counting.max_collinear_cocircular(A)
-    floor = config.thresholds.pind_floor
-    pind_ok = _pind_meets_floor(dist.pind, len(A), floor) if len(A) else True
-    flags = [] if pind_ok else ["pind-below-floor"]
     metrics = {
         "size": len(A),
         "pind": dist.pind,
@@ -48,26 +37,22 @@ def _check_stats(A: PointSet, config: ExperimentConfig):
         "nonzero_pairs": dist.nonzero_pairs,
         "isosceles_t": iso.t,
         "isosceles_t_all": iso.t_all,
-        "quadruple_q": classes.q_value,
+        "quadruple_q": counting.segment_classes(A).q_value,
         "bisector_b": bis.b_energy,
         "bisector_b_star": bis.b_star_energy,
         "cone_points": bis.cone_count,
         "occupancy_m": occ.m,
         "occupancy_m_line": occ.m_line,
         "occupancy_m_circle": occ.m_circle,
-        "flags": flags,
     }
-    findings = [
-        _finding(
-            "pinned-ratio-floor",
-            inputs,
-            (dist.pind * floor.denominator) ** 3,
-            ">=",
-            len(A) ** 2 * floor.numerator**3,
-            pind_ok or not config.thresholds.enforce,
-        )
-    ]
-    return findings, metrics, [], []
+    return metrics, (dist.pind * floor.denominator) ** 3, len(A) ** 2 * floor.numerator**3
+
+
+def _check_stats(A: PointSet, config: ExperimentConfig):
+    metrics, lhs, rhs = _stats(A, config.thresholds.pind_floor)
+    metrics["flags"] = [] if lhs >= rhs else ["pind-below-floor"]
+    ok = lhs >= rhs or not config.thresholds.enforce
+    return [_finding("pinned-ratio-floor", _digest(A.to_json()), lhs, ">=", rhs, ok)], metrics, [], []
 
 
 def _check_verify(A: PointSet, config: ExperimentConfig):
@@ -132,14 +117,8 @@ def _check_prune(A: PointSet, config: ExperimentConfig):
     budget = counting._ceil_cbrt(len(A)) + 1
     occ = counting.max_collinear_cocircular(current)
     findings.append(_finding("prune-step-budget", inputs, steps, "<=", budget, steps <= budget))
-    findings.append(
-        _finding("prune-line-occupancy", inputs, occ.m_line**3, "<=", orig_sq, occ.m_line**3 <= orig_sq)
-    )
-    findings.append(
-        _finding(
-            "prune-circle-occupancy", inputs, occ.m_circle**3, "<=", orig_sq, occ.m_circle**3 <= orig_sq
-        )
-    )
+    for name, m in (("prune-line-occupancy", occ.m_line), ("prune-circle-occupancy", occ.m_circle)):
+        findings.append(_finding(name, inputs, m**3, "<=", orig_sq, m**3 <= orig_sq))
     metrics = {
         "steps": steps,
         "removed": removed,
@@ -149,31 +128,15 @@ def _check_prune(A: PointSet, config: ExperimentConfig):
     return findings, metrics, [], []
 
 
-def _isotropic_line_occupancy(A: PointSet) -> int:
-    """The most points of A on one line x + i*y = c with i^2 = -1; 0 when -1 is not a square."""
-    if not len(A):
-        return 0
-    F = _index_field(A.spec)
-    x, y = counting._index_coords(A)
-    lines = (F.add(x, F.mul(i.index, y)) for i in (-A.spec.one()).sqrt())
-    return max((int(np.bincount(c).max()) for c in lines), default=0)
-
-
 def _sweep_row(spec: FieldSpec, kind: str, params: Mapping, size: int, seed: int,
                thresholds: Thresholds) -> tuple[dict, list, list]:
     """One sweep row, the witnesses of an unexplained reduction, and the findings of a failed one."""
     A = generators.generate(spec, kind, dict(params, size=size), seed)
-    dist = counting.distance_stats(A)
-    iso_t = counting.isosceles_count(A).t
-    classes = counting.segment_classes(A)
-    b_star = counting.bisector_stats(A).b_star_energy
-    occ = counting.max_collinear_cocircular(A)
-
-    flags = []
-    pind_ok = _pind_meets_floor(dist.pind, len(A), thresholds.pind_floor)
-    if not pind_ok:
-        flags.append("pind-below-floor")
-    in_hyp = len(A) ** 3 <= spec.p**4 and 3 * _isotropic_line_occupancy(A) <= len(A)
+    stats, lhs, rhs = _stats(A, thresholds.pind_floor)
+    pind_ok = lhs >= rhs
+    flags = [] if pind_ok else ["pind-below-floor"]
+    # no isotropic line x + i*y = c may hold more than a third of the points
+    in_hyp = len(A) ** 3 <= spec.p**4 and 3 * int(counting.isotropic_line_counts(A).max(initial=0)) <= len(A)
     if not in_hyp:
         flags.append("out-of-hypothesis")
 
@@ -181,7 +144,7 @@ def _sweep_row(spec: FieldSpec, kind: str, params: Mapping, size: int, seed: int
     reduction = dict.fromkeys(
         ("reduction_r", "reduction_lifted", "rudnev_surrogate", "rudnev_float", "rudnev_ok")
     )
-    nonzero = classes.nonzero_sizes()
+    nonzero = counting.segment_classes(A).nonzero_sizes()
     if nonzero:
         r_star, _ = max(nonzero, key=lambda item: (item[1], -item[0].index))
         reduction["reduction_r"] = r_star.index
@@ -207,16 +170,12 @@ def _sweep_row(spec: FieldSpec, kind: str, params: Mapping, size: int, seed: int
             )
 
     row = {
+        **{name: stats[name] for name in ("size", "pind", "isosceles_t", "quadruple_q", "bisector_b_star",
+                                          "occupancy_m")},
         "q": spec.q,
-        "size": len(A),
-        "pind": dist.pind,
         "size_two_thirds": len(A) ** (2.0 / 3.0),
-        "pind_ratio": dist.pind / len(A) ** (2.0 / 3.0) if len(A) else 0.0,
+        "pind_ratio": stats["pind"] / len(A) ** (2.0 / 3.0) if len(A) else 0.0,
         "pind_ok": pind_ok,
-        "isosceles_t": iso_t,
-        "quadruple_q": classes.q_value,
-        "bisector_b_star": b_star,
-        "occupancy_m": occ.m,
         "in_hypothesis": in_hyp,
         "flags": sorted(flags),
     }

@@ -20,6 +20,7 @@ from findist.clifford import (
 )
 from findist.counting import (
     _ceil_cbrt,
+    isotropic_line_counts,
     max_collinear_cocircular,
     prune_curve,
     prune_heavy,
@@ -47,7 +48,6 @@ from findist.kinematic import (
     r_tau_plane,
 )
 from findist.motions import all_motions, iter_r_tau, so2_order, transporter_set
-from findist.point_checks import _isotropic_line_occupancy
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
@@ -266,7 +266,7 @@ def test_10_monitored_ratios_on_the_standard_corpus():
     for label, A in standard_corpus_sets():
         size = len(A)
         assert size <= 97 and size**3 <= F31.p**4
-        assert 3 * _isotropic_line_occupancy(A) <= size
+        assert 3 * isotropic_line_counts(A).max(initial=0) <= size
         pind = distance_stats(A).pind
         assert 64 * pind**3 >= size**2, f"{label}: pinned count {pind} below the floor"
 

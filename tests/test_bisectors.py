@@ -9,11 +9,13 @@ loop for every nonzero r of the field, absent classes included, and bin 0
 with the grouped epsilon loop.
 """
 
+import collections
 import itertools
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
 from bisector_oracles import (
@@ -26,10 +28,17 @@ from bisector_oracles import (
     sweep_bisector_stats,
 )
 from findist import counting, field, incidence
-from findist.counting import bisector_stats, bisector_table, distance_stats, segment_classes, verify_identities
+from findist.counting import (
+    bisector_stats,
+    bisector_table,
+    distance_stats,
+    pinned_profile,
+    segment_classes,
+    verify_identities,
+)
 from findist.field import FieldSpec
 from findist.generators import generate
-from findist.geometry import Line, PointSet, all_lines, all_points, equidistant_line, point
+from findist.geometry import Line, PointSet, all_lines, all_points, distance, equidistant_line, point
 from findist.harness import make_config, run
 from findist.point_checks import config_point_set
 from findist.incidence import axial_pair_count, claim_reduction, epsilon_term
@@ -238,6 +247,18 @@ class TestApexHistograms:
             got = (stats.per_point, stats.distances, stats.pind, stats.pind_nonzero, stats.nonzero_pairs)
             assert got == loop_distance_stats(A)
 
+    @pytest.mark.parametrize("spec", [F5, F7, F9, F25], ids=["F5", "F7", "F9", "F25"])
+    def test_pinned_profile_against_histogram_loop(self, spec):
+        for A in sets_over(spec, 6, 10, 5200 + spec.q) + [PointSet(spec, [])]:
+            profile = pinned_profile(A)
+            got = list(zip(*(col.tolist() for col in profile)))
+            want = sorted(
+                (i, r, n)
+                for i, a in enumerate(A.points)
+                for r, n in collections.Counter(distance(a, b).index for b in A.points).items()
+            )
+            assert got == want
+
     def test_distance_stats_on_every_subset_of_f3(self):
         for A in all_subsets(F3):
             stats = distance_stats(A)
@@ -307,6 +328,42 @@ class TestPerSetCache:
         A = config_point_set(config)
         assert report.metrics["prune"]["steps"] and [B == A for B in calls] == [True] + [False] * (len(calls) - 1)
         assert len({id(B) for B in calls}) == len(calls)
+
+    def test_one_profile_per_set(self, monkeypatch):
+        calls = []
+        build = counting._pinned_profile
+
+        def counted(A):
+            calls.append(A)
+            return build(A)
+
+        monkeypatch.setattr(counting, "_pinned_profile", counted)
+        # stats, verify, reduce and the prune steps read the profile of each set they see
+        config = make_config(F25, "random", {"size": 12}, seed=25, checks=("stats", "verify", "reduce", "prune"))
+        report = run(config)
+        A = config_point_set(config)
+        assert report.passed() and report.metrics["prune"]["steps"]
+        assert [B == A for B in calls] == [True] + [False] * (len(calls) - 1)
+        assert len({id(B) for B in calls}) == len(calls)
+
+    def test_verify_checks_the_profile_independently(self, monkeypatch):
+        # a profile with one count too high must fail the cone second moment,
+        # whose left side verify_identities counts from the distance matrix itself
+        build = counting._pinned_profile
+
+        def wrong(A):
+            profile = build(A)
+            n = profile.n.copy()
+            n[np.flatnonzero(profile.r != 0)[0]] += 1
+            return profile._replace(n=n)
+
+        A = generate(F13, "random", {"size": 14}, 13)
+        assert {rec["name"]: rec["pass"] for rec in verify_identities(A)}["cone-second-moment-exact"]
+        monkeypatch.setattr(counting, "_pinned_profile", wrong)
+        B = PointSet(F13, list(A.points))
+        records = {rec["name"]: rec for rec in verify_identities(B)}
+        assert not records["cone-second-moment-exact"]["pass"]
+        assert records["cone-second-moment-exact"]["lhs"] == apex_moments(A)[0]
 
     def test_entries_are_built_only_on_demand(self, monkeypatch):
         built = []

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from field_oracles import poly_mul, poly_pow, reduction_rows
+from findist import field
 from findist.field import (
     FieldElement,
     FieldMismatchError,
@@ -15,6 +16,7 @@ from findist.field import (
     Q_MAX,
     _is_prime,
     _prime_factors,
+    blocks,
     find_irreducible,
 )
 
@@ -148,6 +150,15 @@ class TestFieldSpec:
         with pytest.raises(ValueError, match="field p, r and modulus must be integers"):
             FieldSpec.from_json(blob)
 
+    @pytest.mark.parametrize("args", [
+        (31.7,), (31.0,), ("31",), (True,), (5, 2.0), (5, True), (5, 2, (2, 0, 1.0)), (5, 2, (2, 0, True)),
+        (5, 2, "201"),
+    ])
+    def test_constructor_refuses_non_integers(self, args):
+        # FieldSpec(31.7) passed the primality test and raised TypeError on first use
+        with pytest.raises(ValueError, match="field p, r and modulus must be integers"):
+            FieldSpec(*args)
+
     def test_chi_minus_one_mod_four(self):
         # invariant: -1 is a square exactly when q ≡ 1 (mod 4)
         for spec in SMALL_FIELDS + [FieldSpec(11), FieldSpec(13)]:
@@ -155,6 +166,20 @@ class TestFieldSpec:
             assert minus_one in brute_squares(spec) if spec.q % 4 == 1 else minus_one not in brute_squares(spec)
             assert spec.chi_minus_one() == (1 if spec.q % 4 == 1 else -1)
             assert minus_one.chi() == spec.chi_minus_one()
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("cells", [1, 5, 64, 1 << 16])
+    def test_row_ranges_cover_the_rows_within_the_budget(self, monkeypatch, cells):
+        # CHUNK_CELLS is read at call time, so a patched budget reaches every kernel
+        monkeypatch.setattr(field, "CHUNK_CELLS", cells)
+        for n_rows, row_cells in [(0, 3), (1, 0), (7, 1), (10, 3), (10, 100), (100, 7)]:
+            ranges = list(blocks(n_rows, row_cells))
+            bounds = [0] + [hi for _, hi in ranges]
+            assert [lo for lo, _ in ranges] == bounds[:-1] and bounds[-1] == n_rows
+            assert all(hi - lo == 1 or (hi - lo) * row_cells <= cells for lo, hi in ranges)
+            # every block but the last is as large as the budget allows
+            assert all((hi - lo + 1) * row_cells > cells for lo, hi in ranges[:-1])
 
 
 class TestArithmetic:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import findist
 from findist import incidence
 from findist.cli import main
-from findist.counting import segment_classes
+from findist.counting import isotropic_line_counts, segment_classes
 from findist.field import FieldSpec
 from findist.generators import FULL_PLANE_Q_MAX, GENERATOR_KINDS, UnsupportedGeneratorError, generate
 from findist.geometry import Line, Point, PointSet, all_points, distance, origin
@@ -37,7 +37,7 @@ from findist.harness import (
     make_config,
     run,
 )
-from findist.point_checks import _isotropic_line_occupancy, config_point_set
+from findist.point_checks import config_point_set
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
@@ -285,6 +285,16 @@ class TestConfig:
             ExperimentConfig.from_json({"field": F7.to_json(), "thresholds": {"enforce": enforce}})
         assert Thresholds.from_json({"enforce": False}) == Thresholds() != Thresholds.from_json({"enforce": True})
 
+    @pytest.mark.parametrize("value", ["7", [True, 4], [0.25], [1, 0], [1, 2, 3], [1.0, 4], [1, False], {"n": 1}, 7])
+    @pytest.mark.parametrize("name", ["pind_floor", "rudnev_ceiling"])
+    def test_threshold_ratios_must_be_integer_pairs(self, name, value):
+        # Fraction(*value) read "7" as 7, and both [true, 4] and [0.25] as 1/4
+        with pytest.raises(ValueError, match=f"thresholds {name} must be \\[numerator, denominator\\]"):
+            Thresholds.from_json({name: value})
+        code, out, err = _run_with_file("stats", "--config", {"field": {"p": 7}, "thresholds": {name: value}})
+        assert (code, out) == (2, "")
+        assert err.startswith("findist: bad config ") and err.count("\n") == 1 and f"thresholds {name} must" in err
+
     def test_a_config_is_a_value(self):
         a = make_config(F7, "grid", {"rows": 2, "cols": 3}, seed=4, checks=("stats", "verify"))
         b = ExperimentConfig(F7, "grid", (("cols", 3), ("rows", 2)), 4, ("stats", "verify"))
@@ -401,16 +411,13 @@ class TestSweep:
         assert ",," in line
 
 
-def object_isotropic_line_occupancy(A):
-    """The most points of A on one line x + i*y = c, one bucket per point and slope i."""
-    best = 0
+def object_isotropic_line_counts(A):
+    """Per slope i, the points of A on the line x + i*y = c through each point, one bucket per point and slope."""
+    counts = []
     for slope in (-A.spec.one()).sqrt():
-        buckets = {}
-        for a in A:
-            c = (a.x + slope * a.y).index
-            buckets[c] = buckets.get(c, 0) + 1
-        best = max(best, max(buckets.values(), default=0))
-    return best
+        keys = [(a.x + slope * a.y).index for a in A]
+        counts.append([keys.count(c) for c in keys])
+    return counts
 
 
 class TestIsotropicLineOccupancy:
@@ -428,11 +435,11 @@ class TestIsotropicLineOccupancy:
                 line = [Point(t, i * t) + shift for t in spec.elements()]
                 sets += [PointSet(spec, line), PointSet(spec, line + [Point(spec.one(), spec.one())])]
         for A in sets:
-            assert _isotropic_line_occupancy(A) == object_isotropic_line_occupancy(A), A.to_json()
+            assert isotropic_line_counts(A).tolist() == object_isotropic_line_counts(A), A.to_json()
         if spec.chi_minus_one() == 1:
-            assert _isotropic_line_occupancy(sets[-1]) == spec.q
+            assert isotropic_line_counts(sets[-1]).max() == spec.q
         else:
-            assert _isotropic_line_occupancy(PointSet(spec, pts)) == 0
+            assert isotropic_line_counts(PointSet(spec, pts)).max(initial=0) == 0
 
 
 class TestCli:
@@ -467,6 +474,35 @@ class TestCli:
         code, out, err = _run_with_file("stats", "--config", {"field": field, "params": {"size": 5}})
         assert (code, out) == (2, "")
         assert err.startswith("findist: ") and "field p, r and modulus must be integers" in err
+
+    def test_seed_option_overrides_the_config(self, tmp_path):
+        blob = {"field": {"p": 7}, "params": {"size": 8}, "seed": 1}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(blob))
+        code, out, err = _cli(["stats", "--config", str(path), "--seed", "5"])
+        assert (code, err) == (0, "")
+        config = ExperimentConfig.from_json(dict(blob, seed=5, checks=["stats"]))
+        assert out == run(config).render() + "\n"
+        assert json.loads(out)["findings"][0]["inputs"] == _digest(config_point_set(config).to_json())
+        assert config_point_set(config) != config_point_set(ExperimentConfig.from_json(blob))
+
+    @pytest.mark.parametrize("field, message", [
+        ("5,2,1", "--field expects p or p,r, got '5,2,1'"),
+        ("9", "p must be an odd prime, got 9"),
+        ("3,0", "r must be positive, got 0"),
+        ("131101", "field order q = 131101 exceeds the limit"),
+    ])
+    def test_a_bad_field_option_exits_two_with_one_line(self, field, message):
+        code, out, err = _cli(["stats", "--field", field])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"findist: {message}") and err.count("\n") == 1
+
+    def test_an_unwritable_out_exits_two_with_one_line(self, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = _cli(["stats", "--field", "5", "--out", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"findist: cannot write {path}: ") and err.count("\n") == 1
+        assert not path.parent.exists()
 
     def test_non_integer_field_in_a_points_file_exits_two(self):
         code, out, err = _run_with_file("stats", "--points", {"field": {"p": 5.5}, "points": [[0, 0], [1, 2]]})
@@ -778,6 +814,66 @@ class TestReductionFailures:
         assert [canonical_json(got.findings[i]) for i in others] == [canonical_json(want.findings[i]) for i in others]
         summaries = [s for s in want.metrics["reduce"]["reductions"] if s["r"] != lengths[k]]
         assert canonical_json(got.metrics["reduce"]["reductions"]) == canonical_json(summaries)
+
+
+class TestFailingFindings:
+    """Each failing check writes a finding whose inputs digest names what replays it."""
+
+    @staticmethod
+    def _unexplain(monkeypatch):
+        # the first witness of every batch reports a count its terms do not explain
+        real = incidence.claim_reductions
+
+        def claim(A, lengths):
+            out = real(A, lengths)
+            out[0].verdict = "unexplained"
+            return out
+
+        monkeypatch.setattr(incidence, "claim_reductions", claim)
+
+    def test_an_unexplained_reduction_fails_reduce_with_its_witness(self, monkeypatch):
+        self._unexplain(monkeypatch)
+        blob = {"field": {"p": 7}, "params": {"size": 6}, "seed": 7}
+        code, out, err = _run_with_file("reduce", "--config", blob)
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        A = config_point_set(ExperimentConfig.from_json(blob))
+        r = segment_classes(A).nonzero_sizes()[0][0].index
+        failed = [f for f in report["findings"] if not f["pass"]]
+        assert [(f["name"], f["inputs"]) for f in failed] == [(f"reduction-explained[r={r}]", _digest(A.to_json()))]
+        assert [(w["r"], w["verdict"]) for w in report["witnesses"]] == [(r, "unexplained")]
+        assert len(report["findings"]) == len(segment_classes(A).nonzero_sizes())
+
+    def test_an_unexplained_sweep_row_fails_the_run(self, monkeypatch):
+        self._unexplain(monkeypatch)
+        blob = {"field": {"p": 7}, "params": {"sizes": [5, 6]}, "seed": 7}
+        code, out, err = _run_with_file("sweep", "--config", blob)
+        assert (code, err) == (1, "")
+        config = ExperimentConfig.from_json(dict(blob, checks=["sweep"]))
+        report = run(config)
+        assert out == report.render_csv()
+        assert all("unexplained-reduction" in row["flags"] for row in report.rows)
+        assert [w["verdict"] for w in report.witnesses] == ["unexplained"] * 2
+        assert [(f["name"], f["inputs"], f["pass"]) for f in report.findings] == [
+            (f"sweep-reduction[size={n}]", config.digest(), False) for n in (5, 6)]
+
+    @pytest.mark.parametrize("thresholds, flag", [
+        ({"pind_floor": [100, 1], "rudnev_ceiling": [100, 1]}, "pind-below-floor"),
+        ({"pind_floor": [0, 1], "rudnev_ceiling": [0, 1]}, "rudnev-above-ceiling"),
+    ], ids=["pind", "rudnev"])
+    def test_an_enforced_sweep_threshold_fails_the_run(self, thresholds, flag):
+        blob = {"field": {"p": 7}, "params": {"sizes": [5, 6]}, "seed": 7, "thresholds": dict(thresholds, enforce=True)}
+        code, out, err = _run_with_file("sweep", "--config", blob)
+        assert (code, err) == (1, "")
+        config = ExperimentConfig.from_json(dict(blob, checks=["sweep"]))
+        report = run(config)
+        assert out == report.render_csv()
+        assert [row["flags"] for row in report.rows] == [[flag]] * 2
+        assert [(f["name"], f["inputs"], f["lhs"], f["pass"]) for f in report.findings] == [
+            (f"sweep-thresholds[size={n}]", config.digest(), [flag], False) for n in (5, 6)]
+        # without enforce the same rows carry the flags and the run passes
+        relaxed = run(ExperimentConfig.from_json(dict(blob, checks=["sweep"], thresholds=thresholds)))
+        assert relaxed.rows == report.rows and relaxed.findings == [] and relaxed.passed()
 
 
 def _cli(argv):

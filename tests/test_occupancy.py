@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from findist import counting, point_checks
+from findist import counting, field, point_checks
 from findist.counting import (
     _circle_scan,
     _circle_sweep,
@@ -214,6 +214,13 @@ class TestCirclePaths:
 
     def test_f61_random_240(self):
         assert_paths_agree(generate(FieldSpec(61), "random", {"size": 240}, 61))
+
+    @pytest.mark.parametrize("cells", [1, 5000], ids=["row", "rows"])
+    def test_a_sweep_in_several_blocks_agrees(self, monkeypatch, cells):
+        # one centre row a block, or a few: each block's circle keys carry its offset
+        monkeypatch.setattr(field, "CHUNK_CELLS", cells)
+        for spec, n in ((F25, 10), (F31, 30)):
+            assert_paths_agree(generate(spec, "random", {"size": n}, n))
 
     @staticmethod
     def refuse(monkeypatch, name):
