@@ -272,26 +272,32 @@ def _normals(F, q: int) -> tuple[np.ndarray, np.ndarray]:
     return np.append(np.ones_like(m), 0), np.append(m, 1)
 
 
-def _first_free(F, q: int, normals: tuple, keys: np.ndarray, classes: np.ndarray, start: int = 0) -> np.ndarray:
-    """Each class's first line k*q + c, n1[k]*x + n2[k]*y = c with k >= ``start``, through none of its points, or -1.
+def _every_line_blocked(keys: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Which classes 0..n-1 have more than q^2 - q of the distinct points (class*q + x)*q + y in ``keys``."""
+    return np.bincount(keys // (q * q), minlength=n) > q * q - q  # fewer than q, a base line's, stay free
 
-    ``keys`` are distinct points (class*q + x)*q + y of the sorted ``classes``.
-    A block of normals at a time, of CHUNK_CELLS intercepts and flags or one
-    normal, for the classes still open: O(points + classes * q) memory.
+
+def _first_free(F, q: int, normals: tuple, keys: np.ndarray, n: int) -> np.ndarray:
+    """Each class's first line k*q + c, n1[k]*x + n2[k]*y = c, through none of its points, or -1.
+
+    ``keys`` are distinct points (class*q + x)*q + y of classes 0..n-1.  A class ``_every_line_blocked`` names
+    gets -1 unscanned; the rest scan a block of normals at a time while open: O(points + classes * q) memory.
     """
-    n1, n2 = (col[start:] for col in normals)
-    cls, x, y = np.searchsorted(classes, keys // (q * q)), keys // q % q, keys % q
-    free = np.full(len(classes), -1)
-    for lo, hi in field.blocks(len(n1), max(len(keys), len(classes) * q)):
+    n1, n2 = normals
+    free, todo = np.full(n, -1), ~_every_line_blocked(keys, q, n)
+    keys = keys[todo[keys // (q * q)]]
+    cls, x, y = keys // (q * q), keys // q % q, keys % q
+    for lo, hi in field.blocks(len(n1), max(len(keys), n * q)):
+        if not todo.any():
+            break
         k = np.arange(lo, hi)
-        lines = np.zeros((len(classes), len(k) * q), dtype=bool)
+        lines = np.zeros((n, len(k) * q), dtype=bool)
         c = F.add(n1[k] * x[:, None], F.mul(n2[k], y[:, None]))  # n1 is 0 or 1, which an index product keeps
         lines.reshape(-1)[(cls[:, None] * len(k) + k - lo) * q + c] = True
-        now = (free < 0) & ~lines.all(axis=1)
-        free[now] = (start + lo) * q + np.argmin(lines[now], axis=1)
-        if (free >= 0).all():
-            break
-        cls, x, y = (col[free[cls] < 0] for col in (cls, x, y))
+        now = todo & ~lines.all(axis=1)
+        free[now] = lo * q + np.argmin(lines[now], axis=1)
+        todo &= ~now
+        cls, x, y = (col[todo[cls]] for col in (cls, x, y))
     return free
 
 
@@ -301,16 +307,13 @@ def _pairwise_fixed_points(F, q: int, motions: tuple, first: np.ndarray, size: n
     With g: z -> R z + w, R = u + iv, g_i^-1 g_j fixes z iff (R_i - R_j) z =
     w_j - w_i, so z = (w_j - w_i) conj(R_i - R_j) / N, N = |R_i - R_j|^2 =
     2 - 2 Re(conj(R_i) R_j).  N = 0 makes it a translation, which fixes nothing.
-    A class whose pairs take several blocks keeps a line its points so far
-    miss, rescans when a block hits it, and skips the rest once every line is
-    blocked: any subset of pairs that blocks them gives the same lifted witness.
+    A class that ``_every_line_blocked`` names skips its later pair blocks and the line scan: any subset
+    of pairs that blocks every line gives the same lifted witness, and ``_certified`` checks the points found.
     """
     u, v, s, t = motions
-    normals, free, found = _normals(F, q), np.zeros(len(size), dtype=np.int64), [np.zeros(0, dtype=np.int64)]
-    spread = np.zeros(len(size), dtype=bool)
+    found, blocked = [np.zeros(0, dtype=np.int64)], np.zeros(len(size), dtype=bool)
     for classes, rows, cols in _class_blocks(first, size):
-        k, split = classes[0], rows.shape[1] < cols.shape[1]
-        if free[k] < 0:  # a class spread over several blocks is alone in each, and every line is blocked
+        if blocked[classes[0]]:  # a class spread over several blocks is alone in each
             continue
         pair = rows[:, :, None] < cols[:, None, :]
         ends = (classes[:, None, None], rows[:, :, None], cols[:, None, :])
@@ -322,15 +325,12 @@ def _pairwise_fixed_points(F, q: int, motions: tuple, first: np.ndarray, size: n
         zx = F.div(F.add(F.mul(ds, du), F.mul(dt, dv)), norm)
         zy = F.div(F.sub(F.mul(dt, du), F.mul(ds, dv)), norm)
         keys = (cls * q + zx) * q + zy
-        if split and rows[0, 0] > first[k]:
+        if rows[0, 0] > first[classes[0]]:  # a later block of a spread class joins its points so far
             keys = np.concatenate([found.pop(), keys])
         found.append(np.unique(keys, return_counts=True)[0])  # without counts np.unique imports numpy.ma
-        spread[k], line = split, free[k] // q
-        if split and (F.add(F.mul(normals[0][line], zx), F.mul(normals[1][line], zy)) == free[k] % q).any():
-            free[k] = _first_free(F, q, normals, found[-1], classes, line)[0]
+        blocked[classes] = _every_line_blocked(found[-1], q, len(size))[classes]
     keys = np.concatenate(found)
-    free[~spread] = _first_free(F, q, normals, keys[~spread[keys // (q * q)]], np.flatnonzero(~spread))
-    return (keys // (q * q), keys // q % q, keys % q), free
+    return (keys // (q * q), keys // q % q, keys % q), _first_free(F, q, _normals(F, q), keys, len(size))
 
 
 def _certified(fixed: tuple, into: np.ndarray, c0: int, n_classes: int) -> np.ndarray:

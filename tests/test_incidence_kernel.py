@@ -30,6 +30,8 @@ from findist.harness import _child_seed, canonical_json, make_config, run, stand
 from findist.incidence import (
     _certified,
     _field_embedding,
+    _first_free,
+    _normals,
     _pairwise_fixed_points,
     _rotates,
     _rows,
@@ -261,7 +263,8 @@ class TestCertificate:
     """A class whose fixed points block every base line lifts to the axis x = c0 with no more of its pairs."""
 
     def test_a_strict_subset_of_the_pairs_gives_the_same_witnesses(self, monkeypatch):
-        A = generate(F7, "random", {"size": 12}, 7)  # all six classes lift
+        # all six classes lift, and each has more than q^2 - q fixed points before its last block
+        A = generate(F7, "random", {"size": 30}, 7)
         lengths = [r for r, _ in nonzero_classes(A)]
         want = [canonical_json(w.to_json()) for w in claim_reductions(A, lengths)]
         real, calls = incidence._pairwise_fixed_points, []
@@ -293,6 +296,39 @@ class TestCertificate:
             lifted = [w for w in claim_reductions(A, [r for r, _ in nonzero_classes(A)]) if w.lifted]
             assert lifted and all(w.axis_key == (1, 0, c0) for w in lifted)
             assert c0 == A.spec.p
+
+
+class TestEveryLineBlocked:
+    """A base line holds q points, so a class with more than q^2 - q distinct fixed points lifts with no line scan."""
+
+    @pytest.mark.parametrize("spec", [F7, F13, F25], ids=["F7", "F13", "F25"])
+    def test_the_count_boundary(self, spec):
+        F, q = _index_field(spec), spec.q
+        normals = _normals(F, q)
+        k, c = len(normals[0]) // 2, 3
+        keys = np.arange(q * q)
+        on = F.add(F.mul(normals[0][k], keys // q), F.mul(normals[1][k], keys % q)) == c
+        # every point but the q of one line: q^2 - q keys, and that line is the only one they miss
+        assert np.count_nonzero(~on) == q * q - q
+        assert _first_free(F, q, normals, keys[~on], 1).tolist() == [k * q + c]
+        # one more key on it blocks every line, and the class gets -1 with no scan, which would need the field
+        more = np.append(keys[~on], keys[on][0])
+        assert _first_free(None, q, normals, more, 1).tolist() == [-1]
+        assert _first_free(F, q, normals, np.append(keys[~on], q * q + more), 2).tolist() == [k * q + c, -1]
+
+    def test_no_class_of_a_large_set_reaches_the_scan(self, monkeypatch):
+        # each of the 30 classes passes the count, so the scan, which would need the field, runs for none
+        config = make_config(FieldSpec(31), "random", {"size": 97}, seed=31, checks=("reduce",))
+        real, free = incidence._first_free, []
+        monkeypatch.setattr(incidence, "_first_free", lambda F, *args: free.append(real(None, *args)) or free[-1])
+        report = run(config)
+        assert report.passed() and len(free) == 1 and free[0].tolist() == [-1] * 30
+        # every pair and the full scan give the same bytes
+        monkeypatch.setattr(incidence, "_first_free", real)
+        monkeypatch.setattr(incidence, "_every_line_blocked", lambda keys, q, n: np.zeros(n, dtype=bool))
+        assert run(config).render() == report.render()
+        assert hashlib.sha256(report.render().encode()).hexdigest() == (
+            "50956d67064863841c97b641ef6511a7aba7d27e30e1c9afb60499a9cec33548")
 
 
 class TestLiftBuildsNoExtensionObjects:
