@@ -19,11 +19,10 @@ def main() -> int:
     print(f"{'label':<16} {'n':>3} {'r':>3} {'|S_r|':>5} {'I':>7} {'surrogate':>12} {'float':>8} {'lifted':>6}")
     for label, A in standard_corpus_sets():
         started = time.monotonic()
-        nonzero = counting.segment_classes(A).nonzero_sizes()
-        if not nonzero:
+        r_star = counting.segment_classes(A).largest()
+        if r_star is None:
             print(f"{label:<16} {len(A):>3}   (no nonzero distance class)")
             continue
-        r_star, _ = max(nonzero, key=lambda item: (item[1], -item[0].index))
         w = incidence.claim_reduction(A, r_star)
         ratio = w.ratio()
         if w.verdict != "explained":

@@ -20,17 +20,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "field": "FieldElement FieldSpec find_irreducible",
     "geometry": "Circle Line Point PointSet Segment all_lines all_points bisector distance equidistant_line reflect",
-    "motions": (
-        "RigidMotion Rotation all_motions axial_to_motion enumerate_rotations iter_r_tau motion_between_segments "
-        "r_tau_set rotation_about so2_order transporter_set"
-    ),
-    "clifford": (
-        "CliffordElement EvenCliffordElement QuadraticFormSpec blade even_element even_units rho_star sandwich"
-    ),
-    "kinematic": (
-        "ProjMap ProjPlane ProjPoint all_proj_points exceptional_set kappa kappa_inv phi_left phi_right "
-        "r_tau_plane transporter_image transporter_line"
-    ),
+    "motions": "RigidMotion Rotation all_motions enumerate_rotations motion_between_segments so2_order",
+    "clifford": "CliffordElement EvenCliffordElement QuadraticFormSpec blade even_units rho_star sandwich",
+    "kinematic": "ProjMap ProjPlane ProjPoint all_proj_points kappa kappa_inv phi_left r_tau_plane",
     "counting": (
         "bisector_stats distance_stats isosceles_count max_collinear_cocircular prune_curve prune_heavy "
         "segment_classes verify_identities"

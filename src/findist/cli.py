@@ -13,13 +13,11 @@ from typing import Optional, Sequence
 
 from .field import FieldSpec
 from .geometry import PointSet
-from .harness import CHECKS, ExperimentConfig, run, validate_checks
+from .harness import CHECKS, STANDARD_SWEEP_P, STANDARD_SWEEP_SIZES, ExperimentConfig, run, validate_checks
 
 SUBCOMMANDS = tuple(CHECKS)
 
 _DEFAULT_FIELD = (7, 1)
-_DEFAULT_SWEEP_FIELD = (31, 1)
-_DEFAULT_SWEEP_SIZES = [20, 40, 60, 80, 97]
 
 
 class CliError(Exception):
@@ -77,8 +75,8 @@ def _resolve_config(args) -> ExperimentConfig:
         obj, where = _load_json(args.config), f"bad config {args.config}: "
     else:
         sweep = args.subcommand == "sweep"
-        p, r = _DEFAULT_SWEEP_FIELD if sweep else _DEFAULT_FIELD
-        params = {"sizes": list(_DEFAULT_SWEEP_SIZES)} if sweep else {"size": 10}
+        p, r = (STANDARD_SWEEP_P, 1) if sweep else _DEFAULT_FIELD
+        params = {"sizes": list(STANDARD_SWEEP_SIZES)} if sweep else {"size": 10}
         obj, where = {"field": {"p": p, "r": r}, "params": params, "seed": 7}, ""
     try:
         # the subcommand replaces the file's checks, which must still be well-formed

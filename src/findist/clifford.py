@@ -6,7 +6,7 @@ taken projectively, is isomorphic to the rigid motion group when lam = -1, and
 ``rho_star`` realises that map.  All values are immutable.
 
 The element classes are the public API.  The index kernel at the end
-(``product_rows``, ``sandwich_batch``, ``rho_star_keys``) multiplies int64
+(``_product``, ``sandwich_batch``, ``rho_star_keys``) multiplies int64
 arrays of canonical indices by the same structure constants, and the tests
 hold it equal to the classes.  ``associativity_misses`` reads the 8x8 table
 alone: two slot gathers and one product a side for each of 512 triples.
@@ -94,7 +94,6 @@ def _blade_table(form: QuadraticFormSpec):
 
 # conjugation reverses each blade and applies (-1)^grade; net sign by grade
 _CONJ_SIGNS = (1, -1, -1, 1)
-_ALPHA_SIGNS = (1, -1, 1, -1)
 
 
 class CliffordElement:
@@ -138,12 +137,6 @@ class CliffordElement:
             self.form, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __sub__(self, other: "CliffordElement") -> "CliffordElement":
-        self._check(other)
-        return CliffordElement(
-            self.form, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
     def __neg__(self) -> "CliffordElement":
         return CliffordElement(self.form, tuple(-a for a in self.coeffs))
 
@@ -176,18 +169,10 @@ class CliffordElement:
     def scalar_part(self) -> FieldElement:
         return self.coeffs[0]
 
-    def to_json(self) -> list:
-        return [c.to_json() for c in self.coeffs]
-
     @staticmethod
     def zero(form: QuadraticFormSpec) -> "CliffordElement":
         z = form.field.zero()
         return CliffordElement(form, (z,) * 8)
-
-    @staticmethod
-    def scalar(form: QuadraticFormSpec, c: FieldElement) -> "CliffordElement":
-        z = form.field.zero()
-        return CliffordElement(form, (c,) + (z,) * 7)
 
 
 def blade(form: QuadraticFormSpec, name: str) -> CliffordElement:
@@ -204,14 +189,6 @@ def conjugate(a: CliffordElement) -> CliffordElement:
     out = []
     for c, g in zip(a.coeffs, _GRADES):
         out.append(c if _CONJ_SIGNS[g] > 0 else -c)
-    return CliffordElement(a.form, tuple(out))
-
-
-def main_involution(a: CliffordElement) -> CliffordElement:
-    """The grade automorphism: sign (-1)^k on grade-k blades."""
-    out = []
-    for c, g in zip(a.coeffs, _GRADES):
-        out.append(c if _ALPHA_SIGNS[g] > 0 else -c)
     return CliffordElement(a.form, tuple(out))
 
 
@@ -324,19 +301,6 @@ class EvenCliffordElement:
     def key(self) -> tuple[int, int, int, int]:
         return tuple(c.index for c in self.coeffs)
 
-    def to_json(self) -> list:
-        return [c.to_json() for c in self.coeffs]
-
-
-def even_element(
-    form: QuadraticFormSpec, g0: int, g12: int, g13: int, g23: int
-) -> EvenCliffordElement:
-    """Build an even element from canonical coefficient indices."""
-    f = form.field
-    return EvenCliffordElement(
-        form, f.from_index(g0), f.from_index(g12), f.from_index(g13), f.from_index(g23)
-    )
-
 
 def even_units(form: QuadraticFormSpec) -> Iterator[EvenCliffordElement]:
     """All even elements of nonzero norm, in coefficient index order."""
@@ -419,13 +383,6 @@ def _product(form: QuadraticFormSpec, a: list, b: list) -> list:
         acc = 0 if out[slot] is None else out[slot]
         out[slot] = F.sub(acc, term) if c == minus_one else F.add(acc, term)
     return out
-
-
-def product_rows(form: QuadraticFormSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise products a[k] * b[k] of two (N, 8) index arrays, as ``CliffordElement.__mul__``."""
-    cols = _product(form, list(a.T), list(b.T))
-    zero = np.zeros(len(a), dtype=np.int64)
-    return np.stack([zero if c is None else c for c in cols], axis=1)
 
 
 def associativity_misses(form: QuadraticFormSpec) -> int:

@@ -33,9 +33,14 @@ def _per_set(A: PointSet, compute: Callable):
 
 
 def _index_coords(A: PointSet) -> tuple[np.ndarray, np.ndarray]:
-    """The coordinates of A's points as index arrays, in the order of ``A.points``."""
+    """The coordinates of A's points as read-only index arrays, in the order of ``A.points``, once per point set."""
+    return _per_set(A, _coordinate_indices)
+
+
+def _coordinate_indices(A: PointSet) -> tuple[np.ndarray, np.ndarray]:
     x = np.array([p.x.index for p in A.points], dtype=np.int64)
     y = np.array([p.y.index for p in A.points], dtype=np.int64)
+    x.flags.writeable = y.flags.writeable = False
     return x, y
 
 
@@ -89,6 +94,12 @@ class SegmentClasses(NamedTuple):
         """(r, |S_r|) for every nonzero length some pair has, in index order."""
         lengths = np.flatnonzero(self.sizes[1:]) + 1
         return [(self.spec.from_index(r), int(self.sizes[r])) for r in lengths.tolist()]
+
+    def largest(self) -> Optional[FieldElement]:
+        """The nonzero length with the most pairs, the least index among equals; None if no pair has one."""
+        if not self.sizes[1:].any():
+            return None
+        return self.spec.from_index(int(np.argmax(self.sizes[1:])) + 1)  # argmax takes the first maximum
 
 
 def segment_classes(A: PointSet) -> SegmentClasses:
@@ -541,6 +552,11 @@ def _ceil_cbrt(n: int) -> int:
     return k
 
 
+def prune_budget(n: int) -> int:
+    """The most steps ``prune_steps`` may take on n points: ceil(n^(1/3)) + 1."""
+    return _ceil_cbrt(n) + 1
+
+
 def _heavy_curves(S: PointSet, orig_sq: int) -> list:
     """Curves holding m points of S with m^3 > orig_sq, heaviest first, lines before circles, then by key."""
     occupancy, listed = _curve_scan(S, orig_sq)
@@ -576,6 +592,6 @@ def prune_heavy(A: PointSet) -> tuple[PointSet, int]:
     current, steps = A, 0
     for _, current, _ in prune_steps(A):
         steps += 1
-    if steps > _ceil_cbrt(len(A)) + 1:
+    if steps > prune_budget(len(A)):
         raise AssertionError(f"pruning took {steps} steps on {len(A)} points")
     return current, steps

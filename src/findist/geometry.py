@@ -41,9 +41,6 @@ class Point:
     def __sub__(self, other: "Point") -> "Point":
         return Point(self.x - other.x, self.y - other.y)
 
-    def __neg__(self) -> "Point":
-        return Point(-self.x, -self.y)
-
     def scaled(self, k: FieldElement) -> "Point":
         return Point(self.x * k, self.y * k)
 
@@ -72,26 +69,6 @@ def distance(a: Point, b: Point) -> FieldElement:
     dx = a.x - b.x
     dy = a.y - b.y
     return dx * dx + dy * dy
-
-
-def is_isotropic_vector(v: Point) -> bool:
-    if v.is_zero():
-        raise ValueError("the zero vector is not classified as isotropic or not")
-    return not v.norm_sq()
-
-
-def isotropic_vectors(spec: FieldSpec) -> list[Point]:
-    """All nonzero v with v·v = 0, in canonical order; empty when q ≡ 3 (mod 4)."""
-    roots = (-spec.one()).sqrt()
-    if not roots:
-        return []
-    out = []
-    for t in spec.elements():
-        if not t:
-            continue
-        for i in roots:
-            out.append(Point(t, i * t))
-    return sorted(out, key=lambda p: p.key)
 
 
 class Segment:
@@ -155,9 +132,6 @@ class Line:
 
     def normal(self) -> Point:
         return Point(self.n1, self.n2)
-
-    def direction(self) -> Point:
-        return Point(-self.n2, self.n1)
 
     def is_isotropic(self) -> bool:
         # the direction is isotropic iff the normal is: n2^2 + n1^2 = same form

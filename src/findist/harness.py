@@ -326,12 +326,13 @@ def run(config: ExperimentConfig, workers: int = 1) -> Report:
 # ---------------------------------------------------------------------------
 # the standard F_31 corpus for calibration and regression gating
 
+STANDARD_SWEEP_P = 31
 STANDARD_SWEEP_SIZES = (20, 40, 60, 80, 97)
 
 
 def standard_corpus() -> list[tuple[str, FieldSpec, str, dict, int]]:
     """Labelled (label, field, kind, params, seed) rows; all in-hypothesis."""
-    F31 = FieldSpec(31)
+    F31 = FieldSpec(STANDARD_SWEEP_P)
     rows = []
     for i, size in enumerate(STANDARD_SWEEP_SIZES):
         rows.append((f"random-{size}", F31, "random", {"size": size}, _child_seed(31, i)))

@@ -203,9 +203,6 @@ class EpsilonTerm(NamedTuple):
     bound: int
     within_bound: bool
 
-    def to_json(self) -> dict:
-        return {"value": self.value, "bound": self.bound, "within_bound": self.within_bound}
-
 
 def epsilon_term(A: PointSet) -> EpsilonTerm:
     """Mirror pairs of zero-length segments, grouped by the shared axis.

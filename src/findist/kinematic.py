@@ -4,10 +4,12 @@ A motion (u, v, s, t) maps to a projective point whose first two coordinates
 never satisfy X0^2 + X1^2 = 0; removing that exceptional locus makes the map a
 bijection.  The formulas here are square-root free and split into two charts
 because the single chart [2(u+1) : 2v : ...] degenerates to the zero vector at
-u = -1.  Left and right translation of the group become projective maps, which
-is what turns transporter sets into lines and axial rotation sets into planes.
+u = -1.  Left translation becomes the projective map ``phi_left``, which is
+what turns transporter sets into lines and axial rotation sets into planes.
 ``projective_rows`` holds kappa and the R_tau planes on index columns, which
-the incidence reduction and the algebra checks' kinematic check run on.
+the incidence reduction and the algebra checks' kinematic check run on; the
+object-level constructions of those lemmas are the oracles in
+``tests/motion_oracles.py``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .field import FieldElement, FieldSpec, _index_field
-from .geometry import IsotropicAxisError, Line, Point
-from .motions import RigidMotion, transporter_set
+from .geometry import IsotropicAxisError, Line
+from .motions import RigidMotion
 from .projective_rows import _r_tau_planes
 
 
@@ -142,11 +144,6 @@ def _mat_inverse(m, spec: FieldSpec):
     return tuple(tuple(row[4:]) for row in work)
 
 
-def matrix_rank(rows, spec: FieldSpec) -> int:
-    """Rank of a list of 4-coordinate rows by exact elimination."""
-    return len(_row_reduce(rows)[1])
-
-
 class ProjMap:
     """An invertible 4x4 matrix up to scale, acting on points by X -> MX."""
 
@@ -188,15 +185,8 @@ class ProjMap:
     def compose(self, other: "ProjMap") -> "ProjMap":
         return ProjMap(_mat_mul(self.matrix, other.matrix))
 
-    def inverse(self) -> "ProjMap":
-        return ProjMap(_mat_inverse(self.matrix, self.spec))
-
     def is_identity(self) -> bool:
         return self.matrix == _identity_matrix(self.spec)
-
-    @staticmethod
-    def identity(spec: FieldSpec) -> "ProjMap":
-        return ProjMap(_identity_matrix(spec))
 
 
 def _chart_a(g: RigidMotion) -> tuple[FieldElement, ...]:
@@ -266,17 +256,6 @@ def all_proj_points(spec: FieldSpec) -> Iterator[ProjPoint]:
         yield from rest(tail, ())
 
 
-def is_exceptional(p: ProjPoint) -> bool:
-    """X0^2 + X1^2 = 0: p lies outside the image of kappa."""
-    x0, x1 = p.coords[0], p.coords[1]
-    return not (x0 * x0 + x1 * x1)
-
-
-def exceptional_set(spec: FieldSpec) -> list[ProjPoint]:
-    """All projective points with X0^2 + X1^2 = 0: the complement of the image."""
-    return [p for p in all_proj_points(spec) if is_exceptional(p)]
-
-
 def phi_left(g: RigidMotion) -> ProjMap:
     """Projective map with kappa(g . x) = phi_left(g)(kappa(x)) for all motions x."""
     h = kappa_even(g)
@@ -291,39 +270,6 @@ def phi_left(g: RigidMotion) -> ProjMap:
             (h3, h2, -h1, h0),
         )
     )
-
-
-def phi_right(g: RigidMotion) -> ProjMap:
-    """Projective map with kappa(x . g) = phi_right(g)(kappa(x)) for all motions x."""
-    h = kappa_even(g)
-    lam = h.form.lam
-    h0, h1, h2, h3 = h.coeffs
-    zero = h0.spec.zero()
-    return ProjMap(
-        (
-            (h0, lam * h1, zero, zero),
-            (h1, h0, zero, zero),
-            (h2, -(lam * h3), h0, lam * h1),
-            (h3, -h2, h1, h0),
-        )
-    )
-
-
-def transporter_image(x: Point, y: Point) -> list[ProjPoint]:
-    """kappa of every motion taking x to y; asserts the points span a line."""
-    points = [kappa(m) for m in transporter_set(x, y)]
-    spec = x.x.spec
-    if matrix_rank([p.coords for p in points], spec) != 2:
-        raise AssertionError("transporter image does not span a line")
-    return points
-
-
-def transporter_line(x: Point, y: Point) -> tuple[ProjPoint, ProjPoint]:
-    """Two distinct points spanning the line through the transporter image."""
-    points = transporter_image(x, y)
-    first = points[0]
-    second = next(p for p in points[1:] if p != first)
-    return first, second
 
 
 # cached per axis; an isotropic axis raises on every call

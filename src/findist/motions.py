@@ -2,7 +2,7 @@
 
 The rotation matrices form SO_2(F_q), a cyclic group of order q - chi(-1); the full
 motion group SF has order q^2 * |SO_2|.  On segments of equal nonzero quadratic length
-the group acts simply transitively, which is what the transporter helpers exploit.
+the group acts simply transitively, which is what ``motion_between_segments`` exploits.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .field import FieldElement, FieldSpec
-from .geometry import IsotropicAxisError, Line, Point, Segment, origin, reflect
+from .geometry import Point, Segment
 
 
 class SpecMismatchError(ValueError):
@@ -58,10 +58,6 @@ class Rotation:
     def key(self) -> tuple[int, int]:
         return (self.u.index, self.v.index)
 
-    @staticmethod
-    def identity(spec: FieldSpec) -> "Rotation":
-        return Rotation(spec.one(), spec.zero())
-
 
 def so2_order(spec: FieldSpec) -> int:
     return spec.q - spec.chi_minus_one()
@@ -108,10 +104,6 @@ class RigidMotion:
     @property
     def spec(self) -> FieldSpec:
         return self.u.spec
-
-    @property
-    def rotation(self) -> Rotation:
-        return Rotation(self.u, self.v)
 
     def apply(self, p: Point) -> Point:
         return Point(
@@ -188,11 +180,6 @@ def all_motions(spec: FieldSpec) -> Iterator[RigidMotion]:
                 yield RigidMotion(rot.u, rot.v, s, t)
 
 
-def rotation_about(center: Point, rot: Rotation) -> RigidMotion:
-    shift = center - rot.apply(center)
-    return RigidMotion(rot.u, rot.v, shift.x, shift.y)
-
-
 def motion_between_segments(src: Segment, dst: Segment) -> RigidMotion:
     """The unique motion with g(src.head) = dst.head and g(src.tail) = dst.tail."""
     r = src.length_sq()
@@ -211,67 +198,3 @@ def motion_between_segments(src: Segment, dst: Segment) -> RigidMotion:
     if g.apply(src.head) != dst.head or g.apply(src.tail) != dst.tail:
         raise AssertionError("transporter does not map src onto dst")
     return g
-
-
-def transporter_set(x: Point, y: Point) -> list[RigidMotion]:
-    """All motions sending x to y: one per rotation, in rotation order."""
-    spec = x.x.spec
-    out = []
-    for rot in enumerate_rotations(spec):
-        shift = y - rot.apply(x)
-        out.append(RigidMotion(rot.u, rot.v, shift.x, shift.y))
-    return out
-
-
-def iter_r_tau(axis: Line) -> Iterator[RigidMotion]:
-    """Lazily yield the axial rotation set: identity, then per-point rotations.
-
-    Distinct (center, rotation) pairs give distinct motions, so the only
-    shared member is the identity, yielded once up front.
-    """
-    if axis.is_isotropic():
-        raise IsotropicAxisError(f"{axis!r} is isotropic")
-    spec = axis.n1.spec
-    yield RigidMotion.identity(spec)
-    rotations = [rot for rot in enumerate_rotations(spec) if not rot.is_identity()]
-    for z in axis.points(spec):
-        for rot in rotations:
-            yield rotation_about(z, rot)
-
-
-def r_tau_set(axis: Line) -> list[RigidMotion]:
-    """Rotations about the points of a non-isotropic axis, identity included once."""
-    spec = axis.n1.spec
-    result = sorted(set(iter_r_tau(axis)), key=lambda m: m.key)
-    if len(result) != spec.q * (so2_order(spec) - 1) + 1:
-        raise AssertionError(f"axial rotation set has {len(result)} motions")
-    return result
-
-
-def _reflection_parts(line: Line) -> tuple[tuple[Point, Point], Point]:
-    """The reflection across ``line`` as its linear part's columns (e1 | e2) and translation w."""
-    spec = line.n1.spec
-    w = reflect(line, origin(spec))
-    e1 = reflect(line, Point(spec.one(), spec.zero())) - w
-    e2 = reflect(line, Point(spec.zero(), spec.one())) - w
-    return (e1, e2), w
-
-
-def axial_to_motion(axis: Line, tau: Line) -> RigidMotion:
-    """Reflect across tau, then across axis; an orientation-preserving motion.
-
-    When the axes meet, this is a rotation about their intersection point (so it
-    lands in r_tau_set(tau)); parallel axes compose to a translation normal to both.
-    """
-    if axis.is_isotropic() or tau.is_isotropic():
-        raise IsotropicAxisError("both axes must be non-isotropic")
-    (a1, a2), wa = _reflection_parts(axis)
-    (b1, b2), wb = _reflection_parts(tau)
-    # compose x -> A(Bx + wb) + wa
-    c1 = Point(a1.x * b1.x + a2.x * b1.y, a1.y * b1.x + a2.y * b1.y)
-    c2 = Point(a1.x * b2.x + a2.x * b2.y, a1.y * b2.x + a2.y * b2.y)
-    w = Point(a1.x * wb.x + a2.x * wb.y + wa.x, a1.y * wb.x + a2.y * wb.y + wa.y)
-    u, v = c1.x, c1.y
-    if c2.x != -v or c2.y != u:
-        raise AssertionError("composition of two reflections must rotate")
-    return RigidMotion(u, v, w.x, w.y)

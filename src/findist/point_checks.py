@@ -18,6 +18,11 @@ from .geometry import PointSet
 from .harness import ExperimentConfig, Thresholds, _child_seed, _digest, _finding, _jsonify
 
 
+def _set_digest(A: PointSet) -> str:
+    """The ``inputs`` of every finding on A: its JSON's digest, kept in A's cache by ``counting._per_set``."""
+    return _digest(A.to_json())
+
+
 def _reduction_unavailable(name: str, inputs: str, exc: Exception) -> dict:
     """The failing finding of a reduction that raised instead of producing a witness."""
     return _finding(name, inputs, [f"{type(exc).__name__}: {exc}"], "=", [], False)
@@ -52,11 +57,11 @@ def _check_stats(A: PointSet, config: ExperimentConfig):
     metrics, lhs, rhs = _stats(A, config.thresholds.pind_floor)
     metrics["flags"] = [] if lhs >= rhs else ["pind-below-floor"]
     ok = lhs >= rhs or not config.thresholds.enforce
-    return [_finding("pinned-ratio-floor", _digest(A.to_json()), lhs, ">=", rhs, ok)], metrics, [], []
+    return [_finding("pinned-ratio-floor", counting._per_set(A, _set_digest), lhs, ">=", rhs, ok)], metrics, [], []
 
 
 def _check_verify(A: PointSet, config: ExperimentConfig):
-    inputs = _digest(A.to_json())
+    inputs = counting._per_set(A, _set_digest)
     entries = counting.verify_identities(A)
     findings = [
         _finding(e["name"], inputs, e["lhs"], e["relation"], e["rhs"], e["pass"])
@@ -66,7 +71,7 @@ def _check_verify(A: PointSet, config: ExperimentConfig):
 
 
 def _check_reduce(A: PointSet, config: ExperimentConfig):
-    inputs = _digest(A.to_json())
+    inputs = counting._per_set(A, _set_digest)
     findings, witnesses, summaries = [], [], []
     lengths = [r for r, _ in counting.segment_classes(A).nonzero_sizes()]
     try:
@@ -105,7 +110,7 @@ def _check_reduce(A: PointSet, config: ExperimentConfig):
 
 
 def _check_prune(A: PointSet, config: ExperimentConfig):
-    inputs = _digest(A.to_json())
+    inputs = counting._per_set(A, _set_digest)
     findings, removed = [], []
     orig_sq = len(A) ** 2
     current = A
@@ -114,7 +119,7 @@ def _check_prune(A: PointSet, config: ExperimentConfig):
         findings.append(_finding(name, inputs, check["lhs"], check["relation"], check["rhs"], check["pass"]))
         removed.append(curve.to_json())
     steps = len(removed)
-    budget = counting._ceil_cbrt(len(A)) + 1
+    budget = counting.prune_budget(len(A))
     occ = counting.max_collinear_cocircular(current)
     findings.append(_finding("prune-step-budget", inputs, steps, "<=", budget, steps <= budget))
     for name, m in (("prune-line-occupancy", occ.m_line), ("prune-circle-occupancy", occ.m_circle)):
@@ -144,16 +149,15 @@ def _sweep_row(spec: FieldSpec, kind: str, params: Mapping, size: int, seed: int
     reduction = dict.fromkeys(
         ("reduction_r", "reduction_lifted", "rudnev_surrogate", "rudnev_float", "rudnev_ok")
     )
-    nonzero = counting.segment_classes(A).nonzero_sizes()
-    if nonzero:
-        r_star, _ = max(nonzero, key=lambda item: (item[1], -item[0].index))
+    r_star = counting.segment_classes(A).largest()
+    if r_star is not None:
         reduction["reduction_r"] = r_star.index
         try:
             w = incidence.claim_reduction(A, r_star)
         except (incidence.ReductionUnavailableError, AssertionError) as exc:
             flags.append("reduction-unavailable")
             name = f"reduction-available[size={size},r={r_star.index}]"
-            failures.append(_reduction_unavailable(name, _digest(A.to_json()), exc))
+            failures.append(_reduction_unavailable(name, counting._per_set(A, _set_digest), exc))
         else:
             ratio = w.ratio()
             rudnev_ok = ratio.surrogate_ratio <= thresholds.rudnev_ceiling

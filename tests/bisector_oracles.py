@@ -6,13 +6,15 @@ sweep over all q^2 + q lines, the bisector-locus enumeration, the per-pair
 the epsilon term, the apex-histogram passes of ``distance_stats`` and
 ``verify_identities``, and the grouping of every ordered pair into its
 segment class.  Each builds its lines with the geometry module's own
-constructors.
+constructors.  The isotropic vectors, the nonzero v with v.v = 0, are the
+displacements of the pairs the table marks -1.
 """
 
 from dataclasses import dataclass
 
 from findist.counting import LineBisectorRecord, _per_set
-from findist.geometry import Line, Segment, all_lines, distance, equidistant_line, reflect
+from findist.field import FieldSpec
+from findist.geometry import Line, Point, Segment, all_lines, distance, equidistant_line, reflect
 
 
 @dataclass(eq=False)
@@ -202,3 +204,23 @@ def brute_axial_pairs(A, r):
             if mirrored != (s.head, s.tail) and mirrored in members:
                 count += 1
     return count
+
+
+def is_isotropic_vector(v: Point) -> bool:
+    if v.is_zero():
+        raise ValueError("the zero vector is not classified as isotropic or not")
+    return not v.norm_sq()
+
+
+def isotropic_vectors(spec: FieldSpec) -> list[Point]:
+    """All nonzero v with v·v = 0, in canonical order; empty when q ≡ 3 (mod 4)."""
+    roots = (-spec.one()).sqrt()
+    if not roots:
+        return []
+    out = []
+    for t in spec.elements():
+        if not t:
+            continue
+        for i in roots:
+            out.append(Point(t, i * t))
+    return sorted(out, key=lambda p: p.key)

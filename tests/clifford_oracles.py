@@ -8,23 +8,55 @@ motion's canonical JSON, and every motion through ``kappa`` and ``kappa_inv``
 against one pass over the ``ProjPoint``s of projective 3-space.
 ``check_clifford`` and ``check_kinematic`` reproduce those whole checks,
 findings and metrics, with the same draws from the same generator.
+``product_rows`` is the kernel's product on (N, 8) rows, and ``even_element``
+and ``main_involution`` build the elements the tests state the algebra with.
 """
 
 import numpy as np
 
 from findist.clifford import (
+    _GRADES,
     BLADE_NAMES,
     CliffordElement,
+    EvenCliffordElement,
     QuadraticFormSpec,
+    _product,
     blade,
-    even_element,
     even_units,
     rho_star,
     sandwich,
 )
 from findist.harness import _digest, _finding, canonical_json
-from findist.kinematic import all_proj_points, is_exceptional, kappa, kappa_inv
+from findist.kinematic import all_proj_points, kappa, kappa_inv
 from findist.motions import all_motions
+from motion_oracles import is_exceptional
+
+_ALPHA_SIGNS = (1, -1, 1, -1)
+
+
+def main_involution(a: CliffordElement) -> CliffordElement:
+    """The grade automorphism: sign (-1)^k on grade-k blades."""
+    out = []
+    for c, g in zip(a.coeffs, _GRADES):
+        out.append(c if _ALPHA_SIGNS[g] > 0 else -c)
+    return CliffordElement(a.form, tuple(out))
+
+
+def even_element(
+    form: QuadraticFormSpec, g0: int, g12: int, g13: int, g23: int
+) -> EvenCliffordElement:
+    """Build an even element from canonical coefficient indices."""
+    f = form.field
+    return EvenCliffordElement(
+        form, f.from_index(g0), f.from_index(g12), f.from_index(g13), f.from_index(g23)
+    )
+
+
+def product_rows(form: QuadraticFormSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products a[k] * b[k] of two (N, 8) index arrays, as ``CliffordElement.__mul__``."""
+    cols = _product(form, list(a.T), list(b.T))
+    zero = np.zeros(len(a), dtype=np.int64)
+    return np.stack([zero if c is None else c for c in cols], axis=1)
 
 
 def sandwich_display_mismatches(form, vectors, units):

@@ -20,7 +20,8 @@ from findist.field import FieldSpec
 from findist.geometry import Line, Point, PointSet, Segment, reflect
 from findist.incidence import _field_embedding
 from findist.kinematic import ProjPlane, ProjPoint, kappa, phi_left
-from findist.motions import iter_r_tau, motion_between_segments
+from findist.motions import motion_between_segments
+from motion_oracles import iter_r_tau
 
 
 def count_incidences(points, planes, method="sweep"):

@@ -39,15 +39,13 @@ from findist.kinematic import (
     _chart_a,
     _chart_b,
     all_proj_points,
-    exceptional_set,
     kappa,
     kappa_inv,
-    matrix_rank,
     phi_left,
-    phi_right,
     r_tau_plane,
 )
-from findist.motions import all_motions, iter_r_tau, so2_order, transporter_set
+from findist.motions import all_motions, so2_order
+from motion_oracles import exceptional_set, iter_r_tau, matrix_rank, phi_right, transporter_set
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)

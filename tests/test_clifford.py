@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from clifford_oracles import even_element, main_involution
 from findist.clifford import (
     BLADE_NAMES,
     CliffordElement,
@@ -13,9 +14,7 @@ from findist.clifford import (
     QuadraticFormSpec,
     blade,
     conjugate,
-    even_element,
     even_units,
-    main_involution,
     norm,
     rho_star,
     sandwich,

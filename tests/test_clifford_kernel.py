@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clifford_oracles import check_clifford, check_kinematic
+from clifford_oracles import check_clifford, check_kinematic, even_element, product_rows
 from findist import algebra_checks, clifford, field
 from findist.clifford import (
     BLADE_NAMES,
@@ -23,11 +23,9 @@ from findist.clifford import (
     EvenCliffordElement,
     QuadraticFormSpec,
     blade,
-    even_element,
     even_norms,
     even_unit_columns,
     even_units,
-    product_rows,
     rho_star,
     rho_star_keys,
     sandwich,
@@ -36,8 +34,9 @@ from findist.clifford import (
 from findist.field import FieldSpec, NonUnitError
 from findist.algebra_checks import _check_clifford, _check_kinematic
 from findist.harness import make_config
-from findist.kinematic import all_proj_points, exceptional_set, is_exceptional, kappa_inv
+from findist.kinematic import all_proj_points, kappa_inv
 from findist.motions import SpecMismatchError
+from motion_oracles import exceptional_set, is_exceptional
 
 FIELDS = [FieldSpec(3), FieldSpec(5), FieldSpec(7), FieldSpec(3, 2), FieldSpec(5, 2)]
 # lam = -1 and lam = 2 over each field; over F_3 they are one form

@@ -11,6 +11,7 @@ import pytest
 from bisector_oracles import locus_bisector_stats, object_segment_classes, sweep_bisector_stats
 from findist.counting import (
     IsoscelesCounts,
+    _index_coords,
     bisector_stats,
     distance_stats,
     isosceles_count,
@@ -210,6 +211,29 @@ class TestSegmentClasses:
         classes = segment_classes(A)
         assert classes.q_value == sum(size ** 2 for _, size in classes.nonzero_sizes())
         assert_sizes_match_objects(A)
+
+    def test_largest_takes_the_least_length_among_equals(self):
+        # every class of this set has two pairs, so the least nonzero length wins
+        A = PointSet(F11, [point(F11, 0, 0), point(F11, 1, 0), point(F11, 3, 1)])
+        assert segment_classes(A).largest() == segment_classes(A).nonzero_sizes()[0][0]
+        for size in (0, 1):
+            assert segment_classes(PointSet(F7, [point(F7, 3, 4)][:size])).largest() is None
+
+    @given(st.one_of(*(subsets(spec, max_size=12) for spec in (F7, F9, F13))))
+    @settings(max_examples=60, deadline=None)
+    def test_largest_is_the_sweeps_class_rule(self, A):
+        nonzero = segment_classes(A).nonzero_sizes()
+        expected = max(nonzero, key=lambda item: (item[1], -item[0].index))[0] if nonzero else None
+        assert segment_classes(A).largest() == expected
+
+
+def test_index_coords_are_read_only_and_built_once():
+    x, y = _index_coords(COLLINEAR_F7)
+    assert _index_coords(COLLINEAR_F7)[0] is x
+    assert [x.tolist(), y.tolist()] == [[p.x.index for p in COLLINEAR_F7], [p.y.index for p in COLLINEAR_F7]]
+    for column in (x, y):
+        with pytest.raises(ValueError):
+            column[0] = 1
 
 
 class TestIsoscelesCount:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bisector_oracles import is_isotropic_vector, isotropic_vectors
 from findist.field import FieldSpec
 from findist.geometry import (
     Circle,
@@ -18,8 +19,6 @@ from findist.geometry import (
     bisector,
     curve_through,
     distance,
-    is_isotropic_vector,
-    isotropic_vectors,
     line_through,
     point,
     reflect,

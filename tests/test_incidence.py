@@ -36,8 +36,9 @@ from findist.incidence import (
     rudnev_ratio,
 )
 from findist.harness import ExperimentConfig, run
-from findist.kinematic import ProjPlane, ProjPoint, all_proj_points, kappa, transporter_image
+from findist.kinematic import ProjPlane, ProjPoint, all_proj_points, kappa
 from findist.motions import all_motions
+from motion_oracles import transporter_image
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)

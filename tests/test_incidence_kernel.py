@@ -42,8 +42,9 @@ from findist.incidence import (
     max_collinear,
     rudnev_ratio,
 )
-from findist.kinematic import ProjPlane, all_proj_points, r_tau_plane, transporter_image
+from findist.kinematic import ProjPlane, all_proj_points, r_tau_plane
 from findist.projective_rows import _r_tau_planes
+from motion_oracles import transporter_image
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)

@@ -14,15 +14,10 @@ from findist.kinematic import (
     ProjPlane,
     ProjPoint,
     all_proj_points,
-    exceptional_set,
     kappa,
     kappa_inv,
-    matrix_rank,
     phi_left,
-    phi_right,
     r_tau_plane,
-    transporter_image,
-    transporter_line,
     _chart_a,
     _chart_b,
 )
@@ -30,9 +25,9 @@ from findist.motions import (
     RigidMotion,
     all_motions,
     enumerate_rotations,
-    r_tau_set,
 )
 from findist.projective_rows import _r_tau_planes, _ranks
+from motion_oracles import exceptional_set, matrix_rank, phi_right, r_tau_set, transporter_image, transporter_line
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)

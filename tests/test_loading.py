@@ -3,6 +3,7 @@
 Every case runs in a fresh interpreter, so that ``sys.modules`` starts clean.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -134,6 +135,56 @@ print(json.dumps({
     assert len(set(got["sizes"])) == 1 and got["json"]
 
 
+PUBLIC_NAMES = [
+    "Circle", "CliffordElement", "EvenCliffordElement", "ExperimentConfig", "FieldElement", "FieldSpec",
+    "GENERATOR_KINDS", "Line", "Point", "PointSet", "ProjMap", "ProjPlane", "ProjPoint", "QuadraticFormSpec",
+    "ReductionWitness", "Report", "RigidMotion", "Rotation", "Segment", "Thresholds", "UnsupportedGeneratorError",
+    "all_lines", "all_motions", "all_points", "all_proj_points", "axial_pair_count", "bisector", "bisector_stats",
+    "blade", "claim_reduction", "count_incidences", "distance", "distance_stats", "enumerate_rotations",
+    "epsilon_term", "equidistant_line", "even_units", "find_irreducible", "generate", "isosceles_count", "kappa",
+    "kappa_inv", "make_config", "max_collinear", "max_collinear_cocircular", "motion_between_segments", "phi_left",
+    "prune_curve", "prune_heavy", "r_tau_plane", "reflect", "rho_star", "rudnev_ratio", "run", "sandwich",
+    "segment_classes", "so2_order", "standard_corpus", "standard_corpus_sets", "verify_identities",
+]
+
+# the object-only constructions that live on as test oracles, by their old module
+MOVED_TO_TESTS = {
+    "clifford": ("even_element", "main_involution", "_ALPHA_SIGNS", "product_rows"),
+    "geometry": ("isotropic_vectors", "is_isotropic_vector"),
+    "kinematic": ("phi_right", "transporter_line", "transporter_image", "matrix_rank", "exceptional_set",
+                  "is_exceptional"),
+    "motions": ("axial_to_motion", "_reflection_parts", "r_tau_set", "iter_r_tau", "rotation_about",
+                "transporter_set"),
+}
+
+# class members that nothing calls
+DELETED_MEMBERS = {
+    "clifford": {"CliffordElement": ("__sub__", "scalar", "to_json"), "EvenCliffordElement": ("to_json",)},
+    "incidence": {"EpsilonTerm": ("to_json",)},
+    "geometry": {"Point": ("__neg__",), "Line": ("direction",)},
+    "kinematic": {"ProjMap": ("inverse", "identity")},
+    "motions": {"Rotation": ("identity",), "RigidMotion": ("rotation",)},
+}
+
+
+def test_moved_names_are_gone_from_the_package():
+    import findist
+
+    for module, names in MOVED_TO_TESTS.items():
+        old = importlib.import_module(f"findist.{module}")
+        for name in names:
+            assert not hasattr(findist, name), name
+            assert not hasattr(old, name), f"findist.{module}.{name}"
+
+
+def test_deleted_members_are_gone():
+    for module, classes in DELETED_MEMBERS.items():
+        mod = importlib.import_module(f"findist.{module}")
+        for cls, members in classes.items():
+            for member in members:
+                assert not hasattr(getattr(mod, cls), member), f"findist.{module}.{cls}.{member}"
+
+
 def test_every_public_name_resolves_to_its_submodules_object():
     code = """
 import importlib, json
@@ -156,7 +207,8 @@ print(json.dumps({"names": names, "unlisted": sorted(set(names) - listed), "lazy
                   "missing_raises": missing_raises}))
 """
     got = _python([], code)
-    assert len(got["names"]) == len(set(got["names"])) == 70
+    assert len(got["names"]) == len(set(got["names"]))
+    assert sorted(got["names"]) == PUBLIC_NAMES
     assert got["unlisted"] == []
     assert got["lazy"] > 0  # names outside field and harness wait for their first read
     assert got["wrong"] == [] and got["starred"] == [] and got["extra"] == []

@@ -23,14 +23,11 @@ from findist.motions import (
     Rotation,
     SpecMismatchError,
     all_motions,
-    axial_to_motion,
     enumerate_rotations,
     motion_between_segments,
-    r_tau_set,
-    rotation_about,
     so2_order,
-    transporter_set,
 )
+from motion_oracles import axial_to_motion, r_tau_set, rotation_about, transporter_set
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)

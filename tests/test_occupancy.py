@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
+from bisector_oracles import isotropic_vectors
 from findist import counting, field, point_checks
 from findist.counting import (
     _circle_scan,
@@ -35,7 +36,6 @@ from findist.geometry import (
     all_points,
     curve_through,
     distance,
-    isotropic_vectors,
     line_through,
     point,
 )
