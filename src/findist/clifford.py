@@ -163,9 +163,6 @@ class CliffordElement:
     def grades(self) -> set[int]:
         return {g for c, g in zip(self.coeffs, _GRADES) if c}
 
-    def is_even(self) -> bool:
-        return self.grades() <= {0, 2}
-
     def scalar_part(self) -> FieldElement:
         return self.coeffs[0]
 
@@ -267,30 +264,17 @@ class EvenCliffordElement:
     def norm(self) -> FieldElement:
         return self.g0 * self.g0 - self.form.lam * (self.g12 * self.g12)
 
-    def is_unit(self) -> bool:
-        return bool(self.norm())
-
     def inverse(self) -> "EvenCliffordElement":
         n = self.norm()
         if not n:
             raise NonUnitError(f"{self!r} has norm 0")
         return self.conjugate().scaled(n.inverse())
 
-    def is_identity_coset(self) -> bool:
-        """True when this is a nonzero scalar, i.e. lies in the centre Z."""
-        return bool(self.g0) and not (self.g12 or self.g13 or self.g23)
-
     def to_clifford(self) -> CliffordElement:
         z = self.form.field.zero()
         return CliffordElement(
             self.form, (self.g0, z, z, z, self.g12, self.g13, self.g23, z)
         )
-
-    @staticmethod
-    def from_clifford(a: CliffordElement) -> "EvenCliffordElement":
-        if not a.is_even():
-            raise ValueError("element has odd components")
-        return EvenCliffordElement(a.form, a.coeffs[0], a.coeffs[4], a.coeffs[5], a.coeffs[6])
 
     @staticmethod
     def identity(form: QuadraticFormSpec) -> "EvenCliffordElement":

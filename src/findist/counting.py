@@ -13,7 +13,6 @@ quadruples.
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import comb
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
@@ -44,38 +43,26 @@ def _coordinate_indices(A: PointSet) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-class DistanceStats:
-    """Pinned distance spectra: the pair counts, and the per-point sets and their union built on first read."""
+class DistanceStats(NamedTuple):
+    """Counts of the distance spectra.
 
-    A: PointSet
+    pind and pind_nonzero are the most lengths one apex has, with and without
+    0; nonzero_pairs counts the ordered pairs at a nonzero length, and
+    distinct_distances the lengths some pair has.
+    """
+
     pind: int
     pind_nonzero: int
     nonzero_pairs: int
     distinct_distances: int
-
-    def __init__(self, **fields):
-        self.__dict__.update(fields)
-
-    @cached_property
-    def per_point(self) -> dict:
-        element, rows = self.A.spec.from_index, bisector_table(self.A).dist.tolist()
-        return {a: frozenset(map(element, set(row))) for a, row in zip(self.A.points, rows)}
-
-    @cached_property
-    def distances(self) -> frozenset:
-        return frozenset(map(self.A.spec.from_index, np.flatnonzero(segment_classes(self.A).sizes).tolist()))
-
-    def per_point_nonzero(self, a: Point) -> frozenset:
-        return frozenset(r for r in self.per_point[a] if r)
 
 
 def distance_stats(A: PointSet) -> DistanceStats:
     """The distance spectra: pind is the most lengths one apex has in the pinned-distance profile."""
     pind = int(np.bincount(pinned_profile(A).apex).max(initial=0))
     # every spectrum holds d(a, a) = 0
-    return DistanceStats(A=A, pind=pind, pind_nonzero=max(pind - 1, 0),
-                         nonzero_pairs=int(np.count_nonzero(bisector_table(A).dist)),
-                         distinct_distances=int(np.count_nonzero(segment_classes(A).sizes)))
+    return DistanceStats(pind, max(pind - 1, 0), int(np.count_nonzero(bisector_table(A).dist)),
+                         int(np.count_nonzero(segment_classes(A).sizes)))
 
 
 class SegmentClasses(NamedTuple):
@@ -184,13 +171,6 @@ def _isosceles_count(A: PointSet) -> IsoscelesCounts:
     return IsoscelesCounts(t, t + 2 * int(others[0] @ others[1]) if len(others) else t)
 
 
-class LineBisectorRecord(NamedTuple):
-    line: Line
-    incidence: int
-    b: int
-    b_star: int
-
-
 class BisectorTable(NamedTuple):
     """The pair tables of A, indexed in the order of ``A.points``.
 
@@ -228,15 +208,7 @@ def _bisector_table(A: PointSet) -> BisectorTable:
     return BisectorTable(dist, keys)
 
 
-def line_from_key(spec: FieldSpec, key: int) -> Line:
-    """The line a bisector-table key encodes."""
-    q = spec.q
-    if key < q * q:
-        return Line(spec.one(), spec.from_index(key // q), spec.from_index(key % q))
-    return Line(spec.zero(), spec.one(), spec.from_index(key - q * q))
-
-
-class BisectorStats:
+class BisectorStats(NamedTuple):
     """Per-line symmetry counts and their second moments.
 
     b_star counts off-line points whose mirror image lands back in A (zero on
@@ -257,33 +229,10 @@ class BisectorStats:
     cone_count: int
     n_isotropic: int
     relation_universal: bool
-    spec: FieldSpec
     line_keys: np.ndarray
     incidence: np.ndarray
     b: np.ndarray
     b_star: np.ndarray
-
-    def __init__(self, **fields):
-        self.__dict__.update(fields)
-
-    @cached_property
-    def entries(self) -> dict:
-        """Line.key -> record for every line in ``line_keys``, in ``all_lines`` order."""
-        columns = (self.line_keys, self.incidence, self.b, self.b_star)
-        records = (
-            LineBisectorRecord(line_from_key(self.spec, key), inc, b, b_star)
-            for key, inc, b, b_star in zip(*(col.tolist() for col in columns))
-        )
-        return {rec.line.key: rec for rec in records}
-
-    def record_for(self, line: Line) -> LineBisectorRecord:
-        rec = self.entries.get(line.key)
-        if rec is None:
-            return LineBisectorRecord(line, 0, 0, 0)
-        return rec
-
-    def relation_holds(self, rec: LineBisectorRecord) -> bool:
-        return rec.b == rec.incidence * self.n_isotropic + rec.b_star
 
 
 def bisector_stats(A: PointSet) -> BisectorStats:
@@ -299,8 +248,7 @@ def bisector_stats(A: PointSet) -> BisectorStats:
 
 
 def _bisector_stats(A: PointSet) -> BisectorStats:
-    spec, q = A.spec, A.spec.q
-    F = _index_field(spec)
+    F, q = _index_field(A.spec), A.spec.q
     x, y = _index_coords(A)
     table, profile = bisector_table(A), pinned_profile(A)
     partners = profile.n[profile.r == 0] - 1
@@ -320,9 +268,7 @@ def _bisector_stats(A: PointSet) -> BisectorStats:
     cone = int(np.count_nonzero(F.add(F.mul(x, x), F.mul(y, y)) == 0))
     n_isotropic = max(cone - 1, 0)
     universal = bool(np.all(anchored == incidence * n_isotropic))
-    return BisectorStats(b_energy=int(b @ b), b_star_energy=int(b_star @ b_star), cone_count=cone,
-                         n_isotropic=n_isotropic, relation_universal=universal, spec=spec, line_keys=lines,
-                         incidence=incidence, b=b, b_star=b_star)
+    return BisectorStats(int(b @ b), int(b_star @ b_star), cone, n_isotropic, universal, lines, incidence, b, b_star)
 
 
 class CurveOccupancy(NamedTuple):
@@ -338,7 +284,7 @@ def _points_from_pairs(pairs: np.ndarray) -> np.ndarray:
     return (1 + np.rint(np.sqrt(1 + 8 * pairs)).astype(np.int64)) // 2
 
 
-def _curve_scan(A: PointSet, heavy_cube: Optional[int] = None) -> tuple[CurveOccupancy, list]:
+def _curve_scan(A: PointSet, heavy_cube: int) -> tuple[CurveOccupancy, list]:
     """Curve occupancy of A by the index kernel, and the curves holding m points with m^3 > heavy_cube.
 
     Every pair of points keys its line by the canonical (n1, n2, c), so a line
@@ -374,11 +320,10 @@ def _curve_scan(A: PointSet, heavy_cube: Optional[int] = None) -> tuple[CurveOcc
     return CurveOccupancy(max(m_line, m_circle), m_line, m_circle), listed
 
 
-def _collect(heavy: dict, kind: int, keys: np.ndarray, m: np.ndarray, heavy_cube: Optional[int]) -> None:
-    if heavy_cube is not None:
-        over = m**3 > heavy_cube
-        for key, count in zip(keys[over].tolist(), m[over].tolist()):
-            heavy[kind, key] = max(heavy.get((kind, key), 0), count)
+def _collect(heavy: dict, kind: int, keys: np.ndarray, m: np.ndarray, heavy_cube: int) -> None:
+    over = m**3 > heavy_cube
+    for key, count in zip(keys[over].tolist(), m[over].tolist()):
+        heavy[kind, key] = max(heavy.get((kind, key), 0), count)
 
 
 def _sweep_is_cheaper(q: int, n: int) -> bool:
@@ -387,7 +332,7 @@ def _sweep_is_cheaper(q: int, n: int) -> bool:
     return 5 * q * q * (n + q) <= 140 * comb(n, 3) + 90_000 * (n - 2)
 
 
-def _circle_sweep(F, q: int, x: np.ndarray, y: np.ndarray, heavy_cube: Optional[int], heavy: dict) -> int:
+def _circle_sweep(F, q: int, x: np.ndarray, y: np.ndarray, heavy_cube: int, heavy: dict) -> int:
     """m_circle by the centre sweep; the circles with m^3 > heavy_cube go into heavy."""
     # for a block of centre rows z_x, bin (z_x q + z_y) q + d, the circle's
     # key, counts the points at d = (z_x - a_x)^2 + (z_y - a_y)^2 from z; the
@@ -406,13 +351,13 @@ def _circle_sweep(F, q: int, x: np.ndarray, y: np.ndarray, heavy_cube: Optional[
         counts[::q] = 0
         top = int(counts.max())
         m_circle = max(m_circle, top)
-        if heavy_cube is not None and top**3 > heavy_cube:
+        if top**3 > heavy_cube:
             bins = np.flatnonzero(counts >= 3)
             _collect(heavy, 1, bins + lo * q * q, counts[bins], heavy_cube)
     return m_circle if m_circle >= 3 else 0
 
 
-def _circle_scan(F, q: int, x, y, first, second, heavy_cube: Optional[int], heavy: dict) -> int:
+def _circle_scan(F, q: int, x, y, first, second, heavy_cube: int, heavy: dict) -> int:
     """m_circle by the per-anchor triple scan; the circles with m^3 > heavy_cube go into heavy."""
     # (first, second) = np.triu_indices(n, 1).  Every non-collinear triple
     # keys its circle by (centre, r^2), skipping r^2 = 0; such a circle is a
@@ -446,16 +391,17 @@ def _circle_scan(F, q: int, x, y, first, second, heavy_cube: Optional[int], heav
 
 
 def max_collinear_cocircular(A: PointSet) -> CurveOccupancy:
-    """Exact curve occupancy maxima, computed once per point set.
+    """Exact curve occupancy maxima, read off the set's one curve scan.
 
     A circle holding fewer than three points counts as none, but such a
     circle cannot beat the best line either.
     """
-    return _per_set(A, _occupancy)
+    return _per_set(A, _own_scan)[0]
 
 
-def _occupancy(A: PointSet) -> CurveOccupancy:
-    return _curve_scan(A)[0]
+def _own_scan(A: PointSet) -> tuple[CurveOccupancy, list]:
+    """The curve scan of A at |A|^2, which occupancy and pruning both read through ``_per_set``."""
+    return _curve_scan(A, len(A) ** 2)
 
 
 def verify_identities(A: PointSet) -> list[dict]:
@@ -558,15 +504,20 @@ def prune_budget(n: int) -> int:
 
 
 def _heavy_curves(S: PointSet, orig_sq: int) -> list:
-    """Curves holding m points of S with m^3 > orig_sq, heaviest first, lines before circles, then by key."""
-    occupancy, listed = _curve_scan(S, orig_sq)
-    S._cache.setdefault(_occupancy, occupancy)
-    spec, q = S.spec, S.spec.q
-    curves = []
-    for _, kind, key in listed:
-        u, v, w = (spec.from_index(i) for i in (key // (q * q), key // q % q, key % q))
-        curves.append(Line(u, v, w) if kind == 0 else Circle(Point(u, v), w))
-    return curves
+    """Curves holding m points of S with m^3 > orig_sq, heaviest first, lines before circles, then by key.
+
+    Defined for orig_sq >= |S|^2, which ``prune_steps`` always passes (S is a
+    subset of the set it started from): the set's own scan lists every curve
+    with m^3 > |S|^2, sorted, and keeping those over orig_sq keeps the order.
+    """
+    return [_curve(S.spec, kind, key) for neg_m, kind, key in _per_set(S, _own_scan)[1] if (-neg_m) ** 3 > orig_sq]
+
+
+def _curve(spec: FieldSpec, kind: int, key: int) -> Union[Line, Circle]:
+    """The line (kind 0) or circle (kind 1) a curve-scan key names."""
+    q = spec.q
+    u, v, w = (spec.from_index(i) for i in (key // (q * q), key // q % q, key % q))
+    return Line(u, v, w) if kind == 0 else Circle(Point(u, v), w)
 
 
 def prune_steps(A: PointSet) -> Iterator[tuple[Union[Line, Circle], PointSet, dict]]:

@@ -376,9 +376,6 @@ class FieldElement:
             return 0
         return -1 if self.log & 1 else 1
 
-    def is_square(self) -> bool:
-        return self.chi() >= 0
-
     def sqrt(self) -> tuple["FieldElement", ...]:
         """All square roots: () for non-squares, (0,) for zero, else both roots.
 

@@ -50,9 +50,6 @@ class Point:
     def norm_sq(self) -> FieldElement:
         return self.dot(self)
 
-    def is_zero(self) -> bool:
-        return not self.x and not self.y
-
     @property
     def key(self) -> tuple[int, int]:
         return (self.x.index, self.y.index)

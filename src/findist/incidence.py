@@ -12,8 +12,8 @@ the difference exactly.
 
 It runs on the field's index kernel, with motions as (u, v, s, t) index
 columns and point and plane families as (N, 4) arrays of canonical rows.
-The witness holds those columns; its objects and its line occupancy k are
-built on first read.
+The witness holds those columns and writes its JSON from them; its line
+occupancy k is built on first read.
 """
 
 from __future__ import annotations
@@ -379,10 +379,11 @@ class ReductionWitness:
     The data are kept as the indices they were computed on: ``r``, ``s_r``
     (hx, hy, tx, ty) and ``axis`` (n1, n2, c) over ``work_field``, the
     motions ``g`` and ``h`` as (u, v, s, t) columns, the point and plane
-    families as canonical (N, 4) rows.  Their objects, with their classes'
-    modules, and the line occupancy ``k`` are built on first read, so a point
-    run loads no motion code and a lifted reduction builds no extension
-    element until then; ``to_json`` writes the families from their rows.
+    families as canonical (N, 4) rows.  ``r``, ``s_r``, ``axis`` and the line
+    occupancy ``k`` are built on first read, so a lifted reduction builds no
+    extension element until then.  ``to_json`` writes each family from its
+    rows as its motion, point or plane objects would, so no run loads the
+    motion or kinematic modules.
     """
 
     base_field: FieldSpec
@@ -407,10 +408,6 @@ class ReductionWitness:
     def __init__(self, **fields):
         self.__dict__.update(fields)
 
-    def _objects(self, make, columns) -> tuple:
-        element = self.work_field.from_index
-        return tuple(make(*map(element, row)) for row in zip(*(c.tolist() for c in columns)))
-
     @cached_property
     def r(self) -> FieldElement:
         return self.work_field.from_index(self.r_index)
@@ -423,26 +420,6 @@ class ReductionWitness:
     @cached_property
     def axis(self) -> Line:
         return Line(*map(self.work_field.from_index, self.axis_key))
-
-    @cached_property
-    def g_motions(self) -> tuple:
-        from .motions import RigidMotion
-        return self._objects(RigidMotion, self.g)
-
-    @cached_property
-    def h_motions(self) -> tuple:
-        from .motions import RigidMotion
-        return self._objects(RigidMotion, self.h)
-
-    @cached_property
-    def points(self) -> tuple:
-        from .kinematic import ProjPoint
-        return self._objects(lambda *coords: ProjPoint(coords), self.point_rows.T)
-
-    @cached_property
-    def planes(self) -> tuple:
-        from .kinematic import ProjPlane
-        return self._objects(lambda *coeffs: ProjPlane(coeffs), self.plane_rows.T)
 
     @cached_property
     def k(self) -> int:
@@ -458,11 +435,12 @@ class ReductionWitness:
 
     def to_json(self) -> dict:
         # each family from its canonical rows, as its objects would write it
+        element = self.work_field.from_index
         families = {"g_motions": self.g, "h_motions": self.h, "points": self.point_rows.T, "planes": self.plane_rows.T}
 
         def encode(name):
             if name in families:
-                return list(self._objects(lambda *row: [x.to_json() for x in row], families[name]))
+                return [[element(i).to_json() for i in row] for row in zip(*(c.tolist() for c in families[name]))]
             value = getattr(self, name)
             return value.to_json() if hasattr(value, "to_json") else value
 

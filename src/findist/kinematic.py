@@ -176,17 +176,8 @@ class ProjMap:
     def apply(self, p: ProjPoint) -> ProjPoint:
         return ProjPoint(_mat_vec(self.matrix, p.coords))
 
-    def apply_plane(self, plane: ProjPlane) -> ProjPlane:
-        """Image plane: coefficients transform by the inverse transpose."""
-        inv = _mat_inverse(self.matrix, self.spec)
-        transposed = tuple(tuple(inv[j][i] for j in range(4)) for i in range(4))
-        return ProjPlane(_mat_vec(transposed, plane.coeffs))
-
     def compose(self, other: "ProjMap") -> "ProjMap":
         return ProjMap(_mat_mul(self.matrix, other.matrix))
-
-    def is_identity(self) -> bool:
-        return self.matrix == _identity_matrix(self.spec)
 
 
 def _chart_a(g: RigidMotion) -> tuple[FieldElement, ...]:

@@ -7,7 +7,7 @@ the group acts simply transitively, which is what ``motion_between_segments`` ex
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .field import FieldElement, FieldSpec
 from .geometry import Point, Segment
@@ -50,9 +50,6 @@ class Rotation:
 
     def apply(self, p: Point) -> Point:
         return Point(self.u * p.x - self.v * p.y, self.v * p.x + self.u * p.y)
-
-    def is_identity(self) -> bool:
-        return self.u == self.u.spec.one() and not self.v
 
     @property
     def key(self) -> tuple[int, int]:
@@ -111,9 +108,6 @@ class RigidMotion:
             self.v * p.x + self.u * p.y + self.t,
         )
 
-    def apply_segment(self, seg: Segment) -> Segment:
-        return Segment(self.apply(seg.head), self.apply(seg.tail))
-
     def compose(self, other: "RigidMotion") -> "RigidMotion":
         """self after other (function composition)."""
         return RigidMotion(
@@ -130,31 +124,6 @@ class RigidMotion:
             -(self.u * self.s + self.v * self.t),
             self.v * self.s - self.u * self.t,
         )
-
-    def is_identity(self) -> bool:
-        spec = self.spec
-        return self.u == spec.one() and not self.v and not self.s and not self.t
-
-    def is_translation(self) -> bool:
-        return self.u == self.spec.one() and not self.v
-
-    def fixed_point(self) -> Optional[Point]:
-        """The unique fixed point when the rotation part is nontrivial.
-
-        Returns None for fixed-point-free motions (nonzero translations); the
-        identity is rejected because every point is fixed.
-        """
-        if self.is_identity():
-            raise ValueError("identity fixes every point")
-        if self.is_translation():
-            return None
-        # solve (I - R) z = (s, t); det(I - R) = 2(1 - u) != 0 when R != I
-        one = self.spec.one()
-        a, b = one - self.u, self.v
-        det = a * a + b * b
-        zx = (a * self.s - b * self.t) / det
-        zy = (b * self.s + a * self.t) / det
-        return Point(zx, zy)
 
     @property
     def key(self) -> tuple[int, int, int, int]:

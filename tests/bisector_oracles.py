@@ -8,13 +8,78 @@ the epsilon term, the apex-histogram passes of ``distance_stats`` and
 segment class.  Each builds its lines with the geometry module's own
 constructors.  The isotropic vectors, the nonzero v with v.v = 0, are the
 displacements of the pairs the table marks -1.
+
+The object views of the package's count records live here too: the
+per-point spectra and their union behind ``distance_stats``, and the per-line
+records behind ``bisector_stats``, keyed by ``Line.key``.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from findist.counting import LineBisectorRecord, _per_set
+import numpy as np
+
+from findist.counting import _per_set, bisector_stats, bisector_table, segment_classes
 from findist.field import FieldSpec
 from findist.geometry import Line, Point, Segment, all_lines, distance, equidistant_line, reflect
+
+
+class LineBisectorRecord(NamedTuple):
+    line: Line
+    incidence: int
+    b: int
+    b_star: int
+
+
+def line_from_key(spec: FieldSpec, key: int) -> Line:
+    """The line a bisector-table key encodes."""
+    q = spec.q
+    if key < q * q:
+        return Line(spec.one(), spec.from_index(key // q), spec.from_index(key % q))
+    return Line(spec.zero(), spec.one(), spec.from_index(key - q * q))
+
+
+def per_point(A) -> dict:
+    """a -> the lengths d(a, b) over b in A, from the rows of A's distance table."""
+    return _per_set(A, _per_point)
+
+
+def _per_point(A):
+    element, rows = A.spec.from_index, bisector_table(A).dist.tolist()
+    return {a: frozenset(map(element, set(row))) for a, row in zip(A.points, rows)}
+
+
+def distances(A) -> frozenset:
+    """Every length some pair of A has, from its segment class sizes."""
+    return frozenset(map(A.spec.from_index, np.flatnonzero(segment_classes(A).sizes).tolist()))
+
+
+def per_point_nonzero(A, a) -> frozenset:
+    return frozenset(r for r in per_point(A)[a] if r)
+
+
+def entries(A) -> dict:
+    """Line.key -> record for every line in ``bisector_stats(A).line_keys``, in ``all_lines`` order."""
+    return _per_set(A, _entries)
+
+
+def _entries(A):
+    stats = bisector_stats(A)
+    columns = (stats.line_keys, stats.incidence, stats.b, stats.b_star)
+    records = (
+        LineBisectorRecord(line_from_key(A.spec, key), inc, b, b_star)
+        for key, inc, b, b_star in zip(*(col.tolist() for col in columns))
+    )
+    return {rec.line.key: rec for rec in records}
+
+
+def record_for(A, line: Line) -> LineBisectorRecord:
+    """The record of any line: all counts zero off ``line_keys``."""
+    return entries(A).get(line.key, LineBisectorRecord(line, 0, 0, 0))
+
+
+def relation_holds(stats, rec: LineBisectorRecord) -> bool:
+    return rec.b == rec.incidence * stats.n_isotropic + rec.b_star
 
 
 @dataclass(eq=False)
@@ -206,8 +271,12 @@ def brute_axial_pairs(A, r):
     return count
 
 
+def is_zero(v: Point) -> bool:
+    return not v.x and not v.y
+
+
 def is_isotropic_vector(v: Point) -> bool:
-    if v.is_zero():
+    if is_zero(v):
         raise ValueError("the zero vector is not classified as isotropic or not")
     return not v.norm_sq()
 

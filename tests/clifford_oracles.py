@@ -8,8 +8,10 @@ motion's canonical JSON, and every motion through ``kappa`` and ``kappa_inv``
 against one pass over the ``ProjPoint``s of projective 3-space.
 ``check_clifford`` and ``check_kinematic`` reproduce those whole checks,
 findings and metrics, with the same draws from the same generator.
-``product_rows`` is the kernel's product on (N, 8) rows, and ``even_element``
-and ``main_involution`` build the elements the tests state the algebra with.
+``product_rows`` is the kernel's product on (N, 8) rows, and ``even_element``,
+``from_clifford`` and ``main_involution`` build the elements the tests state
+the algebra with, and ``is_even``, ``is_unit`` and ``is_identity_coset``
+classify them.
 """
 
 import numpy as np
@@ -50,6 +52,25 @@ def even_element(
     return EvenCliffordElement(
         form, f.from_index(g0), f.from_index(g12), f.from_index(g13), f.from_index(g23)
     )
+
+
+def is_even(a: CliffordElement) -> bool:
+    return a.grades() <= {0, 2}
+
+
+def from_clifford(a: CliffordElement) -> EvenCliffordElement:
+    if not is_even(a):
+        raise ValueError("element has odd components")
+    return EvenCliffordElement(a.form, a.coeffs[0], a.coeffs[4], a.coeffs[5], a.coeffs[6])
+
+
+def is_unit(g: EvenCliffordElement) -> bool:
+    return bool(g.norm())
+
+
+def is_identity_coset(g: EvenCliffordElement) -> bool:
+    """True when g is a nonzero scalar, i.e. lies in the centre Z."""
+    return bool(g.g0) and not (g.g12 or g.g13 or g.g23)
 
 
 def product_rows(form: QuadraticFormSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:

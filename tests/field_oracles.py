@@ -1,4 +1,7 @@
-"""Coefficient-vector arithmetic modulo a field's modulus: the reference the log/Zech tables are checked against."""
+"""Coefficient-vector arithmetic modulo a field's modulus: the reference the log/Zech tables are checked against.
+
+``is_square`` reads an element's quadratic character, as the tests state it.
+"""
 
 from typing import Sequence
 
@@ -47,3 +50,8 @@ def poly_pow(a: Sequence[int], n: int, p: int, rows: Sequence[Sequence[int]]) ->
             result = poly_mul(result, a, p, rows)
         a, n = poly_mul(a, a, p, rows), n >> 1
     return result
+
+
+def is_square(a) -> bool:
+    """Whether a is a square: zero or an even power of the primitive element."""
+    return a.chi() >= 0

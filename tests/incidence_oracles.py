@@ -7,7 +7,8 @@ objects' pairwise fixed points and the axis scan over a set of ``Point``s;
 the plane spanned lazily by the axial rotation image; the field embedding
 and the lifted point set;
 and the whole reduction built from those pieces, which returns the witness
-JSON the index kernel must reproduce byte for byte.
+JSON the index kernel must reproduce byte for byte.  ``witness_families``
+builds a witness's motion, point and plane objects from its index rows.
 """
 
 import math
@@ -20,8 +21,23 @@ from findist.field import FieldSpec
 from findist.geometry import Line, Point, PointSet, Segment, reflect
 from findist.incidence import _field_embedding
 from findist.kinematic import ProjPlane, ProjPoint, kappa, phi_left
-from findist.motions import motion_between_segments
-from motion_oracles import iter_r_tau
+from findist.motions import RigidMotion, motion_between_segments
+from motion_oracles import apply_plane, fixed_point, iter_r_tau
+
+
+def witness_families(w):
+    """The witness's g_motions, h_motions, points and planes, as objects over its work field."""
+    element = w.work_field.from_index
+
+    def objects(make, columns):
+        return tuple(make(*map(element, row)) for row in zip(*(c.tolist() for c in columns)))
+
+    return {
+        "g_motions": objects(RigidMotion, w.g),
+        "h_motions": objects(RigidMotion, w.h),
+        "points": objects(lambda *coords: ProjPoint(coords), w.point_rows.T),
+        "planes": objects(lambda *coeffs: ProjPlane(coeffs), w.plane_rows.T),
+    }
 
 
 def count_incidences(points, planes, method="sweep"):
@@ -99,7 +115,7 @@ def pairwise_fixed_points(motions):
     for i, g in enumerate(motions):
         g_inv = g.inverse()
         for h in motions[i + 1:]:
-            z = g_inv.compose(h).fixed_point()
+            z = fixed_point(g_inv.compose(h))
             if z is not None:
                 fixed.add(z)
     return fixed
@@ -207,7 +223,7 @@ def reduction_json(A, r):
     h_motions = [motion_between_segments(y, s_r) for y in mirrored]
     points = [kappa(h) for h in h_motions]
     base_plane = lazy_span_plane(axis)
-    planes = [phi_left(g).apply_plane(base_plane) for g in g_motions]
+    planes = [apply_plane(phi_left(g), base_plane) for g in g_motions]
     incidences = count_incidences(points, planes)
     i_ax = loop_axial_pair_count(work_A, work_r)
     i_on_axis = on_axis_pair_count(segs)

@@ -8,17 +8,76 @@ composition of two reflections is a motion in R_tau, and right translation
 acts on projective 3-space as ``phi_right``.  The package's runs reach the
 embedding only through the index kernels in ``findist.projective_rows``, so
 these enumerations live here, where the tests hold the kernels and the
-lemmas to them.
+lemmas to them, with the motion and map operations only the tests apply:
+a motion on a segment, its fixed point, a projective map on a plane, and
+the identity tests of a rotation, a motion and a map.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Optional
 
 from findist.field import FieldSpec
-from findist.geometry import IsotropicAxisError, Line, Point, origin, reflect
-from findist.kinematic import ProjMap, ProjPoint, _row_reduce, all_proj_points, kappa, kappa_even
+from findist.geometry import IsotropicAxisError, Line, Point, Segment, origin, reflect
+from findist.kinematic import (
+    ProjMap,
+    ProjPlane,
+    ProjPoint,
+    _identity_matrix,
+    _mat_inverse,
+    _mat_vec,
+    _row_reduce,
+    all_proj_points,
+    kappa,
+    kappa_even,
+)
 from findist.motions import RigidMotion, Rotation, enumerate_rotations, so2_order
+
+
+def is_identity_rotation(rot: Rotation) -> bool:
+    return rot.u == rot.u.spec.one() and not rot.v
+
+
+def is_identity_motion(g: RigidMotion) -> bool:
+    return g.u == g.spec.one() and not g.v and not g.s and not g.t
+
+
+def is_identity_map(m: ProjMap) -> bool:
+    return m.matrix == _identity_matrix(m.spec)
+
+
+def apply_segment(g: RigidMotion, seg: Segment) -> Segment:
+    return Segment(g.apply(seg.head), g.apply(seg.tail))
+
+
+def is_translation(g: RigidMotion) -> bool:
+    return g.u == g.spec.one() and not g.v
+
+
+def fixed_point(g: RigidMotion) -> Optional[Point]:
+    """The unique fixed point when the rotation part is nontrivial.
+
+    Returns None for fixed-point-free motions (nonzero translations); the
+    identity is rejected because every point is fixed.
+    """
+    if is_identity_motion(g):
+        raise ValueError("identity fixes every point")
+    if is_translation(g):
+        return None
+    # solve (I - R) z = (s, t); det(I - R) = 2(1 - u) != 0 when R != I
+    one = g.spec.one()
+    a, b = one - g.u, g.v
+    det = a * a + b * b
+    zx = (a * g.s - b * g.t) / det
+    zy = (b * g.s + a * g.t) / det
+    return Point(zx, zy)
+
+
+def apply_plane(m: ProjMap, plane: ProjPlane) -> ProjPlane:
+    """Image plane: coefficients transform by the inverse transpose."""
+    inv = _mat_inverse(m.matrix, m.spec)
+    transposed = tuple(tuple(inv[j][i] for j in range(4)) for i in range(4))
+    return ProjPlane(_mat_vec(transposed, plane.coeffs))
 
 
 def rotation_about(center: Point, rot: Rotation) -> RigidMotion:
@@ -46,7 +105,7 @@ def iter_r_tau(axis: Line) -> Iterator[RigidMotion]:
         raise IsotropicAxisError(f"{axis!r} is isotropic")
     spec = axis.n1.spec
     yield RigidMotion.identity(spec)
-    rotations = [rot for rot in enumerate_rotations(spec) if not rot.is_identity()]
+    rotations = [rot for rot in enumerate_rotations(spec) if not is_identity_rotation(rot)]
     for z in axis.points(spec):
         for rot in rotations:
             yield rotation_about(z, rot)

@@ -45,6 +45,7 @@ from findist.kinematic import (
     r_tau_plane,
 )
 from findist.motions import all_motions, so2_order
+from incidence_oracles import witness_families
 from motion_oracles import exceptional_set, iter_r_tau, matrix_rank, phi_right, transporter_set
 
 F3 = FieldSpec(3)
@@ -206,11 +207,12 @@ def test_08_reduction_instances(tmp_path):
                 w = claim_reduction(A, r)
                 instances += 1
                 lifted += w.lifted
-                assert len(w.points) == size
-                assert len(w.planes) == size
-                assert len({p.key for p in w.points}) == size
-                assert len({pl.key for pl in w.planes}) == size
-                for p in w.points:
+                points, planes = (witness_families(w)[name] for name in ("points", "planes"))
+                assert len(points) == size
+                assert len(planes) == size
+                assert len({p.key for p in points}) == size
+                assert len({pl.key for pl in planes}) == size
+                for p in points:
                     x0, x1 = p.coords[0], p.coords[1]
                     assert x0 * x0 + x1 * x1, "image point on the exceptional locus"
                 if w.i_on_axis == 0:

@@ -18,13 +18,19 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
+import bisector_oracles
 from bisector_oracles import (
     apex_moments,
     brute_axial_pairs,
+    distances,
+    entries,
+    line_from_key,
     locus_bisector_stats,
     loop_axial_pair_count,
     loop_distance_stats,
     loop_epsilon_value,
+    per_point,
+    record_for,
     sweep_bisector_stats,
 )
 from findist import counting, field, incidence
@@ -107,7 +113,7 @@ def assert_stats_match_sweep(A):
     stats = bisector_stats(A)
     oracle = sweep_bisector_stats(A)
     for line in all_lines(A.spec):
-        assert stats.record_for(line) == oracle.entries[line.key], line
+        assert record_for(A, line) == oracle.entries[line.key], line
     assert stats.b_energy == oracle.b_energy
     assert stats.b_star_energy == oracle.b_star_energy
     assert stats.cone_count == oracle.cone_count
@@ -115,7 +121,7 @@ def assert_stats_match_sweep(A):
     assert stats.relation_universal is oracle.relation_universal
     # entries hold exactly the lines with a point or a reflection pair, in all_lines order
     live = [key for key, rec in oracle.entries.items() if rec.incidence or rec.b_star]
-    assert list(stats.entries) == live
+    assert list(entries(A)) == live
 
 
 class TestBisectorTable:
@@ -131,7 +137,7 @@ class TestBisectorTable:
                     assert table.keys[i, j] == -1
                 else:
                     key = int(table.keys[i, j])
-                    assert counting.line_from_key(spec, key) == equidistant_line(a, b)
+                    assert line_from_key(spec, key) == equidistant_line(a, b)
 
     def test_key_order_is_all_lines_order(self):
         for spec in (F5, F9):
@@ -139,7 +145,7 @@ class TestBisectorTable:
             keys = [spec.q * spec.q + line.c.index if not line.n1 else line.n2.index * spec.q + line.c.index
                     for line in lines]
             assert keys == list(range(spec.q * spec.q + spec.q))
-            assert [counting.line_from_key(spec, k) for k in keys] == lines
+            assert [line_from_key(spec, k) for k in keys] == lines
 
 
 class TestBisectorStats:
@@ -159,7 +165,7 @@ class TestBisectorStats:
             stats, locus = bisector_stats(A), locus_bisector_stats(A)
             assert (stats.b_energy, stats.b_star_energy) == (locus.b_energy, locus.b_star_energy)
             for rec in locus.entries.values():
-                assert stats.record_for(rec.line) == rec
+                assert record_for(A, rec.line) == rec
 
     def test_empty_and_singleton(self):
         for A in (PointSet(F5, []), PointSet(F5, [point(F5, 1, 2)])):
@@ -244,7 +250,7 @@ class TestApexHistograms:
     def test_distance_stats_against_histogram_loop(self, spec):
         for A in sets_over(spec, 6, 10, 5100 + spec.q) + [PointSet(spec, [])]:
             stats = distance_stats(A)
-            got = (stats.per_point, stats.distances, stats.pind, stats.pind_nonzero, stats.nonzero_pairs)
+            got = (per_point(A), distances(A), stats.pind, stats.pind_nonzero, stats.nonzero_pairs)
             assert got == loop_distance_stats(A)
 
     @pytest.mark.parametrize("spec", [F5, F7, F9, F25], ids=["F5", "F7", "F9", "F25"])
@@ -262,7 +268,7 @@ class TestApexHistograms:
     def test_distance_stats_on_every_subset_of_f3(self):
         for A in all_subsets(F3):
             stats = distance_stats(A)
-            got = (stats.per_point, stats.distances, stats.pind, stats.pind_nonzero, stats.nonzero_pairs)
+            got = (per_point(A), distances(A), stats.pind, stats.pind_nonzero, stats.nonzero_pairs)
             assert got == loop_distance_stats(A)
 
 
@@ -291,7 +297,7 @@ class TestPerSetCache:
         assert len(calls) == 2 and calls[1] is B
         assert (again.b_energy, again.b_star_energy, again.cone_count, again.relation_universal) == (
             stats.b_energy, stats.b_star_energy, stats.cone_count, stats.relation_universal)
-        assert again.entries == stats.entries
+        assert entries(B) == entries(A)
         assert epsilon_term(B) == epsilon_term(A)
 
     def test_one_grouped_pass_per_set(self, monkeypatch):
@@ -365,12 +371,15 @@ class TestPerSetCache:
         assert not records["cone-second-moment-exact"]["pass"]
         assert records["cone-second-moment-exact"]["lhs"] == apex_moments(A)[0]
 
-    def test_entries_are_built_only_on_demand(self, monkeypatch):
+    def test_the_stats_build_no_line_objects(self, monkeypatch):
+        # the record holds key and count columns; only the oracle's entries build lines
         built = []
-        monkeypatch.setattr(counting, "line_from_key", lambda spec, key: built.append(key) or Line(
+        monkeypatch.setattr(bisector_oracles, "line_from_key", lambda spec, key: built.append(key) or Line(
             spec.one(), spec.zero(), spec.zero()))
-        stats = bisector_stats(random_sets(F9, 1, 8, 6000)[0])
-        assert stats.b_energy >= stats.b_star_energy
+        monkeypatch.setattr(counting, "Line", lambda *args: built.append(args))
+        A = random_sets(F9, 1, 8, 6000)[0]
+        stats = bisector_stats(A)
+        assert isinstance(stats, tuple) and stats.b_energy >= stats.b_star_energy
         assert built == []
-        stats.entries
-        assert built
+        entries(A)
+        assert len(built) == len(stats.line_keys)

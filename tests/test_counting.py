@@ -8,7 +8,17 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from bisector_oracles import locus_bisector_stats, object_segment_classes, sweep_bisector_stats
+from bisector_oracles import (
+    distances,
+    entries,
+    locus_bisector_stats,
+    object_segment_classes,
+    per_point,
+    per_point_nonzero,
+    record_for,
+    relation_holds,
+    sweep_bisector_stats,
+)
 from findist.counting import (
     IsoscelesCounts,
     _index_coords,
@@ -111,12 +121,12 @@ class TestDistanceStats:
     def test_full_plane_f3(self):
         A = PointSet(F3, all_points(F3))
         stats = distance_stats(A)
-        assert {e.index for e in stats.distances} == {0, 1, 2}
+        assert {e.index for e in distances(A)} == {0, 1, 2}
         assert stats.pind == 3
 
     def test_collinear_f7(self):
         stats = distance_stats(COLLINEAR_F7)
-        assert {e.index for e in stats.per_point[point(F7, 0, 0)]} == {0, 1, 4}
+        assert {e.index for e in per_point(COLLINEAR_F7)[point(F7, 0, 0)]} == {0, 1, 4}
         assert stats.pind == 3
         assert stats.pind_nonzero == 2
         assert stats.nonzero_pairs == 6
@@ -124,7 +134,7 @@ class TestDistanceStats:
     def test_singleton(self):
         A = PointSet(F7, [point(F7, 3, 4)])
         stats = distance_stats(A)
-        assert {e.index for e in stats.distances} == {0}
+        assert {e.index for e in distances(A)} == {0}
         assert stats.pind == 1
         assert stats.pind_nonzero == 0
         assert stats.nonzero_pairs == 0
@@ -135,17 +145,19 @@ class TestDistanceStats:
         stats = distance_stats(A)
         union = set()
         for a in A:
-            union |= stats.per_point[a]
-        assert union == set(stats.distances)
-        assert stats.pind == max(len(stats.per_point[a]) for a in A)
-        assert stats.pind_nonzero == max(len(stats.per_point_nonzero(a)) for a in A)
-        assert stats.distinct_distances == len(stats.distances)
+            union |= per_point(A)[a]
+        assert union == set(distances(A))
+        assert stats.pind == max(len(per_point(A)[a]) for a in A)
+        assert stats.pind_nonzero == max(len(per_point_nonzero(A, a)) for a in A)
+        assert stats.distinct_distances == len(distances(A))
 
-    def test_spectra_are_built_on_first_read(self):
+    def test_the_record_holds_only_the_counts(self):
+        # the spectra are read off the set's tables by the oracles, never kept in the record
         stats = distance_stats(COLLINEAR_F7)
-        assert "per_point" not in vars(stats) and "distances" not in vars(stats)
-        assert (stats.pind, stats.distinct_distances) == (3, 3)
-        assert stats.per_point is stats.per_point and len(stats.distances) == 3
+        assert isinstance(stats, tuple)
+        assert stats == (3, 2, 6, 3)
+        assert stats._fields == ("pind", "pind_nonzero", "nonzero_pairs", "distinct_distances")
+        assert len(per_point(COLLINEAR_F7)) == 3 and len(distances(COLLINEAR_F7)) == 3
 
 
 def all_subsets(spec):
@@ -286,10 +298,10 @@ class TestBisectorStats:
     def test_mirror_pair_f5(self):
         stats = bisector_stats(MIRROR_PAIR_F5)
         axis = Line(F5.one(), F5.zero(), F5.one())
-        assert stats.record_for(axis).b_star == 2
+        assert record_for(MIRROR_PAIR_F5, axis).b_star == 2
         assert stats.b_star_energy == 4
         assert stats.b_energy == 4
-        nonzero = [rec for rec in stats.entries.values() if rec.b_star]
+        nonzero = [rec for rec in entries(MIRROR_PAIR_F5).values() if rec.b_star]
         assert [rec.line for rec in nonzero] == [axis]
 
     def test_empty(self):
@@ -309,10 +321,10 @@ class TestBisectorStats:
         assert stats.cone_count == 5
         assert stats.n_isotropic == 4
         spine = Line(F5.element(2), -F5.one(), F5.zero())
-        rec = stats.record_for(spine)
+        rec = record_for(A, spine)
         assert rec.incidence == 5
         assert rec.b == 20 and rec.b_star == 0
-        assert stats.relation_holds(rec)
+        assert relation_holds(stats, rec)
         # every point of A anchors the same four partners, so the affine
         # relation holds on every line of the plane
         assert stats.relation_universal is True
@@ -340,21 +352,20 @@ class TestBisectorStats:
             assert stats.b_star_energy == sweep.b_star_energy == locus.b_star_energy
             assert stats.b_star_energy == brute_b_star_energy(A)
             assert stats.relation_universal is sweep.relation_universal
-            for key, rec in stats.entries.items():
+            for key, rec in entries(A).items():
                 assert sweep.entries[key] == rec
 
     @given(subsets(F9, max_size=9))
     @settings(max_examples=30, deadline=None)
     def test_first_moment_is_pair_count(self, A):
-        stats = bisector_stats(A)
-        first_moment = sum(rec.b_star for rec in stats.entries.values())
+        first_moment = sum(rec.b_star for rec in entries(A).values())
         assert first_moment == distance_stats(A).nonzero_pairs
 
     @given(subsets(F5, max_size=9))
     @settings(max_examples=30, deadline=None)
     def test_b_dominates_b_star(self, A):
         stats = bisector_stats(A)
-        for rec in stats.entries.values():
+        for rec in entries(A).values():
             assert rec.b >= rec.b_star
         assert stats.b_energy >= stats.b_star_energy
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bisector_oracles import is_isotropic_vector, isotropic_vectors
+from bisector_oracles import is_isotropic_vector, is_zero, isotropic_vectors
 from findist.field import FieldSpec
 from findist.geometry import (
     Circle,
@@ -33,7 +33,7 @@ F13 = FieldSpec(13)
 
 def brute_isotropic(spec):
     return sorted(
-        (p for p in all_points(spec) if not p.is_zero() and not p.norm_sq()),
+        (p for p in all_points(spec) if not is_zero(p) and not p.norm_sq()),
         key=lambda p: p.key,
     )
 

@@ -309,7 +309,7 @@ class TestValidAxisScan:
 class TestClaimReduction:
     def test_mirror_pair_witness(self):
         witness = claim_reduction(MIRROR_PAIR_F5, F5.element(4))
-        assert len(witness.points) == len(witness.planes) == 2
+        assert len(witness.point_rows) == len(witness.plane_rows) == 2
         assert witness.i_ax == 2
         assert witness.incidences == 4
         assert witness.i_on_axis == 2
@@ -319,7 +319,7 @@ class TestClaimReduction:
 
     def test_right_angle_witness(self):
         witness = claim_reduction(RIGHT_ANGLE_F7, F7.one())
-        assert len(witness.points) == 4
+        assert len(witness.point_rows) == 4
         assert witness.incidences == 12
         assert witness.i_ax == 4
         assert witness.i_on_axis == 8
@@ -331,7 +331,7 @@ class TestClaimReduction:
         A = PointSet(F7, [point(F7, 0, 0), point(F7, 2, 3)])
         r = distance(point(F7, 0, 0), point(F7, 2, 3))
         witness = claim_reduction(A, r)
-        assert len(witness.points) == 2
+        assert len(witness.point_rows) == 2
         assert witness.i_ax == 2
         # plus the diagonal incidences: each segment mirrors to itself
         assert witness.i_on_axis == 2
@@ -344,7 +344,7 @@ class TestClaimReduction:
         assert witness.work_field.q == 9
         assert witness.base_field is F3
         assert witness.verdict == "explained"
-        assert len(witness.points) == segment_classes(LIFT_SET_F3).sizes[F3.one().index]
+        assert len(witness.point_rows) == segment_classes(LIFT_SET_F3).sizes[F3.one().index]
         # lifting changes no count: the axial pairs agree with the base field
         assert witness.i_ax == axial_pair_count(LIFT_SET_F3, F3.one())
 
@@ -376,16 +376,16 @@ class TestClaimReduction:
                 continue
             r, size = classes[rng.randrange(len(classes))]
             witness = claim_reduction(A, r)
-            assert len(witness.points) == size
-            assert len(witness.planes) == size
+            assert len(witness.point_rows) == size
+            assert len(witness.plane_rows) == size
             assert witness.incidences == witness.i_ax + witness.i_on_axis
             assert witness.verdict == "explained"
-            assert 1 <= witness.k <= len(witness.points)
+            assert 1 <= witness.k <= len(witness.point_rows)
             assert witness.max_class_size <= len(A) ** 2
 
     def test_witness_monitoring_fields(self):
         witness = claim_reduction(MIRROR_PAIR_F5, F5.element(4))
-        assert witness.k == max_collinear(_rows(witness.points), witness.work_field)
+        assert witness.k == max_collinear(_rows(oracle.witness_families(witness)["points"]), witness.work_field)
         assert witness.m_curve == 2
         assert witness.max_class_size == 2
         # ceil(|A|^(3/2)) for |A| = 2; recorded next to the class size, not asserted against it
@@ -393,7 +393,7 @@ class TestClaimReduction:
 
 
 class TestLazyWitness:
-    """A witness builds its objects and k on first read, and an explained reduction reads neither."""
+    """A witness builds k on first read and writes its families from its rows; an explained reduction builds neither."""
 
     KEYS = [
         "base_field", "work_field", "lifted", "r", "s_r", "axis", "g_motions", "h_motions", "points", "planes",
@@ -417,7 +417,7 @@ class TestLazyWitness:
         # r, s_r and the axis wait for a read too, and the R_tau planes come from the index kernel
         for name in ("max_collinear", "Segment", "Point", "Line"):
             monkeypatch.setattr(incidence, name, unread)
-        # the families' classes are imported from their modules on first read
+        # nor is any motion, point or plane object
         for module, name in ((motions, "RigidMotion"), (kinematic, "ProjPoint"), (kinematic, "ProjPlane")):
             monkeypatch.setattr(module, name, unread)
         report = run(ExperimentConfig.from_json(config))
@@ -429,10 +429,10 @@ class TestLazyWitness:
     def test_the_json_families_are_those_of_the_objects(self, A, r):
         witness = claim_reduction(A, r)
         got = witness.to_json()
-        families = ("g_motions", "h_motions", "points", "planes")
-        assert "points" not in vars(witness)  # written from the index rows
-        assert {name: got[name] for name in families} == {
-            name: [x.to_json() for x in getattr(witness, name)] for name in families}
+        objects = oracle.witness_families(witness)
+        assert not any(hasattr(witness, name) for name in objects)  # written from the index rows
+        assert {name: got[name] for name in objects} == {
+            name: [x.to_json() for x in family] for name, family in objects.items()}
         assert json.dumps(witness.to_json()) == json.dumps(got)
 
     def test_ratio_json_keeps_the_field_order(self):
@@ -453,8 +453,8 @@ class TestLazyWitness:
         assert list(plain.to_json()) == self.KEYS
         assert json.dumps(k_first.to_json()) == json.dumps(plain.to_json())
         assert json.dumps(k_first.ratio().to_json()) == json.dumps(plain.ratio().to_json())
-        # the object families are the columns they were counted on, built once
-        assert len(plain.points) == len(plain.planes) == len(plain.g_motions) == len(plain.h_motions)
-        assert _rows(plain.points).tolist() == plain.point_rows.tolist()
-        assert _rows(plain.planes).tolist() == plain.plane_rows.tolist()
-        assert plain.points is plain.points
+        # the object families are the columns they were counted on
+        objects = oracle.witness_families(plain)
+        assert len({len(family) for family in objects.values()}) == 1
+        assert _rows(objects["points"]).tolist() == plain.point_rows.tolist()
+        assert _rows(objects["planes"]).tolist() == plain.plane_rows.tolist()

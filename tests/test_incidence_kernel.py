@@ -151,16 +151,19 @@ class TestGrid8x12OnF961:
         return claim_reduction(A, largest_class(A))
 
     def test_counts_match_the_loops(self, witness):
-        assert witness.lifted and witness.work_field.q == 961 and len(witness.points) == 728
-        assert witness.incidences == oracle.count_incidences(witness.points, witness.planes) == 30672
-        assert witness.k == oracle.max_collinear(witness.points, witness.work_field)
+        objects = oracle.witness_families(witness)
+        points, planes = objects["points"], objects["planes"]
+        assert witness.lifted and witness.work_field.q == 961 and len(points) == 728
+        assert witness.incidences == oracle.count_incidences(points, planes) == 30672
+        assert witness.k == oracle.max_collinear(points, witness.work_field)
 
     def test_fixed_points_match_the_motion_objects(self, witness):
         spec = witness.work_field
-        columns = tuple(np.array(c, dtype=np.int64) for c in zip(*(g.key for g in witness.g_motions)))
-        size = np.array([len(witness.g_motions)])
+        g_motions = oracle.witness_families(witness)["g_motions"]
+        columns = tuple(np.array(c, dtype=np.int64) for c in zip(*(g.key for g in g_motions)))
+        size = np.array([len(g_motions)])
         got, free = _pairwise_fixed_points(_index_field(spec), spec.q, columns, np.zeros(1, dtype=np.int64), size)
-        want = oracle.pairwise_fixed_points(witness.g_motions)
+        want = oracle.pairwise_fixed_points(g_motions)
         assert not got[0].any() and free[0] >= 0
         assert sorted(zip(*(c.tolist() for c in got[1:]))) == sorted(z.key for z in want)
         assert oracle.scan_axis(want, spec) == witness.axis
@@ -224,7 +227,8 @@ class TestKernelsAgainstLoops:
         for A in [LIFT_SET_F3, generate(F9, "random", {"size": 12}, 0), generate(F7, "random", {"size": 9}, 1)]:
             for r, _ in nonzero_classes(A):
                 w = claim_reduction(A, r)
-                assert w.ratio().to_json() == rudnev_ratio(w.points, w.planes, w.work_field).to_json()
+                objects = oracle.witness_families(w)
+                assert w.ratio().to_json() == rudnev_ratio(objects["points"], objects["planes"], w.work_field).to_json()
 
 
 @pytest.mark.parametrize("spec", [F3, F5, F7, F9, F11, F13, F25], ids=["F3", "F5", "F7", "F9", "F11", "F13", "F25"])

@@ -11,7 +11,8 @@ import sys
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 _BASE = {"findist", "findist.field", "findist.harness"}
 _ALGEBRA = _BASE | {"findist.algebra_checks", "findist.clifford", "findist.geometry", "findist.motions",
@@ -89,8 +90,9 @@ print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules if m.sta
     assert got["loaded"] == sorted(_ALGEBRA | {"findist.cli"})
 
 
-@pytest.mark.parametrize("argv", [["stats", "--field", "7"], ["reduce", "--field", "7"], ["sweep"]],
-                         ids=["stats", "reduce", "sweep"])
+@pytest.mark.parametrize("argv", [["stats", "--field", "7"], ["verify", "--field", "7"], ["reduce", "--field", "7"],
+                                  ["prune", "--field", "7"], ["sweep"]],
+                         ids=["stats", "verify", "reduce", "prune", "sweep"])
 def test_the_cli_runs_a_point_check_without_the_object_layer(argv):
     code = """
 import io, json, sys, contextlib
@@ -111,6 +113,7 @@ print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules if m.sta
     (3, [[0, 0], [0, 1], [1, 0], [2, 1], [2, 2]], True),
 ], ids=["unlifted", "lifted"])
 def test_a_witness_builds_its_objects_when_the_object_layer_was_not_loaded(p, xy, lifted):
+    # the witness and its JSON load no object module; the test oracle builds its objects from the rows
     code = """
 import json, sys
 from findist.field import FieldSpec
@@ -118,8 +121,11 @@ from findist.geometry import PointSet, point
 from findist.incidence import claim_reduction
 spec = FieldSpec(int(sys.argv[1]))
 w = claim_reduction(PointSet(spec, [point(spec, x, y) for x, y in json.loads(sys.argv[2])]), spec.one())
+w.to_json()
 before = sorted(m for m in sys.modules if m in ("findist.kinematic", "findist.motions", "findist.clifford"))
-families = {name: getattr(w, name) for name in ("g_motions", "h_motions", "points", "planes")}
+sys.path.insert(0, sys.argv[3])
+from incidence_oracles import witness_families
+families = witness_families(w)
 print(json.dumps({
     "lifted": w.lifted,
     "before": before,
@@ -128,7 +134,7 @@ print(json.dumps({
     "json": all(w.to_json()[name] == [x.to_json() for x in family] for name, family in families.items()),
 }))
 """
-    got = _python([], code, str(p), json.dumps(xy))
+    got = _python([], code, str(p), json.dumps(xy), TESTS)
     assert got["lifted"] is lifted
     assert got["before"] == []
     assert got["types"] == ["RigidMotion", "RigidMotion", "ProjPoint", "ProjPlane"]
@@ -155,6 +161,20 @@ MOVED_TO_TESTS = {
                   "is_exceptional"),
     "motions": ("axial_to_motion", "_reflection_parts", "r_tau_set", "iter_r_tau", "rotation_about",
                 "transporter_set"),
+    "counting": ("LineBisectorRecord", "line_from_key"),
+}
+
+# class members only the tests read, now functions of the object in the oracle file beside its tests,
+# and the record fields only those members read
+MOVED_MEMBERS = {
+    "field": {"FieldElement": ("is_square",)},
+    "geometry": {"Point": ("is_zero",)},
+    "clifford": {"EvenCliffordElement": ("is_unit", "is_identity_coset", "from_clifford")},
+    "kinematic": {"ProjMap": ("apply_plane",)},
+    "motions": {"RigidMotion": ("apply_segment", "fixed_point", "is_translation")},
+    "counting": {"DistanceStats": ("A", "per_point", "distances", "per_point_nonzero"),
+                 "BisectorStats": ("spec", "entries", "record_for", "relation_holds")},
+    "incidence": {"ReductionWitness": ("g_motions", "h_motions", "points", "planes")},
 }
 
 # class members that nothing calls
@@ -177,12 +197,27 @@ def test_moved_names_are_gone_from_the_package():
             assert not hasattr(old, name), f"findist.{module}.{name}"
 
 
-def test_deleted_members_are_gone():
-    for module, classes in DELETED_MEMBERS.items():
+def _assert_members_gone(table):
+    for module, classes in table.items():
         mod = importlib.import_module(f"findist.{module}")
         for cls, members in classes.items():
             for member in members:
                 assert not hasattr(getattr(mod, cls), member), f"findist.{module}.{cls}.{member}"
+
+
+def test_deleted_members_are_gone():
+    _assert_members_gone(DELETED_MEMBERS)
+
+
+def test_moved_members_are_gone_from_their_classes():
+    _assert_members_gone(MOVED_MEMBERS)
+
+
+def test_the_per_set_count_records_are_tuples():
+    from findist import counting
+
+    assert issubclass(counting.DistanceStats, tuple) and issubclass(counting.BisectorStats, tuple)
+    assert not hasattr(counting, "cached_property")
 
 
 def test_every_public_name_resolves_to_its_submodules_object():

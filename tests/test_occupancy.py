@@ -5,9 +5,16 @@ through two points and every circle through three with the geometry module's
 own constructors, and collect the points on each curve.  The two circle
 passes, the centre sweep and the per-anchor triple scan, are also held equal
 to each other, each called directly rather than through the cost rule.
+
+A set is scanned once, at |A|^2, and pruning reads its heavy curves from that
+scan, so ``_heavy_curves`` is compared with the oracle at the thresholds
+pruning passes; the scan itself is compared at any threshold, down to 0.
 """
 
+import importlib.util
+import os
 import random
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +22,13 @@ import numpy as np
 import pytest
 
 from bisector_oracles import isotropic_vectors
+import findist
 from findist import counting, field, point_checks
 from findist.counting import (
     _circle_scan,
     _circle_sweep,
+    _curve,
+    _curve_scan,
     _heavy_curves,
     _index_coords,
     max_collinear_cocircular,
@@ -39,7 +49,7 @@ from findist.geometry import (
     line_through,
     point,
 )
-from findist.harness import make_config
+from findist.harness import ExperimentConfig, make_config, run
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
@@ -113,6 +123,23 @@ def fresh_copy(A):
     return PointSet(A.spec, [Point(p.x, p.y) for p in A])
 
 
+def scanned_curves(A, cube):
+    """The curves ``_curve_scan`` lists at any cube, converted as ``_heavy_curves`` converts them."""
+    return [_curve(A.spec, kind, key) for _, kind, key in _curve_scan(A, cube)[1]]
+
+
+def assert_prune_thresholds_match_oracle(A):
+    """At |A|^2 on A and on each set the oracle's pruning leaves, _heavy_curves lists the oracle's curves."""
+    orig_sq = len(A) ** 2
+    current = A
+    while True:
+        heavy = oracle_heavy(current, orig_sq)
+        assert _heavy_curves(fresh_copy(current), orig_sq) == heavy, [p.key for p in current]
+        if not heavy:
+            return
+        current = PointSet(current.spec, [p for p in current if not heavy[0].contains(p)])
+
+
 def assert_paths_agree(A):
     """The centre sweep and the triple scan give the same m_circle and heavy circles."""
     F, (x, y) = _index_field(A.spec), _index_coords(A)
@@ -126,8 +153,9 @@ def assert_paths_agree(A):
 def assert_matches_oracle(A):
     occ = max_collinear_cocircular(fresh_copy(A))
     assert (occ.m, occ.m_line, occ.m_circle) == oracle_occupancy(A), [p.key for p in A]
-    for cube in (0, len(A) ** 2, 8):
-        assert _heavy_curves(fresh_copy(A), cube) == oracle_heavy(A, cube), (cube, [p.key for p in A])
+    assert _heavy_curves(fresh_copy(A), len(A) ** 2) == oracle_heavy(A, len(A) ** 2), [p.key for p in A]
+    for cube in (0, 8):
+        assert scanned_curves(A, cube) == oracle_heavy(A, cube), (cube, [p.key for p in A])
     assert_paths_agree(A)
 
 
@@ -186,6 +214,11 @@ class TestKernelAgainstOracle:
         for mask in range(1 << len(pts)):
             assert_matches_oracle(PointSet(F3, [p for i, p in enumerate(pts) if mask >> i & 1]))
 
+    def test_prune_thresholds_on_every_subset_of_f3(self):
+        pts = list(all_points(F3))
+        for mask in range(1 << len(pts)):
+            assert_prune_thresholds_match_oracle(PointSet(F3, [p for i, p in enumerate(pts) if mask >> i & 1]))
+
     @pytest.mark.parametrize("spec", [F5, F9, F25], ids=["F5", "F9", "F25"])
     def test_no_three_concyclic_points(self, spec):
         # a non-collinear triple on the cone |z - c|^2 = 0 has its circle at r^2 = 0
@@ -235,8 +268,9 @@ class TestCirclePaths:
         A = generate(FieldSpec(1009), "random", {"size": 12}, 1009)
         occ = max_collinear_cocircular(fresh_copy(A))
         assert (occ.m, occ.m_line, occ.m_circle) == oracle_occupancy(A)
-        for cube in (0, 8, len(A) ** 2):
-            assert _heavy_curves(fresh_copy(A), cube) == oracle_heavy(A, cube)
+        for cube in (0, 8):
+            assert scanned_curves(A, cube) == oracle_heavy(A, cube)
+        assert _heavy_curves(fresh_copy(A), len(A) ** 2) == oracle_heavy(A, len(A) ** 2)
 
     # the rows of the F_31 benchmark sweep, and every size of the F_25 check
     # set (10 points) and of what its prune step leaves
@@ -246,21 +280,40 @@ class TestCirclePaths:
         for n in sizes:
             A = generate(spec, "random", {"size": n}, n)
             occ = max_collinear_cocircular(A)
-            assert _heavy_curves(fresh_copy(A), 0) == oracle_heavy(A, 0)
+            assert scanned_curves(A, 0) == oracle_heavy(A, 0)
             assert occ.m_circle == oracle_occupancy(A)[2]
+
+
+def prune_order_sets(spec):
+    """Eight random sets over spec, each with a full line, a circle or nothing added."""
+    rng = random.Random(606 + spec.q)
+    pts = list(all_points(spec))
+    line = [Point(spec.one(), e) for e in spec.elements()]
+    circle = [p for p in pts if Circle(point(spec, 2, 1), spec.one()).contains(p)]
+    for trial in range(8):
+        heavy = (line, circle, [])[trial % 3]
+        yield PointSet(spec, rng.sample(pts, rng.randint(2, min(12, len(pts)))) + heavy)
+
+
+def line_plus_four_sets(spec):
+    """Four sets over spec: four random points and a full line."""
+    rng = random.Random(707 + spec.q)
+    pts = list(all_points(spec))
+    for _ in range(4):
+        line = [Point(e, spec.one()) for e in spec.elements()]
+        yield PointSet(spec, rng.sample(pts, 4) + line)
+
+
+# 13 points on two crossing lines of F_7: 7^3 > 13^2, and the second line
+# still holds 6 once the first is gone, 6^3 > 13^2
+TWO_LINES_F7 = PointSet(F7, [point(F7, 1, t) for t in range(7)] + [point(F7, t, 1) for t in range(7)])
 
 
 class TestPruneOrder:
     @pytest.mark.parametrize("spec", [F5, F7, F9, F25], ids=["F5", "F7", "F9", "F25"])
     def test_prune_heavy_matches_oracle(self, spec):
-        rng = random.Random(606 + spec.q)
-        pts = list(all_points(spec))
-        line = [Point(spec.one(), e) for e in spec.elements()]
-        circle = [p for p in pts if Circle(point(spec, 2, 1), spec.one()).contains(p)]
         total_steps = 0
-        for trial in range(8):
-            heavy = (line, circle, [])[trial % 3]
-            A = PointSet(spec, rng.sample(pts, rng.randint(2, min(12, len(pts)))) + heavy)
+        for A in prune_order_sets(spec):
             expected, removed = oracle_prune(A)
             pruned, steps = prune_heavy(A)
             assert pruned == expected
@@ -270,23 +323,15 @@ class TestPruneOrder:
 
     @pytest.mark.parametrize("spec", [F7, F9, F25], ids=["F7", "F9", "F25"])
     def test_check_prune_removes_oracle_curves(self, spec):
-        rng = random.Random(707 + spec.q)
-        pts = list(all_points(spec))
-        for _ in range(4):
-            line = [Point(e, spec.one()) for e in spec.elements()]
-            A = PointSet(spec, rng.sample(pts, 4) + line)
+        for A in line_plus_four_sets(spec):
             config = make_config(spec, "explicit", {"points": [p.to_json() for p in A]}, checks=("prune",))
             _, metrics, _, _ = point_checks._check_prune(A, config)
             _, removed = oracle_prune(A)
             assert removed, "the set must carry a heavy curve"
             assert metrics["removed"] == [curve.to_json() for curve in removed]
 
-
     def test_two_heavy_lines_take_two_steps(self):
-        # 13 points on two crossing lines of F_7: 7^3 > 13^2, and the second
-        # line still holds 6 once the first is gone, 6^3 > 13^2
-        spec = F7
-        A = PointSet(spec, [point(spec, 1, t) for t in range(7)] + [point(spec, t, 1) for t in range(7)])
+        spec, A = F7, TWO_LINES_F7
         expected, removed = oracle_prune(A)
         assert len(removed) == 2
         current = A
@@ -300,8 +345,49 @@ class TestPruneOrder:
         assert metrics["removed"] == [curve.to_json() for curve in removed]
         assert [f["name"] for f in findings[:2]] == ["prune-triple-bound[step=0]", "prune-triple-bound[step=1]"]
 
+    @pytest.mark.parametrize("spec", [F5, F7, F9, F25], ids=["F5", "F7", "F9", "F25"])
+    def test_heavy_curves_at_every_prune_threshold(self, spec):
+        sets = list(prune_order_sets(spec))
+        if spec is not F5:
+            sets += line_plus_four_sets(spec)
+        if spec is F7:
+            sets.append(TWO_LINES_F7)
+        for A in sets:
+            assert_prune_thresholds_match_oracle(A)
+
+
+def _checks_f25_config():
+    """The input of the checks-f25 benchmark workload at its default seed, built by the benchmark's own code."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    return workloads.build_config(findist, "checks-f25", workloads.WORKLOADS["checks-f25"].default_seed)
+
 
 class TestPerSetCache:
+    @pytest.mark.parametrize("config", [
+        _checks_f25_config,
+        lambda: make_config(F31, "random", {"size": 40}, seed=31, checks=("stats", "verify", "reduce", "prune")),
+    ], ids=["checks-f25", "f31-random-40"])
+    def test_one_curve_scan_per_point_set(self, monkeypatch, config):
+        # stats, verify and reduce read the occupancy and prune the heavy curves of one scan per set
+        config = config()
+        assert config.checks == ("stats", "verify", "reduce", "prune")
+        scanned = []
+        scan = counting._curve_scan
+
+        def counted(A, *args):
+            scanned.append(A)
+            return scan(A, *args)
+
+        monkeypatch.setattr(counting, "_curve_scan", counted)
+        report = run(config)
+        assert report.passed()
+        # the input and each set a prune step leaves
+        assert len(scanned) == 1 + report.metrics["prune"]["steps"]
+        assert len({id(A) for A in scanned}) == len(scanned)
+
     @pytest.mark.parametrize("spec", [F7, F25], ids=["F7", "F25"])
     def test_cached_equals_fresh(self, spec):
         rng = random.Random(909 + spec.q)
